@@ -25,7 +25,7 @@ from .oracle import (
     ones_exact_champernowne,
 )
 from .rational import format_rational, parse_rational
-from .sequences import Naturals, parse_sequence
+from .sequences import DEFAULT_COUNTING_CAP, Naturals, parse_sequence
 from .stats import (
     counter_prefix,
     lil_bound,
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_thresh.add_argument("--base", type=int, required=True)
     p_thresh.add_argument("--c", default="1")
     p_thresh.add_argument("--xs", required=True, help="comma-separated sample points")
-    p_thresh.add_argument("--cap", type=int, default=10**8, help="counting cap")
+    p_thresh.add_argument("--cap", type=int, default=DEFAULT_COUNTING_CAP, help="counting cap")
     p_thresh.set_defaults(func=_cmd_threshold)
 
     return parser

@@ -14,7 +14,7 @@ import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapExceededError, SequenceExhaustedError
 from .primes import (
@@ -23,6 +23,7 @@ from .primes import (
     iter_composites,
     iter_primes,
     prime_count,
+    prime_segments,
 )
 
 __all__ = [
@@ -36,6 +37,18 @@ __all__ = [
     "parse_sequence",
     "DEFAULT_COUNTING_CAP",
 ]
+
+# Batches start short, so that the first digits of a stream cost little,
+# and double up to this many members, which bounds a batch's memory.
+FIRST_BATCH = 16
+MAX_BATCH = 1024
+
+
+def _batch_sizes() -> Iterator[int]:
+    size = FIRST_BATCH
+    while True:
+        yield size
+        size = min(2 * size, MAX_BATCH)
 
 
 class SequenceSpec(ABC):
@@ -63,6 +76,22 @@ class SequenceSpec(ABC):
     def canonical(self) -> str:
         """The spec's canonical string form, accepted by parse_sequence."""
 
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """Members strictly greater than ``after``, in order, as
+        consecutive batches of bounded size: at most MAX_BATCH members,
+        or one sieve segment.
+
+        This is the bulk view that the digit scans consume.  By default
+        it chunks ``members``; specs that can produce a batch at once
+        override it.
+        """
+        members = self.members(after)
+        for size in _batch_sizes():
+            batch = list(itertools.islice(members, size))
+            if not batch:
+                return
+            yield batch
+
     def next_member(self, after: int) -> int:
         """Smallest member strictly greater than ``after``.
 
@@ -88,6 +117,12 @@ class Naturals(SequenceSpec):
     def members(self, after: int = 0) -> Iterator[int]:
         return itertools.count(max(after, 0) + 1)
 
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        lo = max(after, 0) + 1
+        for size in _batch_sizes():
+            yield range(lo, lo + size)
+            lo += size
+
     def is_member(self, n: int) -> bool:
         return n >= 1
 
@@ -103,6 +138,10 @@ class Naturals(SequenceSpec):
 class Primes(SequenceSpec):
     def members(self, after: int = 0) -> Iterator[int]:
         return iter_primes(max(after + 1, 2))
+
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """One batch per sieve segment."""
+        return prime_segments(max(after + 1, 2))
 
     def is_member(self, n: int) -> bool:
         return n >= 2 and is_prime(n)
@@ -259,17 +298,19 @@ class Complement(SequenceSpec):
             raise ValueError("complement of the naturals is empty")
 
     def members(self, after: int = 0) -> Iterator[int]:
+        return itertools.chain.from_iterable(self.batches(after))
+
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """One batch per gap between inner members, so that no batch
+        waits on an inner member that may never come."""
         if isinstance(self.inner, Complement):
-            return self.inner.inner.members(after)
-
-        def gen() -> Iterator[int]:
-            prev = max(after, 0)
-            for s in self.inner.members(prev):
-                yield from range(prev + 1, s)
-                prev = s
-            yield from itertools.count(prev + 1)
-
-        return gen()
+            yield from self.inner.inner.batches(after)
+            return
+        prev = max(after, 0)
+        for s in self.inner.members(prev):
+            yield range(prev + 1, s)
+            prev = s
+        yield from Naturals().batches(prev)
 
     def is_member(self, n: int) -> bool:
         return n >= 1 and not self.inner.is_member(n)

@@ -9,17 +9,27 @@ iterated logarithm: the statistic's limsup is sqrt(b - 1)/b.  The
 concatenation streams built by this package drive the symbol-1
 statistic to infinity instead, which the trajectory measurements make
 visible.
+
+Every prefix count comes from one scan kernel over the stream's runs
+(see ``stream.iter_runs``).  A run between stops is counted whole, with
+C-speed counting over its digits times its copy count; a run that holds
+a stop is split exactly at that stop.  Counts and positions are Python
+ints throughout, so the batched scan is as exact as a digit-by-digit
+walk.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
-from .stream import NumberSpec, StreamCursor, iter_blocks
+# iter_blocks stays importable from here: bench/tracer.py rebinds it
+from .stream import NumberSpec, StreamCursor, iter_blocks, iter_runs  # noqa: F401
 
 __all__ = [
     "DigitCounter",
@@ -37,6 +47,10 @@ __all__ = [
 ]
 
 MIN_STATISTIC_N = 16
+
+# From this base on, a full counter tallies a run in one pass rather than
+# scanning the run once per symbol.
+_TALLY_MIN_BASE = 64
 
 TRAJECTORY_CSV_HEADER = "n,count,discrepancy_num,discrepancy_den,statistic"
 
@@ -146,7 +160,7 @@ def block_stream(cursor: StreamCursor, m: int) -> Iterator[int]:
 
 
 def _partial_block_count(
-    digits: tuple[int, ...], symbol: int, prefix_len: int
+    digits: Sequence[int], symbol: int, prefix_len: int
 ) -> int:
     """Occurrences of symbol among the first prefix_len digits of a
     block written over and over."""
@@ -157,56 +171,102 @@ def _partial_block_count(
     return count
 
 
-def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:
-    """Brute-force count of a symbol over the first n digits.
-
-    Walks every block of the stream and counts occurrences directly;
-    this is the measurement side that the closed forms are checked
-    against.
-    """
+def _check_symbol(spec: NumberSpec, symbol: int) -> None:
     if not 0 <= symbol < spec.base:
         raise ValueError(f"symbol {symbol} out of range for base {spec.base}")
+
+
+def _scan(
+    spec: NumberSpec,
+    stops: Sequence[int],
+    symbol: int | None = None,
+    members: bool = False,
+) -> Iterator[tuple[int, list[int]]]:
+    """The prefix scan behind every counting entry point.
+
+    Walks the runs of the stream to each stop in turn and yields
+    (position, counts) there.  ``counts`` holds the occurrences of every
+    symbol, indexed by symbol, or with ``symbol`` given, of that symbol
+    alone.  A stop is a digit position, or with ``members`` a boundary
+    member m, whose position is the end of all copies of all members
+    <= m.  Stops must be increasing.
+
+    Raises:
+        SequenceExhaustedError: when a finite stream ends before a
+            position stop.  Boundary members past the end all stop at
+            the end.
+    """
+    if not stops:
+        return
+    symbols = range(spec.base) if symbol is None else (symbol,)
+    tally = symbol is None and spec.base >= _TALLY_MIN_BASE
+    counts = [0] * len(symbols)
+
+    def add(digits: Sequence[int], copies: int) -> None:
+        if tally:
+            for d, k in Counter(digits).items():
+                counts[d] += k * copies
+        else:
+            for j, s in enumerate(symbols):
+                counts[j] += digits.count(s) * copies
+
+    pos = 0
+    idx = 0
+    for run, digits, length, copies in iter_runs(spec):
+        span = length * copies
+        end = pos + len(run) * span
+        done = 0  # members of this run already in counts
+        while idx < len(stops) and (stops[idx] <= run[-1] if members else stops[idx] <= end):
+            # the stop lies i whole members and r digits into the run
+            if members:
+                i, r = bisect_right(run, stops[idx]), 0
+            else:
+                i, r = divmod(stops[idx] - pos, span)
+            if i > done:
+                add(digits[done * length : i * length], copies)
+                done = i
+            at = list(counts)
+            if r:
+                block = digits[i * length : (i + 1) * length]
+                at = [c + _partial_block_count(block, s, r) for c, s in zip(at, symbols)]
+            yield pos + i * span + r, at
+            idx += 1
+        if idx == len(stops):
+            return
+        add(digits[done * length :] if done else digits, copies)
+        pos = end
+    while idx < len(stops) and (members or stops[idx] <= pos):
+        yield pos, list(counts)
+        idx += 1
+    if idx < len(stops):
+        raise SequenceExhaustedError(
+            f"stream over {spec.canonical} ends before position {stops[idx]}"
+        )
+
+
+def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:
+    """Count of a symbol over the first n digits.
+
+    Scans the stream itself, with no closed form; this is the
+    measurement side that the closed forms are checked against.
+    """
+    _check_symbol(spec, symbol)
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
     if n == 0:
         return 0
-    pos = 0
-    count = 0
-    for _, digits, reps in iter_blocks(spec):
-        span = len(digits) * reps
-        if pos + span >= n:
-            count += _partial_block_count(digits, symbol, n - pos)
-            return count
-        count += digits.count(symbol) * reps
-        pos += span
-    raise SequenceExhaustedError(
-        f"stream over {spec.canonical} ends before position {n}"
-    )
+    ((_, counts),) = _scan(spec, [n], symbol)
+    return counts[0]
 
 
 def counter_prefix(spec: NumberSpec, n: int) -> DigitCounter:
     """Full symbol counter over the first n digits of the stream."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    counter = DigitCounter(spec.base)
     if n == 0:
-        return counter
-    pos = 0
-    for _, digits, reps in iter_blocks(spec):
-        length = len(digits)
-        span = length * reps
-        if pos + span >= n:
-            full, rem = divmod(n - pos, length)
-            if full:
-                counter.add_block(digits, full)
-            if rem:
-                counter.add_block(digits[:rem], 1)
-            return counter
-        counter.add_block(digits, reps)
-        pos += span
-    raise SequenceExhaustedError(
-        f"stream over {spec.canonical} ends before position {n}"
-    )
+        return DigitCounter(spec.base)
+    ((_, counts),) = _scan(spec, [n])
+    return DigitCounter(spec.base, counts)
 
 
 def prefix_counts_at_boundaries(
@@ -218,27 +278,11 @@ def prefix_counts_at_boundaries(
     Boundary members must be increasing.  They need not themselves be
     members of the sequence.
     """
+    _check_symbol(spec, symbol)
     boundaries = list(boundary_members)
     if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
         raise ValueError("boundary members must be strictly increasing")
-    out: list[tuple[int, int]] = []
-    pos = 0
-    count = 0
-    idx = 0
-    if not boundaries:
-        return out
-    for member, digits, reps in iter_blocks(spec):
-        while idx < len(boundaries) and member > boundaries[idx]:
-            out.append((pos, count))
-            idx += 1
-        if idx == len(boundaries):
-            return out
-        pos += len(digits) * reps
-        count += digits.count(symbol) * reps
-    while idx < len(boundaries):
-        out.append((pos, count))
-        idx += 1
-    return out
+    return [(pos, counts[0]) for pos, counts in _scan(spec, boundaries, symbol, members=True)]
 
 
 @dataclass(frozen=True)
@@ -280,8 +324,7 @@ def trajectory(
     middle of a block and is split exactly.  Checkpoints must be
     strictly increasing and at least 16, where the statistic exists.
     """
-    if not 0 <= symbol < spec.base:
-        raise ValueError(f"symbol {symbol} out of range for base {spec.base}")
+    _check_symbol(spec, symbol)
     cps = list(checkpoints)
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ValueError("checkpoints must be strictly increasing")
@@ -289,23 +332,8 @@ def trajectory(
         raise UndefinedStatisticError(
             f"checkpoints below {MIN_STATISTIC_N} have no statistic"
         )
-    points: list[LilPoint] = []
-    if not cps:
-        return Trajectory(spec, symbol, ())
-    pos = 0
-    count = 0
-    idx = 0
-    for _, digits, reps in iter_blocks(spec):
-        span = len(digits) * reps
-        while idx < len(cps) and cps[idx] <= pos + span:
-            n = cps[idx]
-            c = count + _partial_block_count(digits, symbol, n - pos)
-            points.append(LilPoint(n, c, discrepancy(c, n, spec.base), lil_statistic(c, n, spec.base)))
-            idx += 1
-        if idx == len(cps):
-            return Trajectory(spec, symbol, tuple(points))
-        count += digits.count(symbol) * reps
-        pos += span
-    raise SequenceExhaustedError(
-        f"stream over {spec.canonical} ends before checkpoint {cps[idx]}"
+    points = tuple(
+        LilPoint(n, c, discrepancy(c, n, spec.base), lil_statistic(c, n, spec.base))
+        for n, (c,) in _scan(spec, cps, symbol)
     )
+    return Trajectory(spec, symbol, points)

@@ -10,13 +10,22 @@ construction; with the primes it is the Copeland-Erdos construction.
 Digit positions are 1-indexed.  A StreamCursor walks the digits, can
 jump forward by whole blocks rather than digit by digit, and serializes
 to a one-line checkpoint that restores the exact stream state.
+
+The bulk scans read the stream as runs (``iter_runs``): members of one
+digit length written out together by C-speed conversions.  The run view
+is exact, not an approximation of the block view: it holds the same
+digits, and the cursor's blocks are cut from it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import floordiv, mod
+from typing import Callable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError
 from .rational import floor_power, format_rational, parse_rational
@@ -30,6 +39,7 @@ __all__ = [
     "digit_length",
     "repetitions",
     "iter_blocks",
+    "iter_runs",
     "parse_number_spec",
     "save_checkpoint",
     "load_checkpoint",
@@ -109,24 +119,102 @@ def parse_number_spec(text: str) -> NumberSpec:
     return NumberSpec(seq, base, c)
 
 
+# Largest power of the base that one entry of a chunk table may stand for.
+_CHUNK_TABLE_LIMIT = 1 << 10
+
+# Most members in one run, which bounds the memory of writing it out.
+_MAX_RUN = 1024
+
+# format() codes of the bases whose digits the stdlib writes at C speed.
+_FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
+
+
+@lru_cache(maxsize=8)
+def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
+    """Function writing out members of one digit length, one item per
+    digit: bytes whose values are the digits for bases up to 256, a list
+    of ints beyond."""
+    code = _FORMAT_CODES.get(base)
+    if code is not None:
+        values = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+        def formatted(members: Sequence[int], length: int) -> bytes:
+            text = map(str, members) if code == "d" else map(format, members, repeat(code))
+            return "".join(text).encode("ascii").translate(values)
+
+        return formatted
+    if base > 256:
+        return lambda members, length: list(
+            chain.from_iterable(map(to_digits, members, repeat(base)))
+        )
+    # tables[k][v] holds the k zero-padded digits of v < base**k, one
+    # character per digit, as str: bytes.join would take a buffer per
+    # chunk.  A run is cut into chunks of ``width`` digits by divmod,
+    # column by column over all its members, below a leading chunk of
+    # the remaining digits.
+    width = 1
+    while base ** (width + 1) <= _CHUNK_TABLE_LIMIT:
+        width += 1
+    chunk = base**width
+    tables = [[""]]
+    for _ in range(width):
+        tables.append([t + chr(d) for t in tables[-1] for d in range(base)])
+
+    def chunked(members: Sequence[int], length: int) -> bytes:
+        lower, lead = divmod(length - 1, width)
+        columns = []
+        rest = members
+        for _ in range(lower):
+            columns.append(map(tables[width].__getitem__, map(mod, rest, repeat(chunk))))
+            rest = list(map(floordiv, rest, repeat(chunk)))
+        columns.append(map(tables[lead + 1].__getitem__, rest))
+        columns.reverse()
+        return "".join(chain.from_iterable(zip(*columns))).encode("latin-1")
+
+    return chunked
+
+
+def iter_runs(
+    spec: NumberSpec, after: int = 0
+) -> Iterator[tuple[Sequence[int], Sequence[int], int, int]]:
+    """Yield (members, digits, length, copies) for the members greater
+    than ``after``, one run at a time.
+
+    A run is a stretch of one batch of ``spec.sequence.batches`` whose
+    members all have ``length`` digits.  ``digits`` writes each member
+    once, in order and one item per digit, so member i is
+    ``digits[i * length:(i + 1) * length]``; the stream writes that
+    block ``copies`` times before the next member.  Runs are cut at
+    powers of the base and after at most ``_MAX_RUN`` members, and the
+    copy count is computed once per length, so every digit, copy and
+    position is exact.
+    """
+    base = spec.base
+    encode = _run_encoder(base)
+    by_length: dict[int, tuple[int, int]] = {}  # length -> (base**length, copies)
+    for batch in spec.sequence.batches(after):
+        start = 0
+        while start < len(batch):
+            length = digit_length(batch[start], base)
+            if length not in by_length:
+                by_length[length] = (base**length, floor_power(spec.multiplier, length))
+            bound, copies = by_length[length]
+            stop = bisect_left(batch, bound, start, min(start + _MAX_RUN, len(batch)))
+            run = batch[start:stop]
+            yield run, encode(run, length), length, copies
+            start = stop
+
+
 def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Yield (member, digits, copies) for members greater than ``after``.
 
-    This is the bulk view of the stream: each yielded block stands for
-    ``copies`` consecutive writes of ``digits``.  Repetition counts only
-    depend on the digit length, so they are cached per length.
+    This is the member-by-member view of the stream, cut from the runs:
+    each yielded block stands for ``copies`` consecutive writes of
+    ``digits``.
     """
-    base = spec.base
-    c = spec.multiplier
-    reps_by_len: dict[int, int] = {}
-    for m in spec.sequence.members(after):
-        digits = to_digits(m, base)
-        length = len(digits)
-        reps = reps_by_len.get(length)
-        if reps is None:
-            reps = floor_power(c, length)
-            reps_by_len[length] = reps
-        yield m, digits, reps
+    for run, digits, length, copies in iter_runs(spec, after):
+        for i, m in enumerate(run):
+            yield m, tuple(digits[i * length : (i + 1) * length]), copies
 
 
 @dataclass
@@ -158,6 +246,8 @@ class StreamCursor:
                 raise ValueError("repetition index out of range")
             if not 0 <= self.offset <= len(self._digits):
                 raise ValueError("digit offset out of range")
+        elif self.rep or self.offset:
+            raise ValueError("a cursor before its first member has no repetition or offset")
 
     def _blocks(self) -> Iterator[tuple[int, tuple[int, ...], int]]:
         if self._members is None:

@@ -124,6 +124,14 @@ class TestDigits:
         )
         assert whole.strip() == first.strip() + second.strip()
 
+    def test_resume_from_impossible_fresh_state_is_usage_error(self, tmp_path):
+        state = tmp_path / "cursor.txt"
+        state.write_text("position=0 integer=0 rep=7 offset=9 spec=naturals|b=10|c=1\n")
+        code, out, err = run_cli("digits", "--resume", str(state), "-n", "5")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_resume_conflicts_with_spec_flags(self, tmp_path):
         state = str(tmp_path / "cursor.txt")
         run_cli("digits", "--sequence", "naturals", "--base", "10", "-n", "3",

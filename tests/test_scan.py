@@ -1,0 +1,258 @@
+"""The batched scan against the brute-force oracle ``concat_stream``.
+
+Every counting entry point (count_symbol_prefix, counter_prefix,
+prefix_counts_at_boundaries, trajectory) runs through one kernel over
+the stream's runs.  These properties compare it with the literal block
+expansion over independently enumerated members, at stop points chosen
+where a batched scan could go wrong: on run edges, inside a repetition,
+at powers of the base and across sieve segment boundaries.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cedigits import (
+    Complement,
+    Composites,
+    Explicit,
+    Naturals,
+    NumberSpec,
+    Polynomial,
+    Primes,
+    SequenceExhaustedError,
+    count_symbol_prefix,
+    counter_prefix,
+    floor_power,
+    to_digits,
+    trajectory,
+)
+from cedigits.primes import SEGMENT_SIZE, iter_composites, iter_primes
+from cedigits.stats import MIN_STATISTIC_N, prefix_counts_at_boundaries
+from cedigits.stream import iter_blocks, iter_runs
+
+from conftest import concat_stream, digits_of, trial_division_is_prime
+
+MULTIPLIERS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 3))
+# 2..40 covers the format() bases and the chunk tables; 1000 takes the
+# one-pass tally of a full counter
+BASES = st.one_of(st.integers(min_value=2, max_value=40), st.just(1000))
+LIMIT = 3000
+
+
+def _primes():
+    return (n for n in itertools.count(2) if trial_division_is_prime(n))
+
+
+def _poly(coeffs):
+    return lambda n: sum(c * n**i for i, c in enumerate(coeffs))
+
+
+@st.composite
+def sequences(draw):
+    """A sequence spec and an independent enumeration of its members."""
+    kind = draw(
+        st.sampled_from(
+            ("naturals", "primes", "composites", "poly", "poly-primes", "explicit", "complement")
+        )
+    )
+    if kind == "naturals":
+        return Naturals(), lambda: itertools.count(1)
+    if kind == "primes":
+        return Primes(), _primes
+    if kind == "composites":
+        return Composites(), lambda: (n for n in itertools.count(4) if not trial_division_is_prime(n))
+    if kind in ("poly", "poly-primes"):
+        coeffs = tuple(draw(st.lists(st.integers(0, 5), min_size=1, max_size=2))) + (
+            draw(st.integers(1, 3)),
+        )
+        f = _poly(coeffs)
+        if kind == "poly":
+            return Polynomial(coeffs), lambda: map(f, itertools.count(1))
+        return Polynomial(coeffs, "primes"), lambda: map(f, _primes())
+    if kind == "explicit":
+        values = tuple(sorted(draw(st.sets(st.integers(1, 5000), max_size=60))))
+        return Explicit(values), lambda: iter(values)
+    inner = draw(st.sampled_from(("primes", "squares", "explicit")))
+    if inner == "primes":
+        spec, member = Primes(), trial_division_is_prime
+    elif inner == "squares":
+        spec, member = Polynomial((0, 0, 1)), lambda n: int(n**0.5 + 0.5) ** 2 == n
+    else:
+        values = frozenset(draw(st.sets(st.integers(1, 300), max_size=40)))
+        spec, member = Explicit(tuple(sorted(values))), values.__contains__
+    return Complement(spec), lambda: (n for n in itertools.count(1) if not member(n))
+
+
+def expand(members, base, c, limit):
+    """Blocks (member, start position, length, copies) of the members
+    whose first copy starts before ``limit``."""
+    blocks = []
+    pos = 0
+    for m in members:
+        if pos >= limit:
+            break
+        length = len(digits_of(m, base))
+        copies = c.numerator**length // c.denominator**length
+        blocks.append((m, pos, length, copies))
+        pos += length * copies
+    return blocks
+
+
+def structural_stops(blocks, base, limit):
+    """Positions where a run view could split wrongly."""
+    stops = {0, 1, limit}
+    for m, start, length, copies in blocks:
+        stops.update((start, start + 1, start + length, start + length * copies - 1))
+        if copies > 1:
+            stops.add(start + length * (copies // 2) + length // 2)
+    power = base
+    while power <= limit:
+        stops.update((power - 1, power, power + 1))
+        power *= base
+    return sorted(s for s in stops if 0 <= s <= limit)
+
+
+@st.composite
+def cases(draw):
+    spec, members = draw(sequences())
+    base = draw(BASES)
+    c = draw(st.sampled_from(MULTIPLIERS))
+    number = NumberSpec(spec, base, c)
+    stream = concat_stream(members(), base, c.numerator, c.denominator, LIMIT)
+    blocks = expand(members(), base, c, len(stream))
+    candidates = structural_stops(blocks, base, LIMIT)
+    stops = sorted(set(draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))))
+    return number, members, stream, blocks, stops
+
+
+@given(cases(), st.integers(min_value=0, max_value=39))
+@settings(max_examples=150, deadline=None)
+def test_position_scans_match_oracle(case, symbol_seed):
+    number, _, stream, _, stops = case
+    symbol = symbol_seed % number.base
+    want = [0] * number.base
+    done = 0
+    for n in stops:
+        if n > len(stream):
+            with pytest.raises(SequenceExhaustedError):
+                counter_prefix(number, n)
+            with pytest.raises(SequenceExhaustedError):
+                count_symbol_prefix(number, symbol, n)
+            continue
+        for d in stream[done:n]:
+            want[d] += 1
+        done = n
+        counter = counter_prefix(number, n)
+        assert counter.counts == want
+        assert counter.total == n
+        assert count_symbol_prefix(number, symbol, n) == want[symbol]
+    cps = [n for n in stops if n >= MIN_STATISTIC_N]
+    if cps and cps[-1] > len(stream):
+        with pytest.raises(SequenceExhaustedError):
+            trajectory(number, symbol, cps)
+    else:
+        points = trajectory(number, symbol, cps).points
+        assert [(p.n, p.count) for p in points] == [(n, stream[:n].count(symbol)) for n in cps]
+
+
+@given(cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_boundary_scan_matches_oracle(case, data):
+    number, _, stream, blocks, _ = case
+    base = number.base
+    # the members ran out inside the expansion: boundaries may pass the end
+    exhausted = len(stream) < LIMIT
+    last = blocks[-1][0] if blocks else 0
+    candidates = {0, 1, last + 10}
+    for m, *_ in blocks:
+        candidates.update((m - 1, m, m + 1))
+    power = base
+    while power <= last + 1:
+        candidates.update((power - 1, power))
+        power *= base
+    # otherwise the scan may read only members expanded here
+    candidates = sorted(b for b in candidates if b >= 0 and (exhausted or b < last))
+    if not candidates:
+        return
+    boundaries = sorted(
+        set(data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8)))
+    )
+    symbol = data.draw(st.integers(min_value=0, max_value=base - 1))
+    want = []
+    for b in boundaries:
+        pos = sum(length * copies for m, _, length, copies in blocks if m <= b)
+        want.append((pos, stream[:pos].count(symbol)))
+    assert prefix_counts_at_boundaries(number, symbol, boundaries) == want
+
+
+@given(
+    st.one_of(BASES, st.sampled_from((64, 255, 256, 257))),
+    st.sampled_from(MULTIPLIERS),
+    sequences(),
+    st.integers(min_value=0, max_value=3000),
+)
+@settings(max_examples=150, deadline=None)
+def test_run_view_digits_equal_to_digits(base, c, seq, after):
+    spec, members = seq
+    want = [m for m in itertools.islice(members(), 400) if m > after][:150]
+    got = []
+    for run, digits, length, copies in iter_runs(NumberSpec(spec, base, c), after):
+        assert len(digits) == len(run) * length
+        assert copies == floor_power(c, length)
+        for i, m in enumerate(run):
+            assert tuple(digits[i * length : (i + 1) * length]) == to_digits(m, base)
+        got.extend(run)
+        if len(got) >= len(want):
+            break
+    assert got[: len(want)] == want
+
+
+class TestSegmentBoundary:
+    """The sieve hands out members one segment at a time; the first
+    segment of a stream from the start ends at 2 + SEGMENT_SIZE, between
+    the primes 65537 and 65539."""
+
+    edge = 2 + SEGMENT_SIZE
+    window = range(edge - 600, edge + 600)
+
+    def test_generators_cross_the_edge(self):
+        primes = [n for n in self.window if trial_division_is_prime(n)]
+        composites = [n for n in self.window if not trial_division_is_prime(n)]
+        lo = self.window[0]
+        assert list(itertools.takewhile(lambda p: p < self.window[-1] + 1, iter_primes(lo))) == primes
+        assert list(itertools.takewhile(lambda p: p < self.window[-1] + 1, iter_composites(lo))) == composites
+        for spec, want in ((Primes(), primes), (Composites(), composites)):
+            batched = itertools.chain.from_iterable(spec.batches(lo - 1))
+            assert list(itertools.islice(batched, len(want))) == want
+
+    @pytest.mark.parametrize("base", [2, 3, 10, 1000])
+    def test_scans_cross_the_edge(self, base):
+        members = [n for n in range(2, self.edge + 40) if trial_division_is_prime(n)]
+        stream = concat_stream(members, base, 1, 1, 10**9)
+        spec = NumberSpec(Primes(), base)
+        blocks = expand(members, base, Fraction(1), len(stream))
+        near = [(m, start, length) for m, start, length, _ in blocks if abs(m - self.edge) < 12]
+        stops = sorted({p for _, start, length in near for p in (start, start + 1, start + length - 1)})
+        for n in stops:
+            tally = Counter(stream[:n])
+            assert counter_prefix(spec, n).counts == [tally[s] for s in range(base)]
+        traj = trajectory(spec, 1, stops)
+        assert [p.count for p in traj.points] == [stream[:n].count(1) for n in stops]
+        boundaries = [m for m, _, _ in near] + [self.edge]
+        boundaries = sorted(set(boundaries))
+        want = []
+        for b in boundaries:
+            pos = sum(length for m, _, length, _ in blocks if m <= b)
+            want.append((pos, stream[:pos].count(1)))
+        assert prefix_counts_at_boundaries(spec, 1, boundaries) == want
+        # the cursor's blocks are cut from the same runs
+        blocks_after = itertools.islice(iter_blocks(spec, self.edge - 20), 8)
+        want_after = [m for m in members if m > self.edge - 20][:8]
+        assert [(m, d) for m, d, _ in blocks_after] == [
+            (m, to_digits(m, base)) for m in want_after
+        ]

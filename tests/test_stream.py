@@ -249,6 +249,16 @@ class TestCheckpoints:
         resumed = StreamCursor.from_checkpoint(line)
         assert resumed.read(2) == [1, 0]
 
+    @pytest.mark.parametrize("rep,offset", [(7, 9), (1, 0), (0, 1)])
+    def test_fresh_state_with_progress_rejected(self, rep, offset):
+        # integer=0 is the state before the first member: nothing of any
+        # copy has been read yet, so rep and offset must both be 0
+        line = f"position=0 integer=0 rep={rep} offset={offset} spec=naturals|b=10|c=1/1"
+        with pytest.raises(ValueError):
+            StreamCursor.from_checkpoint(line)
+        with pytest.raises(ValueError):
+            StreamCursor(NumberSpec(Naturals(), 10), 0, 0, rep, offset)
+
     def test_malformed_lines_rejected(self):
         for line in (
             "",
