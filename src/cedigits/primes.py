@@ -9,12 +9,14 @@ sets that are deterministic for every modulus below 2**64.
 from __future__ import annotations
 
 import re
-from itertools import compress
+from itertools import chain, compress, islice
 from typing import Iterator
 
 from .errors import CapExceededError
 
 SEGMENT_SIZE = 1 << 16
+FIRST_SEGMENT = 1 << 10
+MAX_BATCH = 1024  # most members in one batch of a sequence
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
 # witness list is a proven deterministic test for all n < limit.
@@ -76,20 +78,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(n: int) -> list[int]:
-    """All primes <= n via a plain sieve. Intended for small n."""
-    if n < 2:
-        return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= n:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, n + 1, p)))
-        p += 1
-    return [i for i in range(2, n + 1) if flags[i]]
-
-
 def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
     """Prime flags for the half-open range [lo, hi)."""
     flags = bytearray([1]) * (hi - lo)
@@ -98,28 +86,31 @@ def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
         flags[start - lo :: p] = bytearray(len(range(start, hi, p)))
-    if lo == 0:
-        flags[0:2] = b"\x00\x00"
-    elif lo == 1:
-        flags[0] = 0
+    if lo < 2:
+        flags[: 2 - lo] = bytes(2 - lo)
     return flags
 
 
-class _SegmentWalker:
-    """Shared segment iteration for the prime and composite generators."""
+# All primes up to some bound, shared by every sieve and grown on demand.
+# The list lives as long as the process, so a resume deep in a stream does
+# not sieve its base primes again: near 10**12 it holds 110 000, 4 MiB.
+_base_primes: list[int] = [2]
 
-    def __init__(self, start: int):
-        self.lo = max(start, 0)
-        self.base: list[int] = primes_up_to(1 << 10)
 
-    def segments(self) -> Iterator[tuple[int, bytearray]]:
-        lo = self.lo
-        while True:
-            hi = lo + SEGMENT_SIZE
-            while self.base[-1] * self.base[-1] < hi:
-                self.base = primes_up_to(self.base[-1] * 4)
-            yield lo, _segment_flags(lo, hi, self.base)
-            lo = hi
+def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
+    """Prime flags of consecutive segments from ``start`` on, without end.
+    The first is FIRST_SEGMENT wide and each later one as wide as all before
+    it, up to SEGMENT_SIZE: a short walk sieves little more than it reads."""
+    first = lo = max(start, 0)
+    width = FIRST_SEGMENT
+    while True:
+        hi = lo + width
+        while _base_primes[-1] * _base_primes[-1] < hi:
+            top = 4 * _base_primes[-1]  # every prime below sqrt(top) is in the list
+            _base_primes[:] = compress(range(top), _segment_flags(0, top, _base_primes))
+        yield lo, _segment_flags(lo, hi, _base_primes)
+        lo = hi
+        width = min(hi - first, SEGMENT_SIZE)
 
 
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -129,30 +120,34 @@ def prime_segments(start: int = 2) -> Iterator[list[int]]:
     """Yield the primes >= start in increasing order, one list per sieve
     segment, without end.  The regex engine finds the set flags at C
     speed."""
-    for lo, flags in _SegmentWalker(max(start, 2)).segments():
+    for lo, flags in _segments(max(start, 2)):
         yield [lo + m.start() for m in re.finditer(b"\x01", flags)]
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
     """Yield primes >= start in increasing order, without end."""
-    for lo, flags in _SegmentWalker(max(start, 2)).segments():
-        for m in re.finditer(b"\x01", flags):
-            yield lo + m.start()
+    return chain.from_iterable(prime_segments(start))
+
+
+def composite_batches(start: int = 4) -> Iterator[list[int]]:
+    """Yield the composites >= start in increasing order, in lists of at
+    most MAX_BATCH, without end.  Composites are dense, so ``compress`` over
+    the inverted flags picks them out faster than a search for each one."""
+    for lo, flags in _segments(max(start, 4)):
+        members = compress(range(lo, lo + len(flags)), flags.translate(_INVERT))
+        while batch := list(islice(members, MAX_BATCH)):
+            yield batch
 
 
 def iter_composites(start: int = 4) -> Iterator[int]:
-    """Yield composites >= start in increasing order.
-
-    Composites begin at 4; the unit 1 is neither prime nor composite.
-    The walk starts at 4 or later, so no flag below 4 is ever seen.
-    Composites are dense, so ``compress`` over the inverted flags picks
-    them out faster than a search for each one.
-    """
-    for lo, flags in _SegmentWalker(max(start, 4)).segments():
-        yield from compress(range(lo, lo + len(flags)), flags.translate(_INVERT))
+    """Yield composites >= start in increasing order, from 4 on: the unit
+    1 is neither prime nor composite, and no flag below 4 is ever seen."""
+    return chain.from_iterable(composite_batches(start))
 
 
+# Exact counts of earlier calls, oldest first; at most _COUNT_CACHE_LIMIT.
 _count_cache: dict[int, int] = {}
+_COUNT_CACHE_LIMIT = 1024
 
 DEFAULT_COUNTING_CAP = 10**8
 
@@ -175,12 +170,11 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
     if x in _count_cache:
         return _count_cache[x]
     total = 0
-    walker = _SegmentWalker(0)
-    for lo, flags in walker.segments():
-        hi = lo + len(flags)
-        if hi > x + 1:
-            total += flags.count(1, 0, x + 1 - lo)
+    for lo, flags in _segments(0):
+        total += flags.count(1, 0, x + 1 - lo)
+        if lo + len(flags) > x:
             break
-        total += flags.count(1)
     _count_cache[x] = total
+    if len(_count_cache) > _COUNT_CACHE_LIMIT:
+        del _count_cache[next(iter(_count_cache))]
     return total

@@ -19,6 +19,8 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError, SequenceExhaustedError
 from .primes import (
     DEFAULT_COUNTING_CAP,
+    MAX_BATCH,
+    composite_batches,
     is_prime,
     iter_composites,
     iter_primes,
@@ -39,9 +41,8 @@ __all__ = [
 ]
 
 # Batches start short, so that the first digits of a stream cost little,
-# and double up to this many members, which bounds a batch's memory.
+# and double up to MAX_BATCH members.
 FIRST_BATCH = 16
-MAX_BATCH = 1024
 
 
 def _batch_sizes() -> Iterator[int]:
@@ -160,6 +161,10 @@ class Composites(SequenceSpec):
 
     def members(self, after: int = 0) -> Iterator[int]:
         return iter_composites(max(after + 1, 4))
+
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """One sieve segment at a time, cut into batches of MAX_BATCH."""
+        return composite_batches(max(after + 1, 4))
 
     def is_member(self, n: int) -> bool:
         return n >= 4 and not is_prime(n)

@@ -25,6 +25,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
@@ -150,13 +151,11 @@ def block_stream(cursor: StreamCursor, m: int) -> Iterator[int]:
         raise ValueError("block width must be at least 1")
     base = cursor.spec.base
     while True:
-        value = 0
-        for _ in range(m):
-            try:
-                value = value * base + cursor.next_digit()
-            except SequenceExhaustedError:
-                return
-        yield value
+        try:
+            digits = cursor.read(m)
+        except SequenceExhaustedError:
+            return
+        yield reduce(lambda value, d: value * base + d, digits, 0)
 
 
 def _partial_block_count(

@@ -7,14 +7,12 @@ the block of every member a with floor(c ** digit_length(a)) copies.
 With c = 1 and the naturals this is the classical Champernowne
 construction; with the primes it is the Copeland-Erdos construction.
 
-Digit positions are 1-indexed.  A StreamCursor walks the digits, can
-jump forward by whole blocks rather than digit by digit, and serializes
-to a one-line checkpoint that restores the exact stream state.
-
-The bulk scans read the stream as runs (``iter_runs``): members of one
-digit length written out together by C-speed conversions.  The run view
-is exact, not an approximation of the block view: it holds the same
-digits, and the cursor's blocks are cut from it.
+Digit positions are 1-indexed.  The stream is read as runs
+(``iter_runs``): members of one digit length written out together by
+C-speed conversions, with the same digits as the block view
+``iter_blocks``, which is cut from them.  A StreamCursor stands in one
+run at a time, jumps over whole copies, members and runs by arithmetic,
+and serializes to a one-line checkpoint of the exact stream state.
 """
 
 from __future__ import annotations
@@ -174,6 +172,21 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
     return chunked
 
 
+def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[int], int, int]]:
+    """The runs of ``iter_runs`` as (members, length, copies), unwritten."""
+    by_length: dict[int, tuple[int, int]] = {}  # length -> (base**length, copies)
+    for batch in spec.sequence.batches(after):
+        start = 0
+        while start < len(batch):
+            length = digit_length(batch[start], spec.base)
+            if length not in by_length:
+                by_length[length] = (spec.base**length, floor_power(spec.multiplier, length))
+            bound, copies = by_length[length]
+            stop = bisect_left(batch, bound, start, min(start + _MAX_RUN, len(batch)))
+            yield batch[start:stop], length, copies
+            start = stop
+
+
 def iter_runs(
     spec: NumberSpec, after: int = 0
 ) -> Iterator[tuple[Sequence[int], Sequence[int], int, int]]:
@@ -189,20 +202,9 @@ def iter_runs(
     copy count is computed once per length, so every digit, copy and
     position is exact.
     """
-    base = spec.base
-    encode = _run_encoder(base)
-    by_length: dict[int, tuple[int, int]] = {}  # length -> (base**length, copies)
-    for batch in spec.sequence.batches(after):
-        start = 0
-        while start < len(batch):
-            length = digit_length(batch[start], base)
-            if length not in by_length:
-                by_length[length] = (base**length, floor_power(spec.multiplier, length))
-            bound, copies = by_length[length]
-            stop = bisect_left(batch, bound, start, min(start + _MAX_RUN, len(batch)))
-            run = batch[start:stop]
-            yield run, encode(run, length), length, copies
-            start = stop
+    encode = _run_encoder(spec.base)
+    for run, length, copies in _member_runs(spec, after):
+        yield run, encode(run, length), length, copies
 
 
 def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
@@ -217,6 +219,14 @@ def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[i
             yield m, tuple(digits[i * length : (i + 1) * length]), copies
 
 
+def _repeated(block: Sequence[int], start: int, stop: int) -> Sequence[int]:
+    """Digits ``start`` to ``stop`` of ``block`` written over and over."""
+    length = len(block)
+    first = start // length
+    written = block * ((stop - 1) // length - first + 1)
+    return written[start - first * length : stop - first * length]
+
+
 @dataclass
 class StreamCursor:
     """Forward-only cursor over the digits of a NumberSpec.
@@ -224,9 +234,11 @@ class StreamCursor:
     ``position`` is the count of digits already emitted, so the next
     digit read is at 1-indexed position ``position + 1``.  The cursor
     state between reads is (current integer, repetition index, offset of
-    the next digit inside the current copy); the offset may momentarily
-    equal the block length, meaning the copy is finished and the cursor
-    will move on at the next read.
+    the next digit inside the current copy); the offset may equal the
+    block length, meaning the copy is finished and the cursor will move
+    on at the next read.  Underneath, the cursor stands in one run
+    (members, length, copies), at the index of its current member; a
+    cursor restored from a checkpoint stands in a run of its one member.
     """
 
     spec: NumberSpec
@@ -234,94 +246,105 @@ class StreamCursor:
     integer: int = 0
     rep: int = 0
     offset: int = 0
-    _digits: tuple[int, ...] = field(default=(), repr=False)
-    _reps: int = field(default=0, repr=False)
-    _members: Iterator[int] | None = field(default=None, repr=False)
+    _run: tuple[Sequence[int], int, int] = field(default=((), 0, 0), repr=False)
+    _index: int = field(default=0, repr=False)
+    _runs: Iterator[tuple[Sequence[int], int, int]] = field(init=False, repr=False, compare=False)
+    # digits of the current member once written out, else empty
+    _block: Sequence[int] = field(default=b"", init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.integer > 0:
-            self._digits = to_digits(self.integer, self.spec.base)
-            self._reps = repetitions(self.integer, self.spec.base, self.spec.multiplier)
-            if not 0 <= self.rep < self._reps:
+            length = digit_length(self.integer, self.spec.base)
+            copies = repetitions(self.integer, self.spec.base, self.spec.multiplier)
+            self._run = ((self.integer,), length, copies)
+            if not 0 <= self.rep < copies:
                 raise ValueError("repetition index out of range")
-            if not 0 <= self.offset <= len(self._digits):
+            if not 0 <= self.offset <= length:
                 raise ValueError("digit offset out of range")
         elif self.rep or self.offset:
             raise ValueError("a cursor before its first member has no repetition or offset")
+        self._runs = _member_runs(self.spec, self.integer)  # runs only when pulled
 
-    def _blocks(self) -> Iterator[tuple[int, tuple[int, ...], int]]:
-        if self._members is None:
-            self._members = iter_blocks(self.spec, self.integer)
-        return self._members
-
-    def _advance_block(self) -> None:
-        """Move to the next copy, or to the next member's first copy."""
-        if self.integer > 0 and self.rep + 1 < self._reps:
-            self.rep += 1
-            self.offset = 0
+    def _advance(self, n: int, out: list[int] | None = None) -> None:
+        """The one primitive of every move: go n digits forward, appending
+        them to ``out`` when given.  A move inside the current copy slices
+        the member's digits that the last read kept; a longer one crosses
+        whole copies, members and runs by arithmetic on ``at``, and pulls
+        the next run only for a digit that is needed."""
+        if self.offset + n <= len(self._block):
+            if out is not None:
+                out += self._block[self.offset : self.offset + n]
+            self.offset += n
+            self.position += n
             return
-        try:
-            self.integer, self._digits, self._reps = next(self._blocks())
-        except StopIteration:
-            raise SequenceExhaustedError(
-                f"stream over {self.spec.canonical} ended at position {self.position}"
-            ) from None
-        self.rep = 0
-        self.offset = 0
+        self._block = b""
+        run, length, copies = self._run
+        span = length * copies
+        at = self._index * span + self.rep * length + self.offset
+        while True:
+            take = min(n, len(run) * span - at)
+            if take:
+                if out is not None:
+                    self._collect(out, at, at + take)
+                at += take
+                n -= take
+                self.position += take
+                self._index, used = divmod(at - 1, span)
+                self.integer = run[self._index]
+                self.rep, used = divmod(used, length)
+                self.offset = used + 1
+            if not n:
+                return
+            try:
+                self._run = run, length, copies = next(self._runs)
+            except StopIteration:
+                raise SequenceExhaustedError(
+                    f"stream over {self.spec.canonical} ended at position {self.position}"
+                ) from None
+            span, at = length * copies, 0
+
+    def _collect(self, out: list[int], start: int, stop: int) -> None:
+        """Append digits ``start`` to ``stop`` of the current run, writing
+        out only the members they touch, and keep the digits of the last."""
+        run, length, copies = self._run
+        span = length * copies
+        first, last = start // span, (stop - 1) // span
+        digits = _run_encoder(self.spec.base)(run[first : last + 1], length)
+        self._block = digits[-length:]
+        start -= first * span
+        stop -= last * span
+        if copies == 1:
+            out += digits[start : len(digits) - length + stop]
+        elif first == last:
+            out += _repeated(digits, start, stop)
+        else:
+            out += _repeated(digits[:length], start, span)
+            whole = range(length, len(digits) - length, length)
+            middle = [digits[k : k + length] * copies for k in whole]
+            out += b"".join(middle) if isinstance(digits, bytes) else chain.from_iterable(middle)
+            out += _repeated(digits[-length:], 0, stop)
 
     def next_digit(self) -> int:
         """Emit the digit at position + 1 and advance."""
-        while self.integer == 0 or self.offset >= len(self._digits):
-            self._advance_block()
-        digit = self._digits[self.offset]
-        self.offset += 1
-        self.position += 1
-        return digit
+        out: list[int] = []
+        self._advance(1, out)
+        return out[0]
 
     def read(self, n: int) -> list[int]:
         """Emit the next n digits as a list.
 
-        Equivalent to n calls of next_digit, but copies whole blocks.
+        Equivalent to n calls of next_digit, but slices whole copies.
         """
         if n < 0:
             raise ValueError("cannot read a negative number of digits")
         out: list[int] = []
-        while len(out) < n:
-            if self.integer == 0 or self.offset >= len(self._digits):
-                self._advance_block()
-                continue
-            digits = self._digits
-            length = len(digits)
-            need = n - len(out)
-            avail = length - self.offset
-            if need < avail:
-                out.extend(digits[self.offset : self.offset + need])
-                self.offset += need
-                self.position += need
-                break
-            out.extend(digits[self.offset :])
-            self.offset = length
-            self.position += avail
-            # whole further copies of the same block
-            copies = min(self._reps - self.rep - 1, (n - len(out)) // length)
-            if copies > 0:
-                out.extend(digits * copies)
-                self.rep += copies
-                self.position += copies * length
+        self._advance(n, out)
         return out
-
-    def digits(self) -> Iterator[int]:
-        """Iterate digits until the sequence (if finite) runs out."""
-        while True:
-            try:
-                yield self.next_digit()
-            except SequenceExhaustedError:
-                return
 
     def skip_to(self, n: int) -> None:
         """Advance so the next digit emitted is at position n + 1.
 
-        Jumps whole blocks and whole repetitions; no digit is produced.
+        Crosses whole copies, members and runs; no digit is written out.
 
         Raises:
             ValueError: when n is behind the current position.
@@ -329,30 +352,7 @@ class StreamCursor:
         """
         if n < self.position:
             raise ValueError(f"cannot skip backwards from {self.position} to {n}")
-        while self.position < n:
-            if self.integer == 0 or self.offset >= len(self._digits):
-                self._advance_block()
-                continue
-            length = len(self._digits)
-            remaining = n - self.position
-            avail = length - self.offset
-            if remaining < avail:
-                self.offset += remaining
-                self.position = n
-                return
-            self.offset = length
-            self.position += avail
-            remaining = n - self.position
-            copies = min(self._reps - self.rep - 1, remaining // length)
-            if copies > 0:
-                self.rep += copies
-                self.position += copies * length
-                remaining -= copies * length
-            if 0 < remaining < length and self.rep + 1 < self._reps:
-                self.rep += 1
-                self.offset = remaining
-                self.position = n
-                return
+        self._advance(n - self.position)
 
     def checkpoint(self) -> str:
         """One-line serialization of the cursor state."""

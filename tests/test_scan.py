@@ -213,8 +213,8 @@ def test_run_view_digits_equal_to_digits(base, c, seq, after):
 
 
 class TestSegmentBoundary:
-    """The sieve hands out members one segment at a time; the first
-    segment of a stream from the start ends at 2 + SEGMENT_SIZE, between
+    """The sieve hands out members one segment at a time; the growing
+    segments of a stream from the start end at 2 + SEGMENT_SIZE, between
     the primes 65537 and 65539."""
 
     edge = 2 + SEGMENT_SIZE

@@ -15,7 +15,16 @@ from cedigits import (
     SequenceExhaustedError,
     parse_sequence,
 )
-from cedigits.primes import is_prime, iter_composites, iter_primes, prime_count
+from cedigits import primes
+from cedigits.primes import (
+    FIRST_SEGMENT,
+    is_prime,
+    iter_composites,
+    iter_primes,
+    prime_count,
+    prime_segments,
+)
+from cedigits.sequences import MAX_BATCH
 
 from conftest import simple_prime_count, trial_division_is_prime
 
@@ -93,6 +102,43 @@ class TestPrimesMachinery:
     def test_segmented_count_matches_simple_sieve(self):
         for x in (0, 1, 2, 10, 100, 1000, 65535, 65536, 65537, 10**5):
             assert prime_count(x) == simple_prime_count(x)
+
+    def test_count_cache_is_bounded(self, pi_oracle):
+        limit = primes._COUNT_CACHE_LIMIT
+        xs = range(2, 2 + limit + 300)
+        assert [prime_count(x) for x in xs] == [pi_oracle(x) for x in xs]
+        assert len(primes._count_cache) <= limit
+        # the oldest entries went first, and counting them again is exact
+        assert 2 not in primes._count_cache and xs[-1] in primes._count_cache
+        assert [prime_count(x) for x in xs[:50]] == [pi_oracle(x) for x in xs[:50]]
+        assert len(primes._count_cache) <= limit
+
+    @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
+    def test_walks_cross_growing_segment_edges(self, start):
+        # the first segment from ``start`` is FIRST_SEGMENT wide and each
+        # later one as wide as all before it
+        edges = [start + FIRST_SEGMENT * 2**k for k in range(4)]
+        window = range(start, edges[-1] + 40)
+        want_primes = [n for n in window if trial_division_is_prime(n)]
+        want_composites = [n for n in window if n >= 4 and not trial_division_is_prime(n)]
+        assert list(itertools.islice(iter_primes(start), len(want_primes))) == want_primes
+        assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
+        segments = list(itertools.islice(prime_segments(start), 4))
+        assert [seg[-1] < edge <= seg[-1] + 200 for seg, edge in zip(segments, edges)] == [True] * 4
+        batches = list(itertools.islice(Composites().batches(start - 1), 40))
+        assert all(0 < len(b) <= MAX_BATCH for b in batches)
+        got = list(itertools.chain.from_iterable(batches))
+        assert got[: len(want_composites)] == want_composites
+
+    def test_deep_walk_matches_point_queries(self):
+        # a walk near 10**12 grows the shared base primes to 10**6 and more
+        start = 10**12 - 2000
+        window = range(start, start + 4000)
+        assert list(itertools.islice(iter_primes(start), 100)) == [
+            n for n in window if is_prime(n)
+        ][:100]
+        assert primes._base_primes[-1] ** 2 >= start
+        assert all(is_prime(p) for p in primes._base_primes[-200:])
 
     def test_point_query_range_limit(self):
         with pytest.raises(ValueError):

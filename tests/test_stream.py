@@ -11,16 +11,18 @@ from cedigits import (
     NumberSpec,
     Primes,
     SequenceExhaustedError,
+    SequenceSpec,
     StreamCursor,
     digit_length,
     load_checkpoint,
     open_stream,
     parse_number_spec,
+    parse_sequence,
     repetitions,
     save_checkpoint,
     to_digits,
 )
-from cedigits.stream import iter_blocks
+from cedigits.stream import _MAX_RUN, iter_blocks, iter_runs
 
 from conftest import concat_stream
 
@@ -164,6 +166,25 @@ class TestSkipTo:
         want = straight.read(n + m)[n:]
         assert skipped.read(m) == want
 
+    @given(
+        st.lists(st.tuples(st.integers(0, 12), st.integers(0, 5), st.booleans()), max_size=40),
+        st.sampled_from((Fraction(1), HALF3)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_short_moves_match_fresh_read(self, moves, c):
+        # skips, reads and single digits on one cursor, most of them
+        # inside one member or one copy of it
+        spec = NumberSpec(Composites(), 10, c)
+        fresh = open_stream(spec).read(sum(s + n + d for s, n, d in moves))
+        cursor = open_stream(spec)
+        for skip, n, digit in moves:
+            cursor.skip_to(cursor.position + skip)
+            at = cursor.position
+            assert cursor.read(n) == fresh[at : at + n]
+            if digit:
+                assert cursor.next_digit() == fresh[at + n]
+        assert cursor.position == len(fresh)
+
     def test_skip_deep_into_prefix(self):
         spec = NumberSpec(Naturals(), 2)
         skipped = open_stream(spec)
@@ -286,4 +307,148 @@ class TestNumberSpec:
         cursor = open_stream(NumberSpec(Explicit((1, 2)), 10))
         assert cursor.read(2) == [1, 2]
         with pytest.raises(SequenceExhaustedError):
+            cursor.next_digit()
+
+
+# Every spec kind; the explicit list is finite and ends inside the budget.
+RESUME_SPECS = (
+    "naturals",
+    "primes",
+    "composites",
+    "poly:1,2,3",
+    "poly-primes:0,0,1",
+    "explicit:1,2,3,10,11,100,257,1000,4097",
+    "complement:primes",
+    "complement:composites",
+    "complement:poly:0,0,1",
+)
+RESUME_BUDGET = 40_000
+
+
+def stream_edges(spec: NumberSpec, limit: int) -> dict[str, list[int]]:
+    """Positions up to ``limit`` where a copy, a member, a run or a run of
+    _MAX_RUN members ends."""
+    edges: dict[str, list[int]] = {"copy": [], "member": [], "run": [], "max_run": []}
+    pos = 0
+    for run, _, length, copies in iter_runs(spec):
+        for _ in run:
+            edges["copy"].extend(range(pos + length, min(pos + length * copies, limit) + 1, length))
+            pos += length * copies
+            if pos > limit:
+                return edges
+            edges["member"].append(pos)
+        edges["run"].append(pos)
+        if len(run) == _MAX_RUN:
+            edges["max_run"].append(pos)
+    return edges
+
+
+class TestResumedCursors:
+    """A session of windows, each resumed from the text of the last
+    checkpoint, reads the same digits as one fresh read and writes the
+    same checkpoint lines as one cursor that never stops."""
+
+    @staticmethod
+    def run_session(spec: NumberSpec, stops: list[int]) -> None:
+        """Skip to stops[0], read to stops[1], skip to stops[2], ..."""
+        fresh = open_stream(spec).read(stops[-1])
+        whole = open_stream(spec)
+        line = open_stream(spec).checkpoint()
+        for k, (start, stop) in enumerate(zip([0] + stops, stops)):
+            resumed = StreamCursor.from_checkpoint(line)
+            if k % 2 == 0:
+                resumed.skip_to(stop)
+                whole.skip_to(stop)
+            else:
+                assert resumed.read(stop - start) == fresh[start:stop]
+                assert whole.read(stop - start) == fresh[start:stop]
+            line = resumed.checkpoint()
+            assert line == whole.checkpoint()
+            assert line.startswith(f"position={stop} ")
+
+    @given(
+        st.sampled_from(RESUME_SPECS),
+        st.sampled_from((2, 3, 10, 257)),
+        st.sampled_from((Fraction(1), HALF3, Fraction(2))),
+        st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_windows_on_edges_equal_fresh_read(self, seq, base, c, data):
+        spec = NumberSpec(parse_sequence(seq), base, c)
+        edges = stream_edges(spec, RESUME_BUDGET)
+        kinds = [kind for kind in edges if edges[kind]]
+        stops = set()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
+            kind = data.draw(st.sampled_from(kinds + ["any"]))
+            if kind == "any":
+                top = max(edges["member"])
+                stops.add(data.draw(st.integers(min_value=0, max_value=top)))
+            else:
+                stops.add(data.draw(st.sampled_from(edges[kind])))
+        self.run_session(spec, sorted(stops))
+
+    @pytest.mark.parametrize("base", [2, 10])
+    def test_windows_on_max_run_edges(self, base):
+        # the sieve's growing segments hold more than _MAX_RUN primes
+        # early on, so the primes reach a run cut by its size first
+        spec = NumberSpec(Primes(), base)
+        edges = stream_edges(spec, RESUME_BUDGET)
+        assert edges["max_run"]
+        edge = edges["max_run"][0]
+        self.run_session(spec, [edge - 7, edge, edge + 3, edge + 50])
+        self.run_session(spec, [edge - 60, edge - 1, edge, edge + 1])
+
+
+class OneBatch(SequenceSpec):
+    """Members 3, 5, 7, 11 in one batch; asking for a second batch fails."""
+
+    values = (3, 5, 7, 11)
+
+    def members(self, after: int = 0):
+        raise AssertionError("the cursor reads batches, not members")
+
+    def batches(self, after: int = 0):
+        yield [v for v in self.values if v > after]
+        raise AssertionError("the cursor pulled a batch it did not need")
+
+    def is_member(self, n: int) -> bool:
+        return n in self.values
+
+    def count(self, x: int, *, cap: int = 0) -> int:
+        return sum(v <= x for v in self.values)
+
+    @property
+    def canonical(self) -> str:
+        return "explicit:3,5,7,11"
+
+
+class TestLaziness:
+    """The cursor pulls the next batch only for a digit it needs, so a
+    stream whose next member never comes still yields every digit before
+    it (blocks 3 3 | 5 5 | 7 7 | 11 11 11 11 under c = 2)."""
+
+    spec = NumberSpec(OneBatch(), 10, Fraction(2))
+    digits = [3, 3, 5, 5, 7, 7] + [1, 1] * 4
+
+    def test_read_to_the_end_of_the_batch(self):
+        cursor = open_stream(self.spec)
+        assert cursor.read(len(self.digits)) == self.digits
+        assert cursor.checkpoint().startswith("position=14 integer=11 rep=3 offset=2 ")
+        with pytest.raises(AssertionError):
+            cursor.next_digit()
+
+    def test_skip_to_the_end_of_the_batch(self):
+        cursor = open_stream(self.spec)
+        cursor.skip_to(13)
+        assert cursor.read(1) == [1]
+        cursor.skip_to(14)
+        assert cursor.read(0) == []
+        with pytest.raises(AssertionError):
+            cursor.skip_to(15)
+
+    @pytest.mark.parametrize("integer,rep,offset,position", [(5, 1, 1, 4), (11, 0, 0, 6), (11, 3, 2, 14)])
+    def test_resumed_cursor_reads_to_the_end(self, integer, rep, offset, position):
+        cursor = StreamCursor(self.spec, position, integer, rep, offset)
+        assert cursor.read(14 - position) == self.digits[position:]
+        with pytest.raises(AssertionError):
             cursor.next_digit()
