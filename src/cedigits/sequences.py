@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError, SequenceExhaustedError
+# iter_primes and iter_composites stay importable here: bench/tracer.py rebinds them
 from .primes import (
     DEFAULT_COUNTING_CAP,
     MAX_BATCH,
     composite_batches,
     is_prime,
-    iter_composites,
+    iter_composites,  # noqa: F401
     iter_primes,
     prime_count,
     prime_segments,
@@ -56,8 +57,10 @@ class SequenceSpec(ABC):
     """Common surface of every sequence spec."""
 
     @abstractmethod
-    def members(self, after: int = 0) -> Iterator[int]:
-        """Iterate members strictly greater than ``after`` in order."""
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """Members strictly greater than ``after``, in order, as
+        consecutive batches of bounded size: at most MAX_BATCH members,
+        or one sieve segment.  This is the one enumeration of a spec."""
 
     @abstractmethod
     def is_member(self, n: int) -> bool:
@@ -77,21 +80,9 @@ class SequenceSpec(ABC):
     def canonical(self) -> str:
         """The spec's canonical string form, accepted by parse_sequence."""
 
-    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """Members strictly greater than ``after``, in order, as
-        consecutive batches of bounded size: at most MAX_BATCH members,
-        or one sieve segment.
-
-        This is the bulk view that the digit scans consume.  By default
-        it chunks ``members``; specs that can produce a batch at once
-        override it.
-        """
-        members = self.members(after)
-        for size in _batch_sizes():
-            batch = list(itertools.islice(members, size))
-            if not batch:
-                return
-            yield batch
+    def members(self, after: int = 0) -> Iterator[int]:
+        """Iterate members strictly greater than ``after`` in order."""
+        return itertools.chain.from_iterable(self.batches(after))
 
     def next_member(self, after: int) -> int:
         """Smallest member strictly greater than ``after``.
@@ -115,9 +106,6 @@ class SequenceSpec(ABC):
 class Naturals(SequenceSpec):
     """All positive integers."""
 
-    def members(self, after: int = 0) -> Iterator[int]:
-        return itertools.count(max(after, 0) + 1)
-
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         lo = max(after, 0) + 1
         for size in _batch_sizes():
@@ -137,9 +125,6 @@ class Naturals(SequenceSpec):
 
 @dataclass(frozen=True)
 class Primes(SequenceSpec):
-    def members(self, after: int = 0) -> Iterator[int]:
-        return iter_primes(max(after + 1, 2))
-
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """One batch per sieve segment."""
         return prime_segments(max(after + 1, 2))
@@ -158,9 +143,6 @@ class Primes(SequenceSpec):
 @dataclass(frozen=True)
 class Composites(SequenceSpec):
     """Composite numbers 4, 6, 8, 9, ... The unit 1 is not a member."""
-
-    def members(self, after: int = 0) -> Iterator[int]:
-        return iter_composites(max(after + 1, 4))
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """One sieve segment at a time, cut into batches of MAX_BATCH."""
@@ -226,11 +208,12 @@ class Polynomial(SequenceSpec):
                 hi = mid
         return lo
 
-    def members(self, after: int = 0) -> Iterator[int]:
-        start = self._largest_arg_leq(after)
-        if self.argument == "primes":
-            return (self.value(p) for p in iter_primes(start + 1))
-        return (self.value(n) for n in itertools.count(start + 1))
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        start = self._largest_arg_leq(after) + 1
+        args = iter_primes(start) if self.argument == "primes" else itertools.count(start)
+        values = map(self.value, args)
+        for size in _batch_sizes():
+            yield list(itertools.islice(values, size))
 
     def is_member(self, n: int) -> bool:
         if n < 1:
@@ -268,8 +251,9 @@ class Explicit(SequenceSpec):
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("explicit members must be strictly increasing")
 
-    def members(self, after: int = 0) -> Iterator[int]:
-        return iter(self.values[bisect_right(self.values, after) :])
+    def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        for i in range(bisect_right(self.values, after), len(self.values), MAX_BATCH):
+            yield self.values[i : i + MAX_BATCH]
 
     def is_member(self, n: int) -> bool:
         i = bisect_left(self.values, n)
@@ -301,9 +285,6 @@ class Complement(SequenceSpec):
     def __post_init__(self) -> None:
         if isinstance(self.inner, Naturals):
             raise ValueError("complement of the naturals is empty")
-
-    def members(self, after: int = 0) -> Iterator[int]:
-        return itertools.chain.from_iterable(self.batches(after))
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """One batch per gap between inner members, so that no batch

@@ -10,18 +10,16 @@ concatenation streams built by this package drive the symbol-1
 statistic to infinity instead, which the trajectory measurements make
 visible.
 
-Every prefix count comes from one scan kernel over the stream's runs
-(see ``stream.iter_runs``).  A run between stops is counted whole, with
-C-speed counting over its digits times its copy count; a run that holds
-a stop is split exactly at that stop.  Counts and positions are Python
-ints throughout, so the batched scan is as exact as a digit-by-digit
-walk.
+Every prefix count walks one fresh StreamCursor to its stops with a
+counting sink.  The cursor hands out whole runs, members and copies as
+pieces; each is counted at C speed and multiplied by its copy count, so
+repeated copies are never written out.  Counts and positions are Python ints
+throughout, so the scan is as exact as a digit-by-digit walk.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +27,7 @@ from functools import reduce
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
-# iter_blocks stays importable from here: bench/tracer.py rebinds it
-from .stream import NumberSpec, StreamCursor, iter_blocks, iter_runs  # noqa: F401
+from .stream import NumberSpec, StreamCursor
 
 __all__ = [
     "DigitCounter",
@@ -158,18 +155,6 @@ def block_stream(cursor: StreamCursor, m: int) -> Iterator[int]:
         yield reduce(lambda value, d: value * base + d, digits, 0)
 
 
-def _partial_block_count(
-    digits: Sequence[int], symbol: int, prefix_len: int
-) -> int:
-    """Occurrences of symbol among the first prefix_len digits of a
-    block written over and over."""
-    full, rem = divmod(prefix_len, len(digits))
-    count = full * digits.count(symbol)
-    if rem:
-        count += digits[:rem].count(symbol)
-    return count
-
-
 def _check_symbol(spec: NumberSpec, symbol: int) -> None:
     if not 0 <= symbol < spec.base:
         raise ValueError(f"symbol {symbol} out of range for base {spec.base}")
@@ -183,25 +168,23 @@ def _scan(
 ) -> Iterator[tuple[int, list[int]]]:
     """The prefix scan behind every counting entry point.
 
-    Walks the runs of the stream to each stop in turn and yields
-    (position, counts) there.  ``counts`` holds the occurrences of every
-    symbol, indexed by symbol, or with ``symbol`` given, of that symbol
-    alone.  A stop is a digit position, or with ``members`` a boundary
-    member m, whose position is the end of all copies of all members
-    <= m.  Stops must be increasing.
+    Walks one fresh cursor to each stop in turn and yields (position,
+    counts) there.  ``counts`` holds the occurrences of every symbol,
+    indexed by symbol, or with ``symbol`` given, of that symbol alone.
+    A stop is a digit position, or with ``members`` a boundary member m,
+    whose position is the end of all copies of all members <= m.  Stops
+    must be increasing.
 
     Raises:
         SequenceExhaustedError: when a finite stream ends before a
             position stop.  Boundary members past the end all stop at
             the end.
     """
-    if not stops:
-        return
     symbols = range(spec.base) if symbol is None else (symbol,)
     tally = symbol is None and spec.base >= _TALLY_MIN_BASE
     counts = [0] * len(symbols)
 
-    def add(digits: Sequence[int], copies: int) -> None:
+    def add(digits: Sequence[int], length: int, copies: int) -> None:
         if tally:
             for d, k in Counter(digits).items():
                 counts[d] += k * copies
@@ -209,38 +192,13 @@ def _scan(
             for j, s in enumerate(symbols):
                 counts[j] += digits.count(s) * copies
 
-    pos = 0
-    idx = 0
-    for run, digits, length, copies in iter_runs(spec):
-        span = length * copies
-        end = pos + len(run) * span
-        done = 0  # members of this run already in counts
-        while idx < len(stops) and (stops[idx] <= run[-1] if members else stops[idx] <= end):
-            # the stop lies i whole members and r digits into the run
-            if members:
-                i, r = bisect_right(run, stops[idx]), 0
-            else:
-                i, r = divmod(stops[idx] - pos, span)
-            if i > done:
-                add(digits[done * length : i * length], copies)
-                done = i
-            at = list(counts)
-            if r:
-                block = digits[i * length : (i + 1) * length]
-                at = [c + _partial_block_count(block, s, r) for c, s in zip(at, symbols)]
-            yield pos + i * span + r, at
-            idx += 1
-        if idx == len(stops):
-            return
-        add(digits[done * length :] if done else digits, copies)
-        pos = end
-    while idx < len(stops) and (members or stops[idx] <= pos):
-        yield pos, list(counts)
-        idx += 1
-    if idx < len(stops):
-        raise SequenceExhaustedError(
-            f"stream over {spec.canonical} ends before position {stops[idx]}"
-        )
+    cursor = StreamCursor(spec)
+    for stop in stops:
+        if members:
+            cursor._advance_past(stop, add)
+        else:
+            cursor._advance(stop - cursor.position, add)
+        yield cursor.position, list(counts)
 
 
 def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:

@@ -10,15 +10,19 @@ construction; with the primes it is the Copeland-Erdos construction.
 Digit positions are 1-indexed.  The stream is read as runs
 (``iter_runs``): members of one digit length written out together by
 C-speed conversions, with the same digits as the block view
-``iter_blocks``, which is cut from them.  A StreamCursor stands in one
-run at a time, jumps over whole copies, members and runs by arithmetic,
-and serializes to a one-line checkpoint of the exact stream state.
+``iter_blocks``, which is cut from them.  StreamCursor is the one walker
+of the stream.  It stands in one run at a time, crosses whole copies,
+members and runs by arithmetic, and hands the digits it crosses to a
+sink as pieces (digits, length, copies): a list for ``read``, counters
+for the prefix scans of ``stats``, nothing for ``skip_to``.  It
+serializes to a one-line checkpoint of the exact stream state.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -123,6 +127,10 @@ _CHUNK_TABLE_LIMIT = 1 << 10
 # Most members in one run, which bounds the memory of writing it out.
 _MAX_RUN = 1024
 
+# Takes the digits crossed by a move, as pieces (digits, length, copies):
+# every ``length``-digit block of ``digits``, written ``copies`` times.
+Sink = Callable[[Sequence[int], int, int], None]
+
 # format() codes of the bases whose digits the stdlib writes at C speed.
 _FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
 
@@ -138,7 +146,11 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
 
         def formatted(members: Sequence[int], length: int) -> bytes:
             text = map(str, members) if code == "d" else map(format, members, repeat(code))
-            return "".join(text).encode("ascii").translate(values)
+            try:
+                written = "".join(text)
+            except ValueError:  # past str()'s limit on decimal digits, which Decimal lacks
+                written = "".join(map(str, map(Decimal, members)))
+            return written.encode("ascii").translate(values)
 
         return formatted
     if base > 256:
@@ -219,12 +231,31 @@ def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[i
             yield m, tuple(digits[i * length : (i + 1) * length]), copies
 
 
-def _repeated(block: Sequence[int], start: int, stop: int) -> Sequence[int]:
-    """Digits ``start`` to ``stop`` of ``block`` written over and over."""
-    length = len(block)
-    first = start // length
-    written = block * ((stop - 1) // length - first + 1)
-    return written[start - first * length : stop - first * length]
+def _hand_out(
+    sink: Sink, digits: Sequence[int], length: int, copies: int, start: int, stop: int
+) -> None:
+    """Hand to ``sink`` digits ``start`` to ``stop`` of members written
+    ``copies`` times each, where member i is ``digits[i * length:(i + 1)
+    * length]``.  The pieces are the rest of a copy, the rest of a
+    member's copies, whole members, whole copies and the start of a copy."""
+    if copies == 1:  # the digits are the stream itself
+        sink(digits[start:stop], stop - start, 1)
+        return
+    span = length * copies
+    while start < stop:
+        member, used = divmod(start, span)
+        rep, inside = divmod(used, length)
+        left = stop - start
+        block = digits[member * length : (member + 1) * length]
+        if inside or left < length:
+            part = block[inside : inside + left]
+            piece = part, len(part), 1
+        elif used or left < span:
+            piece = block, length, min(copies - rep, left // length)
+        else:
+            piece = digits[member * length : (member + left // span) * length], length, copies
+        sink(*piece)
+        start += len(piece[0]) * piece[2]
 
 
 @dataclass
@@ -236,9 +267,9 @@ class StreamCursor:
     state between reads is (current integer, repetition index, offset of
     the next digit inside the current copy); the offset may equal the
     block length, meaning the copy is finished and the cursor will move
-    on at the next read.  Underneath, the cursor stands in one run
-    (members, length, copies), at the index of its current member; a
-    cursor restored from a checkpoint stands in a run of its one member.
+    on at the next read.  Underneath, the cursor stands ``_at`` digits
+    into one run (members, length, copies); a cursor restored from a
+    checkpoint stands in a run of its one member.
     """
 
     spec: NumberSpec
@@ -246,89 +277,91 @@ class StreamCursor:
     integer: int = 0
     rep: int = 0
     offset: int = 0
-    _run: tuple[Sequence[int], int, int] = field(default=((), 0, 0), repr=False)
-    _index: int = field(default=0, repr=False)
+    _run: tuple[Sequence[int], int, int] = field(
+        default=((), 0, 0), init=False, repr=False, compare=False
+    )
+    _at: int = field(default=0, init=False, repr=False, compare=False)
     _runs: Iterator[tuple[Sequence[int], int, int]] = field(init=False, repr=False, compare=False)
     # digits of the current member once written out, else empty
-    _block: Sequence[int] = field(default=b"", init=False, repr=False, compare=False)
+    _block: Sequence[int] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.integer > 0:
             length = digit_length(self.integer, self.spec.base)
             copies = repetitions(self.integer, self.spec.base, self.spec.multiplier)
-            self._run = ((self.integer,), length, copies)
             if not 0 <= self.rep < copies:
                 raise ValueError("repetition index out of range")
             if not 0 <= self.offset <= length:
                 raise ValueError("digit offset out of range")
+            self._run = ((self.integer,), length, copies)
+            self._at = self.rep * length + self.offset
         elif self.rep or self.offset:
             raise ValueError("a cursor before its first member has no repetition or offset")
         self._runs = _member_runs(self.spec, self.integer)  # runs only when pulled
 
-    def _advance(self, n: int, out: list[int] | None = None) -> None:
-        """The one primitive of every move: go n digits forward, appending
-        them to ``out`` when given.  A move inside the current copy slices
-        the member's digits that the last read kept; a longer one crosses
-        whole copies, members and runs by arithmetic on ``at``, and pulls
-        the next run only for a digit that is needed."""
+    def _pull(self) -> bool:
+        """Stand at the start of the next run; False at the end of the stream."""
+        run = next(self._runs, None)
+        if run is None:
+            return False
+        self._run, self._at = run, 0
+        return True
+
+    def _advance(self, n: int, sink: Sink | None = None) -> None:
+        """The one walker of the stream: go n digits forward, handing the
+        digits crossed to ``sink`` when given.  Whole copies, members and
+        runs are crossed by arithmetic on ``_at``; only the members a sink
+        needs are written out, and the next run is pulled only for a digit
+        that is needed.  A move inside the copy the last write ended in
+        slices the digits that write kept."""
         if self.offset + n <= len(self._block):
-            if out is not None:
-                out += self._block[self.offset : self.offset + n]
-            self.offset += n
+            if sink is not None:
+                sink(self._block[self.offset : self.offset + n], n, 1)
+            self._at += n
             self.position += n
+            self.offset += n
             return
-        self._block = b""
-        run, length, copies = self._run
-        span = length * copies
-        at = self._index * span + self.rep * length + self.offset
+        self._block = ()
         while True:
-            take = min(n, len(run) * span - at)
+            run, length, copies = self._run
+            span = length * copies
+            take = min(n, len(run) * span - self._at)
             if take:
-                if out is not None:
-                    self._collect(out, at, at + take)
-                at += take
-                n -= take
+                stop = self._at + take
+                if sink is not None:
+                    first, last = self._at // span, (stop - 1) // span
+                    digits = _run_encoder(self.spec.base)(run[first : last + 1], length)
+                    skipped = first * span
+                    _hand_out(sink, digits, length, copies, self._at - skipped, stop - skipped)
+                    self._block = digits[-length:]
+                self._at = stop
                 self.position += take
-                self._index, used = divmod(at - 1, span)
-                self.integer = run[self._index]
+                member, used = divmod(stop - 1, span)
+                self.integer = run[member]
                 self.rep, used = divmod(used, length)
                 self.offset = used + 1
+                n -= take
             if not n:
                 return
-            try:
-                self._run = run, length, copies = next(self._runs)
-            except StopIteration:
+            if not self._pull():
                 raise SequenceExhaustedError(
                     f"stream over {self.spec.canonical} ended at position {self.position}"
-                ) from None
-            span, at = length * copies, 0
+                )
 
-    def _collect(self, out: list[int], start: int, stop: int) -> None:
-        """Append digits ``start`` to ``stop`` of the current run, writing
-        out only the members they touch, and keep the digits of the last."""
-        run, length, copies = self._run
-        span = length * copies
-        first, last = start // span, (stop - 1) // span
-        digits = _run_encoder(self.spec.base)(run[first : last + 1], length)
-        self._block = digits[-length:]
-        start -= first * span
-        stop -= last * span
-        if copies == 1:
-            out += digits[start : len(digits) - length + stop]
-        elif first == last:
-            out += _repeated(digits, start, stop)
-        else:
-            out += _repeated(digits[:length], start, span)
-            whole = range(length, len(digits) - length, length)
-            middle = [digits[k : k + length] * copies for k in whole]
-            out += b"".join(middle) if isinstance(digits, bytes) else chain.from_iterable(middle)
-            out += _repeated(digits[-length:], 0, stop)
+    def _advance_past(self, m: int, sink: Sink) -> None:
+        """Go to the end of the last copy of every member <= m, or to the
+        end of a finite stream, by bisecting each run the cursor stands in.
+        Members already crossed must be <= m."""
+        while True:
+            run, length, copies = self._run
+            crossed = bisect_right(run, m)
+            self._advance(crossed * length * copies - self._at, sink)
+            if crossed < len(run) or not self._pull():
+                return
 
     def next_digit(self) -> int:
         """Emit the digit at position + 1 and advance."""
-        out: list[int] = []
-        self._advance(1, out)
-        return out[0]
+        return self.read(1)[0]
 
     def read(self, n: int) -> list[int]:
         """Emit the next n digits as a list.
@@ -338,7 +371,15 @@ class StreamCursor:
         if n < 0:
             raise ValueError("cannot read a negative number of digits")
         out: list[int] = []
-        self._advance(n, out)
+
+        def write(digits: Sequence[int], length: int, copies: int) -> None:
+            if copies == 1:
+                out.extend(digits)
+                return
+            blocks = [digits[k : k + length] * copies for k in range(0, len(digits), length)]
+            out.extend(b"".join(blocks) if isinstance(digits, bytes) else chain.from_iterable(blocks))
+
+        self._advance(n, write)
         return out
 
     def skip_to(self, n: int) -> None:

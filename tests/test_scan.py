@@ -9,6 +9,7 @@ at powers of the base and across sieve segment boundaries.
 """
 
 import itertools
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -210,6 +211,26 @@ def test_run_view_digits_equal_to_digits(base, c, seq, after):
         if len(got) >= len(want):
             break
     assert got[: len(want)] == want
+
+
+def test_repeated_copies_are_counted_not_written():
+    # 2**23 and 2**23 + 1 have 24 binary digits, so each is written 2**24
+    # times under c = 2: 805 306 368 digits in all
+    spec = NumberSpec(Explicit((2**23, 2**23 + 1)), 2, Fraction(2))
+    span = 24 * 2**24
+    n = span + 24 * 1000 + 5  # 1000 copies and 5 digits into the second member
+    ones = 2**24 + 2 * 1000 + 1
+    tracemalloc.start()
+    try:
+        assert count_symbol_prefix(spec, 1, n) == ones
+        points = trajectory(spec, 1, [span - 24, span - 23, n]).points
+        assert [p.count for p in points] == [2**24 - 1, 2**24, ones]
+        boundaries = prefix_counts_at_boundaries(spec, 1, [2**23, 2**23 + 1, 2**24])
+        assert boundaries == [(span, 2**24), (2 * span, 3 * 2**24), (2 * span, 3 * 2**24)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 class TestSegmentBoundary:

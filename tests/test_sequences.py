@@ -125,10 +125,16 @@ class TestPrimesMachinery:
         assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
         segments = list(itertools.islice(prime_segments(start), 4))
         assert [seg[-1] < edge <= seg[-1] + 200 for seg, edge in zip(segments, edges)] == [True] * 4
-        batches = list(itertools.islice(Composites().batches(start - 1), 40))
-        assert all(0 < len(b) <= MAX_BATCH for b in batches)
-        got = list(itertools.chain.from_iterable(batches))
-        assert got[: len(want_composites)] == want_composites
+        for spec, want in (
+            (Composites(), want_composites),
+            (Polynomial((1, 1)), list(window)),
+            (Polynomial((0, 1), "primes"), want_primes),
+            (Explicit(tuple(window)), list(window)),
+        ):
+            batches = list(itertools.islice(spec.batches(start - 1), 40))
+            assert all(0 < len(b) <= MAX_BATCH for b in batches)
+            got = list(itertools.chain.from_iterable(batches))
+            assert got[: len(want)] == want
 
     def test_deep_walk_matches_point_queries(self):
         # a walk near 10**12 grows the shared base primes to 10**6 and more

@@ -13,6 +13,8 @@ from cedigits import (
     SequenceExhaustedError,
     SequenceSpec,
     StreamCursor,
+    count_symbol_prefix,
+    counter_prefix,
     digit_length,
     load_checkpoint,
     open_stream,
@@ -109,6 +111,14 @@ class TestPrefixes:
         cursor.skip_to(9)
         assert cursor.next_digit() == 1  # first digit of 10
         assert cursor.position == 10
+
+    def test_member_past_the_decimal_str_limit(self):
+        # str() refuses ints of more than 4300 decimal digits by default
+        spec = NumberSpec(Explicit((10**5000 + 7,)), 10)
+        assert open_stream(spec).read(5) == [1, 0, 0, 0, 0]
+        assert counter_prefix(spec, 5001).counts == [4999, 1, 0, 0, 0, 0, 0, 1, 0, 0]
+        assert counter_prefix(spec, 4999).counts == [4998, 1] + [0] * 8
+        assert count_symbol_prefix(spec, 7, 5001) == 1
 
 
 class TestRead:
@@ -279,6 +289,16 @@ class TestCheckpoints:
             StreamCursor.from_checkpoint(line)
         with pytest.raises(ValueError):
             StreamCursor(NumberSpec(Naturals(), 10), 0, 0, rep, offset)
+
+    def test_walker_state_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            StreamCursor(NumberSpec(Naturals(), 10), 0, 0, 0, 0, ((99,), 2, 1), 0)
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 500])
+    def test_restored_cursor_equals_the_original(self, n):
+        cursor = open_stream(NumberSpec(Composites(), 10, HALF3))
+        cursor.read(n)
+        assert StreamCursor.from_checkpoint(cursor.checkpoint()) == cursor
 
     def test_malformed_lines_rejected(self):
         for line in (
