@@ -9,7 +9,7 @@ class CapExceededError(Exception):
     """Raised when a query would exceed a configured resource cap.
 
     Counting queries never degrade to approximations; a query past the
-    sieve cap fails with this error instead.
+    counting cap fails with this error instead.
     """
 
 

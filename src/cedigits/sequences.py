@@ -70,9 +70,9 @@ class SequenceSpec(ABC):
     def count(self, x: int, *, cap: int = DEFAULT_COUNTING_CAP) -> int:
         """Number of members <= x.
 
-        Sieve-backed specs refuse queries whose sieve bound would exceed
-        ``cap`` by raising CapExceededError; the result is never an
-        approximation.
+        Specs counted through the primes refuse queries whose prime
+        count bound would exceed ``cap`` by raising CapExceededError;
+        the result is never an approximation.
         """
 
     @property
@@ -287,15 +287,21 @@ class Complement(SequenceSpec):
             raise ValueError("complement of the naturals is empty")
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """One batch per gap between inner members, so that no batch
-        waits on an inner member that may never come."""
+        """The gaps of each inner batch, together, in batches of at most
+        MAX_BATCH.  Nothing waits on a later inner batch, which may never
+        bring a gap."""
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
             return
         prev = max(after, 0)
-        for s in self.inner.members(prev):
-            yield range(prev + 1, s)
-            prev = s
+        for inner in self.inner.batches(prev):
+            # one start more than inner members: map stops at the shorter,
+            # and the last start is one past the last inner member
+            starts = [prev + 1, *(s + 1 for s in inner)]
+            members = itertools.chain.from_iterable(map(range, starts, inner))
+            while batch := list(itertools.islice(members, MAX_BATCH)):
+                yield batch
+            prev = starts[-1] - 1
         yield from Naturals().batches(prev)
 
     def is_member(self, n: int) -> bool:

@@ -287,6 +287,8 @@ class StreamCursor:
 
     def __post_init__(self) -> None:
         if self.integer > 0:
+            if not self.spec.sequence.is_member(self.integer):
+                raise ValueError(f"{self.integer} is not a member of {self.spec.sequence}")
             length = digit_length(self.integer, self.spec.base)
             copies = repetitions(self.integer, self.spec.base, self.spec.multiplier)
             if not 0 <= self.rep < copies:

@@ -132,6 +132,14 @@ class TestDigits:
         assert out == ""
         assert "error" in err
 
+    def test_resume_at_a_non_member_is_usage_error(self, tmp_path):
+        state = tmp_path / "cursor.txt"
+        state.write_text("position=1 integer=4 rep=0 offset=1 spec=primes|b=10|c=1\n")
+        code, out, err = run_cli("digits", "--resume", str(state), "-n", "5")
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
     def test_resume_conflicts_with_spec_flags(self, tmp_path):
         state = str(tmp_path / "cursor.txt")
         run_cli("digits", "--sequence", "naturals", "--base", "10", "-n", "3",

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +101,7 @@ class TestPrimesMachinery:
         assert all(not is_prime(c) for c in gen)
 
     def test_segmented_count_matches_simple_sieve(self):
-        for x in (0, 1, 2, 10, 100, 1000, 65535, 65536, 65537, 10**5):
+        for x in (0, 1, 2, 3, 10, 100, 1000, 65535, 65536, 65537, 10**5):
             assert prime_count(x) == simple_prime_count(x)
 
     def test_count_cache_is_bounded(self, pi_oracle):
@@ -157,6 +158,50 @@ class TestPrimesMachinery:
             Composites().count(10**6, cap=10**5)
 
 
+SMALL_PRIMES = [p for p in range(2, 98) if trial_division_is_prime(p)]
+
+
+class TestPrimeCount:
+    """prime_count by the Lucy recursion, against sieves and published values."""
+
+    @pytest.fixture(autouse=True)
+    def _uncached(self):
+        # every count below runs the recursion, not a lookup
+        primes._count_cache.clear()
+
+    @pytest.mark.parametrize("p", SMALL_PRIMES)
+    def test_around_prime_squares(self, p):
+        # p*p is where the prime p starts striking integers out
+        for x in (p * p - 1, p * p, p * p + 1):
+            primes._count_cache.clear()
+            assert prime_count(x) == simple_prime_count(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 * 10**5))
+    def test_matches_oracle(self, pi_oracle, x):
+        primes._count_cache.pop(x, None)
+        assert prime_count(x) == pi_oracle(x)
+
+    def test_matches_segmented_sieve(self):
+        xs = (10**6, 10**7 - 1, 10**7)
+        want = dict.fromkeys(xs, 0)
+        for seg in prime_segments(2):
+            for x in xs:
+                want[x] += bisect_right(seg, x)
+            if seg[-1] > xs[-1]:
+                break
+        assert [prime_count(x) for x in xs] == [want[x] for x in xs]
+        assert want[10**7] == want[10**7 - 1] == 664_579
+
+    def test_published_value_at_the_default_cap(self):
+        assert prime_count(10**8) == 5_761_455
+
+    def test_cap(self):
+        with pytest.raises(CapExceededError):
+            prime_count(10**8 + 1)
+        assert prime_count(10**9, cap=10**9) == 50_847_534
+
+
 class TestPolynomial:
     def test_values_over_naturals(self):
         f = Polynomial((3, 0, 1))  # 3 + n**2
@@ -201,6 +246,30 @@ class TestComplement:
     def test_complement_of_naturals_rejected(self):
         with pytest.raises(ValueError):
             Complement(Naturals())
+
+    def test_empty_inner_batches_are_crossed(self):
+        # a sieve segment may hold no prime; the complement walks past it
+        class WithEmptyBatches(Explicit):
+            def batches(self, after=0):
+                for batch in super().batches(after):
+                    yield ()
+                    yield batch
+
+        spec = Complement(WithEmptyBatches((2, 3, 7)))
+        assert take(spec, 8) == [1, 4, 5, 6, 8, 9, 10, 11]
+        assert take(spec, 3, after=3) == [4, 5, 6]
+
+    @pytest.mark.parametrize("inner", [Polynomial((0, 0, 1)), Primes()])
+    def test_batches_are_bounded_and_never_empty(self, inner):
+        # sparse inner specs leave long gaps, dense ones short gaps: both
+        # are cut and joined into batches of 1..MAX_BATCH members
+        after = 10**6
+        batches = list(itertools.islice(Complement(inner).batches(after), 20))
+        assert all(0 < len(b) <= MAX_BATCH for b in batches)
+        got = list(itertools.chain.from_iterable(batches))
+        want = [n for n in range(after + 1, got[-1] + 1) if not inner.is_member(n)]
+        assert got == want
+        assert len(got) >= 20 * MAX_BATCH // 2
 
 
 class TestExplicit:

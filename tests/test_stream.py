@@ -290,6 +290,17 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             StreamCursor(NumberSpec(Naturals(), 10), 0, 0, rep, offset)
 
+    @pytest.mark.parametrize(
+        "integer,spec",
+        [(4, "primes|b=10|c=1"), (7, "composites|b=10|c=3/2"), (8, "explicit:2,5,9|b=10|c=1")],
+    )
+    def test_integer_that_is_not_a_member_rejected(self, integer, spec):
+        line = f"position=0 integer={integer} rep=0 offset=0 spec={spec}"
+        with pytest.raises(ValueError):
+            StreamCursor.from_checkpoint(line)
+        with pytest.raises(ValueError):
+            StreamCursor(parse_number_spec(spec), 0, integer)
+
     def test_walker_state_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             StreamCursor(NumberSpec(Naturals(), 10), 0, 0, 0, 0, ((99,), 2, 1), 0)
