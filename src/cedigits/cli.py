@@ -25,7 +25,7 @@ from .oracle import (
     ones_exact_champernowne,
 )
 from .rational import format_rational, parse_rational
-from .sequences import DEFAULT_COUNTING_CAP, Naturals, parse_sequence
+from .sequences import DEFAULT_COUNTING_CAP, Naturals, parse_int_list, parse_sequence
 from .stats import (
     counter_prefix,
     lil_bound,
@@ -138,12 +138,6 @@ def _print_verification_table(rows: Sequence[VerifyRow]) -> None:
         )
 
 
-def _parse_int_list(text: str) -> list[int]:
-    if text.strip() == "":
-        return []
-    return [int(part) for part in text.split(",")]
-
-
 def _build_spec(args: argparse.Namespace) -> NumberSpec:
     if args.base >= BASE_CAP:
         raise ValueError(f"base {args.base} is beyond the CLI cap {BASE_CAP}")
@@ -192,7 +186,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_trajectory(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     if args.checkpoints is not None:
-        cps = _parse_int_list(args.checkpoints)
+        cps = parse_int_list(args.checkpoints, "checkpoint")
     else:
         lo, sep, hi = args.k_range.partition(":")
         if not sep:
@@ -212,7 +206,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bases = _parse_int_list(args.bases)
+    bases = parse_int_list(args.bases, "base")
     cs = [parse_rational(part) for part in args.cs.split(",")]
     rows = run_verification(
         bases, cs, args.max_digits, args.max_k, corrupt=args.selftest_corrupt
@@ -229,7 +223,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     c = parse_rational(args.c)
-    xs = _parse_int_list(args.xs)
+    xs = parse_int_list(args.xs, "sample point")
     report = hypothesis_report(seq, args.base, c, xs, cap=args.cap)
     print(f"sequence: {report.sequence}")
     print(
@@ -283,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_traj.set_defaults(func=_cmd_trajectory)
 
     p_verify = sub.add_parser("verify", help="stream vs closed-form equality checks")
-    p_verify.add_argument("--bases", default="2,3,10")
-    p_verify.add_argument("--cs", default="1,3/2,2")
+    p_verify.add_argument("--bases", default=",".join(map(str, DEFAULT_VERIFY_BASES)))
+    p_verify.add_argument("--cs", default=",".join(map(str, DEFAULT_VERIFY_CS)))
     p_verify.add_argument("--max-digits", type=int, default=DEFAULT_VERIFY_MAX_DIGITS)
     p_verify.add_argument("--max-k", type=int, default=None)
     p_verify.add_argument("--csv", default=None, help="also write the report as CSV")
@@ -293,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_thresh = sub.add_parser("threshold", help="density threshold diagnostics")
-    p_thresh.add_argument("--spec", "--sequence", dest="sequence", required=True)
-    p_thresh.add_argument("--base", type=int, required=True)
-    p_thresh.add_argument("--c", default="1")
+    add_spec_args(p_thresh)
     p_thresh.add_argument("--xs", required=True, help="comma-separated sample points")
     p_thresh.add_argument("--cap", type=int, default=DEFAULT_COUNTING_CAP, help="counting cap")
     p_thresh.set_defaults(func=_cmd_threshold)

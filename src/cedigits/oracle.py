@@ -118,14 +118,11 @@ def comparison_deficit(
     ones_exact_champernowne(p) - comparison_deficit(seq, p).
     """
     b, c, k = p.base, p.multiplier, p.k
-    count = seq.count
-    total = floor_power(c, k) * k * (
-        count(2 * b ** (k - 1) - 1, cap=cap) - count(b ** (k - 1) - 1, cap=cap)
-    )
-    for n in range(1, k):
-        in_class = count(b**n - 1, cap=cap) - count(b ** (n - 1) - 1, cap=cap)
-        total += floor_power(c, n) * n * in_class
-    return total
+    # below[n] counts the members of at most n digits, and below[k] those
+    # up to 2*b**(k-1) - 1, where the prefix stops
+    edges = [b**n - 1 for n in range(k)] + [2 * b ** (k - 1) - 1]
+    below = [seq.count(x, cap=cap) for x in edges]
+    return sum(floor_power(c, n) * n * (below[n] - below[n - 1]) for n in range(1, k + 1))
 
 
 def alpha_threshold(base: int, c: Fraction | int) -> float:

@@ -1,7 +1,8 @@
 """Primality, prime generation, and exact prime counting.
 
 Bulk generation runs a segmented sieve of Eratosthenes so that streaming
-the primes (or the composites) never materializes more than one segment.
+the primes (or the composites) never materializes more than one segment,
+and hands the members out in lists of at most MAX_BATCH.
 Counting does not sieve: pi(x) comes from the combinatorial Legendre/Lucy
 recursion over the values floor(x/i), exact and in integers throughout.
 Point queries use a strong-pseudoprime (Miller-Rabin) test with witness
@@ -19,7 +20,7 @@ from .errors import CapExceededError
 
 SEGMENT_SIZE = 1 << 16
 FIRST_SEGMENT = 1 << 10
-MAX_BATCH = 1024  # most members in one batch of a sequence
+MAX_BATCH = 1024  # most members in one batch of any sequence, and in one run of a stream
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
 # witness list is a proven deterministic test for all n < limit.
@@ -119,17 +120,19 @@ def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def prime_segments(start: int = 2) -> Iterator[list[int]]:
-    """Yield the primes >= start in increasing order, one list per sieve
-    segment, without end.  The regex engine finds the set flags at C
+def prime_batches(start: int = 2) -> Iterator[list[int]]:
+    """Yield the primes >= start in increasing order, in lists of at most
+    MAX_BATCH, without end.  The regex engine finds the set flags at C
     speed."""
     for lo, flags in _segments(max(start, 2)):
-        yield [lo + m.start() for m in re.finditer(b"\x01", flags)]
+        members = [lo + m.start() for m in re.finditer(b"\x01", flags)]
+        for i in range(0, len(members), MAX_BATCH):
+            yield members[i : i + MAX_BATCH]
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
     """Yield primes >= start in increasing order, without end."""
-    return chain.from_iterable(prime_segments(start))
+    return chain.from_iterable(prime_batches(start))
 
 
 def composite_batches(start: int = 4) -> Iterator[list[int]]:
@@ -147,10 +150,6 @@ def iter_composites(start: int = 4) -> Iterator[int]:
     1 is neither prime nor composite, and no flag below 4 is ever seen."""
     return chain.from_iterable(composite_batches(start))
 
-
-# Exact counts of earlier calls, oldest first; at most _COUNT_CACHE_LIMIT.
-_count_cache: dict[int, int] = {}
-_COUNT_CACHE_LIMIT = 1024
 
 DEFAULT_COUNTING_CAP = 10**8
 
@@ -180,8 +179,6 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
         raise CapExceededError(f"prime count at {x} exceeds the counting cap {cap}")
     if x < 2:
         return 0
-    if x in _count_cache:
-        return _count_cache[x]
     r = isqrt(x)
     small = list(range(-1, r))  # small[0] is never read
     large = [0] + [x // i - 1 for i in range(1, r + 1)]  # nor is large[0]
@@ -199,8 +196,4 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
             large[i] -= (large[d] if d <= r else small[x // d]) - sp
         for v in range(r, p2 - 1, -1):
             small[v] -= small[v // p] - sp
-    total = large[1]
-    _count_cache[x] = total
-    if len(_count_cache) > _COUNT_CACHE_LIMIT:
-        del _count_cache[next(iter(_count_cache))]
-    return total
+    return large[1]

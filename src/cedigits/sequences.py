@@ -25,8 +25,8 @@ from .primes import (
     is_prime,
     iter_composites,  # noqa: F401
     iter_primes,
+    prime_batches,
     prime_count,
-    prime_segments,
 )
 
 __all__ = [
@@ -41,26 +41,14 @@ __all__ = [
     "DEFAULT_COUNTING_CAP",
 ]
 
-# Batches start short, so that the first digits of a stream cost little,
-# and double up to MAX_BATCH members.
-FIRST_BATCH = 16
-
-
-def _batch_sizes() -> Iterator[int]:
-    size = FIRST_BATCH
-    while True:
-        yield size
-        size = min(2 * size, MAX_BATCH)
-
-
 class SequenceSpec(ABC):
     """Common surface of every sequence spec."""
 
     @abstractmethod
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
-        consecutive batches of bounded size: at most MAX_BATCH members,
-        or one sieve segment.  This is the one enumeration of a spec."""
+        consecutive nonempty batches of at most MAX_BATCH members.  This
+        is the one enumeration of a spec."""
 
     @abstractmethod
     def is_member(self, n: int) -> bool:
@@ -107,10 +95,8 @@ class Naturals(SequenceSpec):
     """All positive integers."""
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        lo = max(after, 0) + 1
-        for size in _batch_sizes():
-            yield range(lo, lo + size)
-            lo += size
+        for lo in itertools.count(max(after, 0) + 1, MAX_BATCH):
+            yield range(lo, lo + MAX_BATCH)
 
     def is_member(self, n: int) -> bool:
         return n >= 1
@@ -126,8 +112,7 @@ class Naturals(SequenceSpec):
 @dataclass(frozen=True)
 class Primes(SequenceSpec):
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """One batch per sieve segment."""
-        return prime_segments(max(after + 1, 2))
+        return prime_batches(max(after + 1, 2))
 
     def is_member(self, n: int) -> bool:
         return n >= 2 and is_prime(n)
@@ -145,7 +130,6 @@ class Composites(SequenceSpec):
     """Composite numbers 4, 6, 8, 9, ... The unit 1 is not a member."""
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """One sieve segment at a time, cut into batches of MAX_BATCH."""
         return composite_batches(max(after + 1, 4))
 
     def is_member(self, n: int) -> bool:
@@ -212,8 +196,8 @@ class Polynomial(SequenceSpec):
         start = self._largest_arg_leq(after) + 1
         args = iter_primes(start) if self.argument == "primes" else itertools.count(start)
         values = map(self.value, args)
-        for size in _batch_sizes():
-            yield list(itertools.islice(values, size))
+        while True:
+            yield list(itertools.islice(values, MAX_BATCH))
 
     def is_member(self, n: int) -> bool:
         if n < 1:
@@ -267,23 +251,34 @@ class Explicit(SequenceSpec):
         return "explicit:" + ",".join(str(v) for v in self.values)
 
 
+def _last_gap(spec: SequenceSpec) -> int | None:
+    """a when ``spec`` holds every integer past a and not a itself, as the
+    naturals (a = 0) and n + a over the naturals do; None for the other
+    specs that are not complements, which leave gaps without end."""
+    if isinstance(spec, Naturals):
+        return 0
+    if isinstance(spec, Polynomial) and spec.argument == "naturals":
+        if spec.coefficients[1:] == (1,):
+            return spec.coefficients[0]
+    return None
+
+
 @dataclass(frozen=True)
 class Complement(SequenceSpec):
     """Positive integers that are not members of the inner spec.
 
-    Enumeration walks the gaps of the inner member stream, so it makes
-    progress only while the inner spec keeps skipping integers.  A
-    double complement is unnested (its members are the original spec's
-    members), but an inner spec that covers every sufficiently large
-    integer without being written as a complement, such as the identity
-    polynomial, leaves ``members`` scanning past its last gap forever.
-    Membership and counting stay exact regardless.
+    Enumeration walks the gaps of the inner member stream.  A double
+    complement is unnested: its members are the original spec's members.
+    Of the other inner specs, only n + a over the naturals covers every
+    integer from some point on, so its complement is 1..a and then ends;
+    with a = 0 it is the naturals, whose complement is refused as empty.
+    Every other inner spec leaves gaps without end.
     """
 
     inner: SequenceSpec
 
     def __post_init__(self) -> None:
-        if isinstance(self.inner, Naturals):
+        if _last_gap(self.inner) == 0:
             raise ValueError("complement of the naturals is empty")
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
@@ -292,6 +287,12 @@ class Complement(SequenceSpec):
         bring a gap."""
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
+            return
+        last = _last_gap(self.inner)
+        if last is not None:
+            gaps = range(max(after, 0) + 1, last + 1)
+            for i in range(0, len(gaps), MAX_BATCH):
+                yield gaps[i : i + MAX_BATCH]
             return
         prev = max(after, 0)
         for inner in self.inner.batches(prev):
@@ -317,8 +318,10 @@ class Complement(SequenceSpec):
         return "complement:" + self.inner.canonical
 
 
-def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    if text == "":
+def parse_int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, none for a blank text.  A bad item raises
+    ValueError naming ``what`` the list holds."""
+    if text.strip() == "":
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
@@ -342,11 +345,11 @@ def parse_sequence(text: str) -> SequenceSpec:
     if text == "composites":
         return Composites()
     if text.startswith("poly:"):
-        return Polynomial(_parse_int_list(text[5:], "coefficient"), "naturals")
+        return Polynomial(parse_int_list(text[5:], "coefficient"), "naturals")
     if text.startswith("poly-primes:"):
-        return Polynomial(_parse_int_list(text[12:], "coefficient"), "primes")
+        return Polynomial(parse_int_list(text[12:], "coefficient"), "primes")
     if text.startswith("explicit:"):
-        return Explicit(_parse_int_list(text[9:], "member"))
+        return Explicit(parse_int_list(text[9:], "member"))
     if text.startswith("complement:"):
         return Complement(parse_sequence(text[11:]))
     raise ValueError(f"unknown sequence spec: {text!r}")

@@ -7,15 +7,15 @@ the block of every member a with floor(c ** digit_length(a)) copies.
 With c = 1 and the naturals this is the classical Champernowne
 construction; with the primes it is the Copeland-Erdos construction.
 
-Digit positions are 1-indexed.  The stream is read as runs
-(``iter_runs``): members of one digit length written out together by
-C-speed conversions, with the same digits as the block view
-``iter_blocks``, which is cut from them.  StreamCursor is the one walker
-of the stream.  It stands in one run at a time, crosses whole copies,
-members and runs by arithmetic, and hands the digits it crosses to a
-sink as pieces (digits, length, copies): a list for ``read``, counters
-for the prefix scans of ``stats``, nothing for ``skip_to``.  It
-serializes to a one-line checkpoint of the exact stream state.
+Digit positions are 1-indexed.  The stream is read as runs: the members
+of one batch that share a digit length, written out together by C-speed
+conversions.  The block view ``iter_blocks`` is cut from them.
+StreamCursor is the one walker of the stream.  It stands in one run at a
+time, crosses whole copies, members and runs by arithmetic, and hands
+the digits it crosses to a sink as pieces (digits, length, copies): a
+list for ``read``, counters for the prefix scans of ``stats``, nothing
+for ``skip_to``.  It serializes to a one-line checkpoint of the exact
+stream state.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "digit_length",
     "repetitions",
     "iter_blocks",
-    "iter_runs",
     "parse_number_spec",
     "save_checkpoint",
     "load_checkpoint",
@@ -124,9 +123,6 @@ def parse_number_spec(text: str) -> NumberSpec:
 # Largest power of the base that one entry of a chunk table may stand for.
 _CHUNK_TABLE_LIMIT = 1 << 10
 
-# Most members in one run, which bounds the memory of writing it out.
-_MAX_RUN = 1024
-
 # Takes the digits crossed by a move, as pieces (digits, length, copies):
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
@@ -185,7 +181,16 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
 
 
 def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[int], int, int]]:
-    """The runs of ``iter_runs`` as (members, length, copies), unwritten."""
+    """Yield (members, length, copies) for the members greater than
+    ``after``, one run at a time.
+
+    A run is a stretch of one batch of ``spec.sequence.batches`` whose
+    members all have ``length`` digits, so it holds at most MAX_BATCH
+    members; the stream writes each of them ``copies`` times before the
+    next.  Runs are cut at powers of the base and at the ends of batches,
+    and the copy count is computed once per length, so every digit, copy
+    and position is exact.
+    """
     by_length: dict[int, tuple[int, int]] = {}  # length -> (base**length, copies)
     for batch in spec.sequence.batches(after):
         start = 0
@@ -194,39 +199,21 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
             if length not in by_length:
                 by_length[length] = (spec.base**length, floor_power(spec.multiplier, length))
             bound, copies = by_length[length]
-            stop = bisect_left(batch, bound, start, min(start + _MAX_RUN, len(batch)))
+            stop = bisect_left(batch, bound, start)
             yield batch[start:stop], length, copies
             start = stop
-
-
-def iter_runs(
-    spec: NumberSpec, after: int = 0
-) -> Iterator[tuple[Sequence[int], Sequence[int], int, int]]:
-    """Yield (members, digits, length, copies) for the members greater
-    than ``after``, one run at a time.
-
-    A run is a stretch of one batch of ``spec.sequence.batches`` whose
-    members all have ``length`` digits.  ``digits`` writes each member
-    once, in order and one item per digit, so member i is
-    ``digits[i * length:(i + 1) * length]``; the stream writes that
-    block ``copies`` times before the next member.  Runs are cut at
-    powers of the base and after at most ``_MAX_RUN`` members, and the
-    copy count is computed once per length, so every digit, copy and
-    position is exact.
-    """
-    encode = _run_encoder(spec.base)
-    for run, length, copies in _member_runs(spec, after):
-        yield run, encode(run, length), length, copies
 
 
 def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """Yield (member, digits, copies) for members greater than ``after``.
 
-    This is the member-by-member view of the stream, cut from the runs:
-    each yielded block stands for ``copies`` consecutive writes of
-    ``digits``.
+    This is the member-by-member view of the stream, cut from its runs
+    as the run encoder writes them out: each yielded block stands for
+    ``copies`` consecutive writes of ``digits``.
     """
-    for run, digits, length, copies in iter_runs(spec, after):
+    encode = _run_encoder(spec.base)
+    for run, length, copies in _member_runs(spec, after):
+        digits = encode(run, length)
         for i, m in enumerate(run):
             yield m, tuple(digits[i * length : (i + 1) * length]), copies
 

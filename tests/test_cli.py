@@ -1,10 +1,15 @@
 import io
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cedigits
 from cedigits.cli import (
     VERIFY_CSV_HEADER,
     main,
@@ -92,6 +97,28 @@ class TestDigits:
         assert code == 3
         assert "cap" in err
 
+    def test_finite_complement_ends_with_usage_error(self):
+        # n + 3 covers every integer from 4 on, so complement:poly:3,1 is
+        # 1, 2, 3; a read past them must end rather than look for a gap
+        # forever, so the process is stopped from outside if it does not
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cedigits.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+
+        def digits(n):
+            return subprocess.run(
+                [sys.executable, "-m", "cedigits.cli", "digits",
+                 "--spec", "complement:poly:3,1", "--base", "10", "-n", str(n)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+
+        done = digits(3)
+        assert (done.returncode, done.stdout) == (0, "123\n")
+        past = digits(4)
+        assert past.returncode == 2
+        assert "ended at position 3" in past.stderr
+
     def test_bad_sequence_is_usage_error(self):
         code, _, err = run_cli(
             "digits", "--sequence", "nope", "--base", "10", "-n", "5"
@@ -106,7 +133,7 @@ class TestDigits:
         )
         assert code == 0
         assert out == ""
-        assert open(path, "rb").read() == b"2357111317\n"
+        assert Path(path).read_bytes() == b"2357111317\n"
 
     def test_save_and_resume_round_trip(self, tmp_path):
         state = str(tmp_path / "cursor.txt")
@@ -115,7 +142,7 @@ class TestDigits:
             "-n", "13", "--save-cursor", state,
         )
         assert code == 0
-        line = open(state, encoding="utf-8").read()
+        line = Path(state).read_text(encoding="utf-8")
         assert line == "position=13 integer=17 rep=0 offset=1 spec=primes|b=10|c=3/2\n"
         code, second, _ = run_cli("digits", "--resume", state, "-n", "7")
         assert code == 0
@@ -190,7 +217,7 @@ class TestTrajectory:
         )
         assert code == 0
         assert f"wrote 2 points to {path}" in out
-        body = open(path, encoding="utf-8").read()
+        body = Path(path).read_text(encoding="utf-8")
         lines = body.strip().split("\n")
         assert lines[0] == "n,count,discrepancy_num,discrepancy_den,statistic"
         assert lines[1].startswith("17,12,7,2,")
@@ -203,18 +230,19 @@ class TestTrajectory:
                 "--c", "3/2", "--checkpoints", "100,1000,5000")
         assert run_cli(*args, "--out", a)[0] == 0
         assert run_cli(*args, "--out", b)[0] == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_empty_checkpoint_list(self, tmp_path):
         path = str(tmp_path / "empty.csv")
-        code, _, _ = run_cli(
-            "trajectory", "--sequence", "naturals", "--base", "10",
-            "--checkpoints", "", "--out", path,
-        )
-        assert code == 0
-        assert open(path, encoding="utf-8").read() == (
-            "n,count,discrepancy_num,discrepancy_den,statistic\n"
-        )
+        for checkpoints in ("", "  "):
+            code, _, _ = run_cli(
+                "trajectory", "--sequence", "naturals", "--base", "10",
+                "--checkpoints", checkpoints, "--out", path,
+            )
+            assert code == 0
+            assert Path(path).read_text(encoding="utf-8") == (
+                "n,count,discrepancy_num,discrepancy_den,statistic\n"
+            )
 
     def test_checkpoint_below_16_rejected(self):
         code, _, err = run_cli(
@@ -239,7 +267,7 @@ class TestVerify:
         )
         assert code == 0
         assert "all rows match: yes" in out
-        body = open(path, encoding="utf-8").read()
+        body = Path(path).read_text(encoding="utf-8")
         lines = body.strip().split("\n")
         assert lines[0] == VERIFY_CSV_HEADER
         assert "2,1,1,3,17,17,12,12,true" in lines
@@ -291,6 +319,13 @@ class TestThreshold:
         )
         assert code == 0
         assert "100 0 0.000000 yes" in out
+
+    def test_bad_sample_list_is_usage_error(self):
+        code, _, err = run_cli(
+            "threshold", "--sequence", "primes", "--base", "10", "--xs", "100,1e3",
+        )
+        assert code == 2
+        assert "sample point" in err
 
     def test_cap_exceeded_exit_code(self):
         code, _, err = run_cli(

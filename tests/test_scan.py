@@ -34,7 +34,7 @@ from cedigits import (
 )
 from cedigits.primes import SEGMENT_SIZE, iter_composites, iter_primes
 from cedigits.stats import MIN_STATISTIC_N, prefix_counts_at_boundaries
-from cedigits.stream import iter_blocks, iter_runs
+from cedigits.stream import _member_runs, _run_encoder, iter_blocks
 
 from conftest import concat_stream, digits_of, trial_division_is_prime
 
@@ -201,8 +201,10 @@ def test_boundary_scan_matches_oracle(case, data):
 def test_run_view_digits_equal_to_digits(base, c, seq, after):
     spec, members = seq
     want = [m for m in itertools.islice(members(), 400) if m > after][:150]
+    number = NumberSpec(spec, base, c)
     got = []
-    for run, digits, length, copies in iter_runs(NumberSpec(spec, base, c), after):
+    for run, length, copies in _member_runs(number, after):
+        digits = _run_encoder(base)(run, length)
         assert len(digits) == len(run) * length
         assert copies == floor_power(c, length)
         for i, m in enumerate(run):
@@ -211,6 +213,11 @@ def test_run_view_digits_equal_to_digits(base, c, seq, after):
         if len(got) >= len(want):
             break
     assert got[: len(want)] == want
+    # the block view is cut from the same runs
+    blocks = list(itertools.islice(iter_blocks(number, after), len(want)))
+    assert blocks == [
+        (m, to_digits(m, base), floor_power(c, len(to_digits(m, base)))) for m in want
+    ]
 
 
 def test_repeated_copies_are_counted_not_written():

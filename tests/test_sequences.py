@@ -22,8 +22,8 @@ from cedigits.primes import (
     is_prime,
     iter_composites,
     iter_primes,
+    prime_batches,
     prime_count,
-    prime_segments,
 )
 from cedigits.sequences import MAX_BATCH
 
@@ -104,33 +104,28 @@ class TestPrimesMachinery:
         for x in (0, 1, 2, 3, 10, 100, 1000, 65535, 65536, 65537, 10**5):
             assert prime_count(x) == simple_prime_count(x)
 
-    def test_count_cache_is_bounded(self, pi_oracle):
-        limit = primes._COUNT_CACHE_LIMIT
-        xs = range(2, 2 + limit + 300)
-        assert [prime_count(x) for x in xs] == [pi_oracle(x) for x in xs]
-        assert len(primes._count_cache) <= limit
-        # the oldest entries went first, and counting them again is exact
-        assert 2 not in primes._count_cache and xs[-1] in primes._count_cache
-        assert [prime_count(x) for x in xs[:50]] == [pi_oracle(x) for x in xs[:50]]
-        assert len(primes._count_cache) <= limit
-
     @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
     def test_walks_cross_growing_segment_edges(self, start):
         # the first segment from ``start`` is FIRST_SEGMENT wide and each
-        # later one as wide as all before it
+        # later one as wide as all before it; these four hold fewer than
+        # MAX_BATCH primes each, so each is one batch
         edges = [start + FIRST_SEGMENT * 2**k for k in range(4)]
         window = range(start, edges[-1] + 40)
         want_primes = [n for n in window if trial_division_is_prime(n)]
         want_composites = [n for n in window if n >= 4 and not trial_division_is_prime(n)]
         assert list(itertools.islice(iter_primes(start), len(want_primes))) == want_primes
         assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
-        segments = list(itertools.islice(prime_segments(start), 4))
+        segments = list(itertools.islice(prime_batches(start), 4))
         assert [seg[-1] < edge <= seg[-1] + 200 for seg, edge in zip(segments, edges)] == [True] * 4
         for spec, want in (
+            (Naturals(), list(window)),
+            (Primes(), want_primes),
             (Composites(), want_composites),
             (Polynomial((1, 1)), list(window)),
             (Polynomial((0, 1), "primes"), want_primes),
             (Explicit(tuple(window)), list(window)),
+            (Complement(Primes()), want_composites),
+            (Complement(Polynomial((window[-1], 1))), list(window)),
         ):
             batches = list(itertools.islice(spec.batches(start - 1), 40))
             assert all(0 < len(b) <= MAX_BATCH for b in batches)
@@ -164,28 +159,21 @@ SMALL_PRIMES = [p for p in range(2, 98) if trial_division_is_prime(p)]
 class TestPrimeCount:
     """prime_count by the Lucy recursion, against sieves and published values."""
 
-    @pytest.fixture(autouse=True)
-    def _uncached(self):
-        # every count below runs the recursion, not a lookup
-        primes._count_cache.clear()
-
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_around_prime_squares(self, p):
         # p*p is where the prime p starts striking integers out
         for x in (p * p - 1, p * p, p * p + 1):
-            primes._count_cache.clear()
             assert prime_count(x) == simple_prime_count(x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 * 10**5))
     def test_matches_oracle(self, pi_oracle, x):
-        primes._count_cache.pop(x, None)
         assert prime_count(x) == pi_oracle(x)
 
     def test_matches_segmented_sieve(self):
         xs = (10**6, 10**7 - 1, 10**7)
         want = dict.fromkeys(xs, 0)
-        for seg in prime_segments(2):
+        for seg in prime_batches(2):
             for x in xs:
                 want[x] += bisect_right(seg, x)
             if seg[-1] > xs[-1]:
@@ -246,9 +234,24 @@ class TestComplement:
     def test_complement_of_naturals_rejected(self):
         with pytest.raises(ValueError):
             Complement(Naturals())
+        # n + 0 over the naturals is the naturals too
+        with pytest.raises(ValueError):
+            parse_sequence("complement:poly:0,1")
+
+    def test_complement_of_shifted_naturals_ends(self):
+        # n + 3 covers every integer from 4 on, so the complement is 1, 2, 3
+        spec = parse_sequence("complement:poly:3,1")
+        assert take(spec, 10) == [1, 2, 3]
+        assert take(spec, 10, after=2) == [3]
+        assert spec.count(10) == 3
+        assert spec.next_member(2) == 3
+        with pytest.raises(SequenceExhaustedError):
+            spec.next_member(3)
+        # unnested, the double complement is n + 3 itself
+        assert take(parse_sequence("complement:complement:poly:3,1"), 5) == [4, 5, 6, 7, 8]
 
     def test_empty_inner_batches_are_crossed(self):
-        # a sieve segment may hold no prime; the complement walks past it
+        # a spec may hand out an empty batch; the complement walks past it
         class WithEmptyBatches(Explicit):
             def batches(self, after=0):
                 for batch in super().batches(after):

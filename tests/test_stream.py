@@ -24,7 +24,8 @@ from cedigits import (
     save_checkpoint,
     to_digits,
 )
-from cedigits.stream import _MAX_RUN, iter_blocks, iter_runs
+from cedigits.primes import MAX_BATCH
+from cedigits.stream import _member_runs, iter_blocks
 
 from conftest import concat_stream
 
@@ -358,10 +359,10 @@ RESUME_BUDGET = 40_000
 
 def stream_edges(spec: NumberSpec, limit: int) -> dict[str, list[int]]:
     """Positions up to ``limit`` where a copy, a member, a run or a run of
-    _MAX_RUN members ends."""
+    MAX_BATCH members ends."""
     edges: dict[str, list[int]] = {"copy": [], "member": [], "run": [], "max_run": []}
     pos = 0
-    for run, _, length, copies in iter_runs(spec):
+    for run, length, copies in _member_runs(spec):
         for _ in run:
             edges["copy"].extend(range(pos + length, min(pos + length * copies, limit) + 1, length))
             pos += length * copies
@@ -369,7 +370,7 @@ def stream_edges(spec: NumberSpec, limit: int) -> dict[str, list[int]]:
                 return edges
             edges["member"].append(pos)
         edges["run"].append(pos)
-        if len(run) == _MAX_RUN:
+        if len(run) == MAX_BATCH:
             edges["max_run"].append(pos)
     return edges
 
@@ -420,8 +421,9 @@ class TestResumedCursors:
 
     @pytest.mark.parametrize("base", [2, 10])
     def test_windows_on_max_run_edges(self, base):
-        # the sieve's growing segments hold more than _MAX_RUN primes
-        # early on, so the primes reach a run cut by its size first
+        # the sieve's growing segments hold more than MAX_BATCH primes
+        # early on, so the primes reach a batch, and so a run, cut by its
+        # size first
         spec = NumberSpec(Primes(), base)
         edges = stream_edges(spec, RESUME_BUDGET)
         assert edges["max_run"]
