@@ -207,10 +207,15 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     bases = parse_int_list(args.bases, "base")
+    for base in bases:
+        if base >= BASE_CAP:
+            raise ValueError(f"base {base} is beyond the CLI cap {BASE_CAP}")
     cs = [parse_rational(part) for part in args.cs.split(",")]
     rows = run_verification(
         bases, cs, args.max_digits, args.max_k, corrupt=args.selftest_corrupt
     )
+    if not rows:  # an empty grid would otherwise pass having checked nothing
+        raise ValueError("the grid selects no row to verify")
     _print_verification_table(rows)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:

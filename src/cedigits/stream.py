@@ -8,8 +8,11 @@ With c = 1 and the naturals this is the classical Champernowne
 construction; with the primes it is the Copeland-Erdos construction.
 
 Digit positions are 1-indexed.  The stream is read as runs: the members
-of one batch that share a digit length, written out together by C-speed
-conversions.  The block view ``iter_blocks`` is cut from them.
+of one batch that share a digit length, written out together.  A run of
+consecutive members, a ``range`` such as every run of the naturals, is
+written column by column, one strided write per digit place; a list of
+members goes through C-speed conversions, one per member.  The block
+view ``iter_blocks`` is cut from the runs.
 StreamCursor is the one walker of the stream.  It stands in one run at a
 time, crosses whole copies, members and runs by arithmetic, and hands
 the digits it crosses to a sink as pieces (digits, length, copies): a
@@ -135,12 +138,28 @@ _FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
 def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
     """Function writing out members of one digit length, one item per
     digit: bytes whose values are the digits for bases up to 256, a list
-    of ints beyond."""
+    of ints from ``to_digits`` beyond.
+
+    Up to base 256, a list of members is written by str() or format()
+    for bases 2, 8, 10 and 16 and through chunk tables for the others.
+    A ``range`` of consecutive members is written column by column: the
+    digit at place i of consecutive integers cycles through the base in
+    stretches of base**i, so each place below ``low`` is a slice of one
+    cached cycle or a few constant stretches, put into every member by
+    one strided slice assignment.  With base**low >= len(run), the
+    places from ``low`` up step at most once across the run: they are
+    the digits of two members, repeated.  A run costs O(length) C-level
+    operations, not one conversion per member.
+    """
+    if base > 256:
+        return lambda members, length: list(
+            chain.from_iterable(map(to_digits, members, repeat(base)))
+        )
     code = _FORMAT_CODES.get(base)
     if code is not None:
         values = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
-        def formatted(members: Sequence[int], length: int) -> bytes:
+        def write(members: Sequence[int], length: int) -> bytes:
             text = map(str, members) if code == "d" else map(format, members, repeat(code))
             try:
                 written = "".join(text)
@@ -148,36 +167,73 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
                 written = "".join(map(str, map(Decimal, members)))
             return written.encode("ascii").translate(values)
 
-        return formatted
-    if base > 256:
-        return lambda members, length: list(
-            chain.from_iterable(map(to_digits, members, repeat(base)))
-        )
-    # tables[k][v] holds the k zero-padded digits of v < base**k, one
-    # character per digit, as str: bytes.join would take a buffer per
-    # chunk.  A run is cut into chunks of ``width`` digits by divmod,
-    # column by column over all its members, below a leading chunk of
-    # the remaining digits.
-    width = 1
-    while base ** (width + 1) <= _CHUNK_TABLE_LIMIT:
-        width += 1
-    chunk = base**width
-    tables = [[""]]
-    for _ in range(width):
-        tables.append([t + chr(d) for t in tables[-1] for d in range(base)])
+    else:
+        # tables[k][v] holds the k zero-padded digits of v < base**k, one
+        # character per digit, as str: bytes.join would take a buffer per
+        # chunk.  A run is cut into chunks of ``width`` digits by divmod,
+        # column by column over all its members, below a leading chunk of
+        # the remaining digits.
+        width = 1
+        while base ** (width + 1) <= _CHUNK_TABLE_LIMIT:
+            width += 1
+        chunk = base**width
+        tables = [[""]]
+        for _ in range(width):
+            tables.append([t + chr(d) for t in tables[-1] for d in range(base)])
 
-    def chunked(members: Sequence[int], length: int) -> bytes:
-        lower, lead = divmod(length - 1, width)
-        columns = []
-        rest = members
-        for _ in range(lower):
-            columns.append(map(tables[width].__getitem__, map(mod, rest, repeat(chunk))))
-            rest = list(map(floordiv, rest, repeat(chunk)))
-        columns.append(map(tables[lead + 1].__getitem__, rest))
-        columns.reverse()
-        return "".join(chain.from_iterable(zip(*columns))).encode("latin-1")
+        def write(members: Sequence[int], length: int) -> bytes:
+            lower, lead = divmod(length - 1, width)
+            columns = []
+            rest = members
+            for _ in range(lower):
+                columns.append(map(tables[width].__getitem__, map(mod, rest, repeat(chunk))))
+                rest = list(map(floordiv, rest, repeat(chunk)))
+            columns.append(map(tables[lead + 1].__getitem__, rest))
+            columns.reverse()
+            return "".join(chain.from_iterable(zip(*columns))).encode("latin-1")
 
-    return chunked
+    stretch = [bytes((d,)) for d in range(base)]
+    tiles: dict[int, bytes] = {}  # place -> its cycle, repeated to cover a run
+
+    def column(place: int, first: int, n: int) -> bytes | memoryview:
+        """Digits at ``place`` of first, first + 1, ..., first + n - 1."""
+        size = base**place
+        period = size * base
+        if period <= n:
+            at = first % period
+            tile = tiles.get(place, b"")
+            if len(tile) < at + n:
+                cycle = b"".join(d * size for d in stretch)
+                tile = tiles[place] = cycle * (n // period + 2)
+            return memoryview(tile)[at : at + n]
+        parts = []
+        stop = first + n
+        while first < stop:
+            q = first // size
+            end = min(stop, (q + 1) * size)
+            parts.append(stretch[q % base] * (end - first))
+            first = end
+        return b"".join(parts)
+
+    def encode(members: Sequence[int], length: int) -> bytes:
+        if type(members) is not range or members.step != 1:
+            return write(members, length)
+        n = len(members)
+        low = 0
+        while low < length and base**low < n:
+            low += 1
+        high, first = divmod(members.start, base**low)
+        before = min(n, base**low - first)  # members before the places from low up step
+        out = bytearray()
+        for h, count in ((high, before), (high + 1, n - before)):
+            if count:
+                head = write((h,), length - low) if low < length else b""
+                out += bytearray(head + bytes(low)) * count
+        for place in range(low):
+            out[length - 1 - place :: length] = column(place, first, n)
+        return bytes(out)
+
+    return encode
 
 
 def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[int], int, int]]:

@@ -281,6 +281,25 @@ class TestVerify:
         assert code == 1
         assert "all rows match: no" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [("--bases", ""), ("--max-digits", "-5"), ("--max-k", "-1"), ("--max-k", "0")],
+    )
+    def test_grid_without_rows_is_usage_error(self, flags, tmp_path):
+        path = tmp_path / "verify.csv"
+        code, out, err = run_cli("verify", *flags, "--csv", str(path))
+        assert code == 2
+        assert "no row" in err
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bases", ["70000", "2,65536"])
+    def test_base_beyond_cap_is_usage_error(self, bases):
+        code, out, err = run_cli("verify", "--bases", bases)
+        assert code == 2
+        assert "beyond the CLI cap" in err
+        assert out == ""
+
     def test_rows_are_canonically_ordered(self):
         rows = run_verification((10, 2), (Fraction(2), Fraction(1)), 5000)
         keys = [(r.base, r.c, r.k) for r in rows]

@@ -14,7 +14,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedigits import (
@@ -26,13 +26,14 @@ from cedigits import (
     Polynomial,
     Primes,
     SequenceExhaustedError,
+    StreamCursor,
     count_symbol_prefix,
     counter_prefix,
     floor_power,
     to_digits,
     trajectory,
 )
-from cedigits.primes import SEGMENT_SIZE, iter_composites, iter_primes
+from cedigits.primes import MAX_BATCH, SEGMENT_SIZE, iter_composites, iter_primes
 from cedigits.stats import MIN_STATISTIC_N, prefix_counts_at_boundaries
 from cedigits.stream import _member_runs, _run_encoder, iter_blocks
 
@@ -218,6 +219,79 @@ def test_run_view_digits_equal_to_digits(base, c, seq, after):
     assert blocks == [
         (m, to_digits(m, base), floor_power(c, len(to_digits(m, base)))) for m in want
     ]
+
+
+COLUMN_BASES = (2, 3, 7, 8, 10, 16, 255, 256)
+
+
+@given(
+    st.sampled_from(COLUMN_BASES),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(("first", "mid", "last")),
+    st.integers(min_value=1, max_value=MAX_BATCH),
+    st.data(),
+)
+@example(2, 11, "last", MAX_BATCH, None)
+@example(10, 4, "first", MAX_BATCH, None)
+@example(256, 2, "last", MAX_BATCH, None)
+@settings(max_examples=300, deadline=None)
+def test_range_runs_written_column_by_column(base, k, where, n, data):
+    """A run of consecutive members of one length, written column by
+    column, against to_digits member by member: runs from the start of
+    the length class, from inside it, and ending exactly at base**k - 1."""
+    first, last = base ** (k - 1), base**k - 1
+    if where == "first":
+        start = first
+    elif where == "last":
+        start = max(first, last + 1 - n)
+    else:
+        start = data.draw(st.integers(min_value=first, max_value=last))
+    run = range(start, min(start + n, last + 1))
+    digits = _run_encoder(base)(run, k)
+    assert isinstance(digits, bytes)
+    assert digits == bytes(itertools.chain.from_iterable(to_digits(m, base) for m in run))
+
+
+@given(
+    st.sampled_from(COLUMN_BASES),
+    st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_naturals_scans_and_reads_match_oracle(base, c, data):
+    """Over the naturals, whose runs are written column by column,
+    counter_prefix and piecewise reads against the literal expansion, at
+    stops inside copies, on run edges and at powers of the base."""
+    limit = 40000
+    stream = concat_stream(itertools.count(1), base, c.numerator, c.denominator, limit)
+    blocks = expand(itertools.count(1), base, c, limit)
+    candidates = structural_stops(blocks, base, limit)
+    stops = sorted(set(data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=8))))
+    number = NumberSpec(Naturals(), base, c)
+    cursor = StreamCursor(number)
+    done = 0
+    for n in stops:
+        tally = Counter(stream[:n])
+        assert counter_prefix(number, n).counts == [tally[s] for s in range(base)]
+        assert cursor.read(n - done) == stream[done:n]
+        done = n
+
+
+def test_long_members_past_the_decimal_str_limit():
+    """Members of 5001 decimal digits, past str()'s default limit, which
+    the text form of a checkpoint cannot carry: the cursor is restored
+    from the checkpoint's fields."""
+    lo = 10**5000
+    position = sum(length * 9 * 10 ** (length - 1) for length in range(1, 5001))
+    cursor = StreamCursor(NumberSpec(Naturals(), 10), position, lo, 0, 0)
+    want = [d for m in (lo, lo + 1, lo + 2) for d in to_digits(m, 10)]
+    assert cursor.read(3 * 5001) == want
+    # a whole run whose places from 4 up step once, at lo + 10**4
+    run = range(lo + 9500, lo + 9500 + MAX_BATCH)
+    digits = _run_encoder(10)(run, 5001)
+    assert len(digits) == len(run) * 5001
+    for i in (0, 499, 500, MAX_BATCH - 1):
+        assert digits[i * 5001 : (i + 1) * 5001] == bytes(to_digits(run[i], 10))
 
 
 def test_repeated_copies_are_counted_not_written():
