@@ -172,9 +172,9 @@ def _cmd_digits(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    if args.n > args.max_emit:
+    if args.n > args.max_digits:
         raise CapExceededError(
-            f"counting over {args.n} digits exceeds the per-run cap {args.max_emit}"
+            f"counting over {args.n} digits exceeds the per-run cap {args.max_digits}"
         )
     counter = counter_prefix(spec, args.n)
     for symbol, cnt in enumerate(counter.counts):
@@ -268,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_count = sub.add_parser("count", help="symbol counts over a prefix")
     add_spec_args(p_count)
     p_count.add_argument("-n", "--n", type=int, required=True, help="prefix length")
-    p_count.add_argument("--max-emit", type=int, default=DEFAULT_EMISSION_CAP)
+    p_count.add_argument("--max-digits", "--max-emit", dest="max_digits", type=int,
+                         default=DEFAULT_EMISSION_CAP, help="largest prefix length to count")
     p_count.set_defaults(func=_cmd_count)
 
     p_traj = sub.add_parser("trajectory", help="statistic trajectory at checkpoints")

@@ -2,7 +2,11 @@
 
 Bulk generation runs a segmented sieve of Eratosthenes so that streaming
 the primes (or the composites) never materializes more than one segment,
-and hands the members out in lists of at most MAX_BATCH.
+and hands the members out in lists of at most MAX_BATCH.  Each segment
+starts as a slice of one wheel pattern on which the multiples of 2, 3, 5,
+7, 11 and 13 are already struck; a walk carries each larger base prime's
+next multiple from one segment to the next, and the base primes are
+sieved by the same kernel.
 Counting does not sieve: pi(x) comes from the combinatorial Legendre/Lucy
 recursion over the values floor(x/i), exact and in integers throughout.
 Point queries use a strong-pseudoprime (Miller-Rabin) test with witness
@@ -12,8 +16,10 @@ sets that are deterministic for every modulus below 2**64.
 from __future__ import annotations
 
 import re
-from itertools import chain, compress, islice
-from math import isqrt
+from bisect import bisect_right
+from itertools import chain, compress, islice, repeat
+from math import isqrt, prod
+from operator import mod
 from typing import Iterator
 
 from .errors import CapExceededError
@@ -82,37 +88,95 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _segment_flags(lo: int, hi: int, base: list[int]) -> bytearray:
-    """Prime flags for the half-open range [lo, hi)."""
-    flags = bytearray([1]) * (hi - lo)
-    for p in base:
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = bytearray(len(range(start, hi, p)))
-    if lo < 2:
-        flags[: 2 - lo] = bytes(2 - lo)
+# Every segment starts as a slice of one wheel tile, on which the
+# multiples of the wheel primes are already struck, so a walk strikes only
+# the primes from 17 up.  The tile is one period longer than a segment, so
+# a segment starting anywhere in the period is one slice of it.
+_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL_PERIOD = prod(_WHEEL_PRIMES)  # 30030
+
+
+def _wheel() -> bytearray:
+    pattern = bytearray([1]) * _WHEEL_PERIOD
+    for p in _WHEEL_PRIMES:
+        pattern[::p] = bytes(_WHEEL_PERIOD // p)
+    return (pattern * (SEGMENT_SIZE // _WHEEL_PERIOD + 2))[: _WHEEL_PERIOD + SEGMENT_SIZE]
+
+
+_WHEEL = _wheel()
+# The flags of 0..16, where the wheel is wrong: it keeps 1 and strikes the
+# wheel primes themselves.  17 is the least prime a walk strikes.
+_SMALL = bytes(n in _WHEEL_PRIMES for n in range(17))
+# Every strike is a slice of these zeros: a prime from 17 up strikes at
+# most this many integers of a segment.
+_ZERO = bytearray(SEGMENT_SIZE // len(_SMALL) + 1)
+
+
+def _sieve(lo: int, width: int, primes: list[int], offsets: list[int]) -> bytearray:
+    """Prime flags for [lo, lo + width), width <= SEGMENT_SIZE: the sieve
+    kernel.  ``primes`` are the primes from 17 up whose square is below
+    lo + width, and ``offsets[i]`` is where the next multiple of
+    ``primes[i]`` to strike lies, counted from lo.  The offsets move on to
+    the next segment, the one starting at lo + width."""
+    at = lo % _WHEEL_PERIOD
+    flags = _WHEEL[at : at + width]
+    if lo < len(_SMALL):
+        flags[: len(_SMALL) - lo] = _SMALL[lo : lo + width]
+    for i, p in enumerate(primes):
+        off = offsets[i]
+        flags[off::p] = _ZERO[: (width - 1 - off) // p + 1]
+        offsets[i] = (off - width) % p
     return flags
+
+
+def _offsets(primes: list[int], lo: int) -> list[int]:
+    """Where each prime p starts to strike in a walk from lo, counted from
+    lo: at its first multiple from lo on, but not below p * p, so that p
+    itself stays."""
+    j = bisect_right(primes, isqrt(lo))
+    return [*map(mod, repeat(-lo), primes[:j]), *[p * p - lo for p in primes[j:]]]
 
 
 # All primes up to some bound, shared by every sieve and grown on demand.
 # The list lives as long as the process, so a resume deep in a stream does
 # not sieve its base primes again: near 10**12 it holds 110 000, 4 MiB.
+# It only ever grows at its end, so a walk's primes stay a prefix of it.
 _base_primes: list[int] = [2]
+
+
+def _grow(hi: int) -> None:
+    """Extend ``_base_primes`` until its last prime's square is at least
+    hi, so it holds every prime below sqrt(hi).  Each step sieves on from
+    the last prime p with the kernel, up to p * p, 4 * p or one segment
+    past p, whichever comes first: the primes it needs are all known."""
+    while (last := _base_primes[-1]) ** 2 < hi:
+        lo = last + 1
+        width = min(last * last - last, 3 * last, SEGMENT_SIZE)
+        top = bisect_right(_base_primes, isqrt(lo + width - 1))
+        primes = _base_primes[len(_WHEEL_PRIMES) : top]
+        flags = _sieve(lo, width, primes, _offsets(primes, lo))
+        _base_primes.extend(compress(range(lo, lo + width), flags))
 
 
 def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
     """Prime flags of consecutive segments from ``start`` on, without end.
     The first is FIRST_SEGMENT wide and each later one as wide as all before
-    it, up to SEGMENT_SIZE: a short walk sieves little more than it reads."""
+    it, up to SEGMENT_SIZE: a short walk sieves little more than it reads.
+    The walk carries each base prime's next multiple from one segment to
+    the next; a prime joins at the first segment that ends past its
+    square."""
     first = lo = max(start, 0)
     width = FIRST_SEGMENT
+    primes: list[int] = []  # the base primes from 17 up that strike this walk
+    offsets: list[int] = []
     while True:
         hi = lo + width
-        while _base_primes[-1] * _base_primes[-1] < hi:
-            top = 4 * _base_primes[-1]  # every prime below sqrt(top) is in the list
-            _base_primes[:] = compress(range(top), _segment_flags(0, top, _base_primes))
-        yield lo, _segment_flags(lo, hi, _base_primes)
+        _grow(hi)
+        top = bisect_right(_base_primes, isqrt(hi - 1))
+        new = _base_primes[len(_WHEEL_PRIMES) + len(primes) : top]
+        primes += new
+        offsets += _offsets(new, lo)
+        yield lo, _sieve(lo, width, primes, offsets)
         lo = hi
         width = min(hi - first, SEGMENT_SIZE)
 

@@ -269,6 +269,8 @@ class Complement(SequenceSpec):
 
     Enumeration walks the gaps of the inner member stream.  A double
     complement is unnested: its members are the original spec's members.
+    The complement of the primes is 1 and then the composites, which the
+    sieve hands out from its inverted flags.
     Of the other inner specs, only n + a over the naturals covers every
     integer from some point on, so its complement is 1..a and then ends;
     with a = 0 it is the naturals, whose complement is refused as empty.
@@ -287,6 +289,11 @@ class Complement(SequenceSpec):
         bring a gap."""
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
+            return
+        if isinstance(self.inner, Primes):
+            if after < 1:
+                yield [1]
+            yield from Composites().batches(after)
             return
         last = _last_gap(self.inner)
         if last is not None:

@@ -130,8 +130,9 @@ _CHUNK_TABLE_LIMIT = 1 << 10
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
 
-# format() codes of the bases whose digits the stdlib writes at C speed.
-_FORMAT_CODES = {2: "b", 8: "o", 10: "d", 16: "x"}
+# printf conversions of the bases whose digits the stdlib writes at C
+# speed; base 2, which has none, goes through format() with code "b".
+_CONVERSIONS = {2: None, 8: "%o", 10: "%d", 16: "%x"}
 
 
 @lru_cache(maxsize=8)
@@ -140,8 +141,9 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
     digit: bytes whose values are the digits for bases up to 256, a list
     of ints from ``to_digits`` beyond.
 
-    Up to base 256, a list of members is written by str() or format()
-    for bases 2, 8, 10 and 16 and through chunk tables for the others.
+    Up to base 256, a list of members is written through chunk tables,
+    except in bases 8, 10 and 16, where one printf-style format writes the
+    whole list, and in base 2, where format() writes each member.
     A ``range`` of consecutive members is written column by column: the
     digit at place i of consecutive integers cycles through the base in
     stretches of base**i, so each place below ``low`` is a slice of one
@@ -155,16 +157,18 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
         return lambda members, length: list(
             chain.from_iterable(map(to_digits, members, repeat(base)))
         )
-    code = _FORMAT_CODES.get(base)
-    if code is not None:
+    if base in _CONVERSIONS:
+        conversion = _CONVERSIONS[base]
         values = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
         def write(members: Sequence[int], length: int) -> bytes:
-            text = map(str, members) if code == "d" else map(format, members, repeat(code))
-            try:
-                written = "".join(text)
-            except ValueError:  # past str()'s limit on decimal digits, which Decimal lacks
-                written = "".join(map(str, map(Decimal, members)))
+            if conversion is None:
+                written = "".join(map(format, members, repeat("b")))
+            else:
+                try:
+                    written = conversion * len(members) % tuple(members)
+                except ValueError:  # past the limit on decimal digits, which Decimal lacks
+                    written = "".join(map(str, map(Decimal, members)))
             return written.encode("ascii").translate(values)
 
     else:
@@ -441,10 +445,14 @@ class StreamCursor:
         self._advance(n - self.position)
 
     def checkpoint(self) -> str:
-        """One-line serialization of the cursor state."""
+        """One-line serialization of the cursor state.  The integers are
+        written through Decimal, which has no limit on their digits."""
+        position, integer, rep, offset = (
+            Decimal(v) for v in (self.position, self.integer, self.rep, self.offset)
+        )
         return (
-            f"position={self.position} integer={self.integer} "
-            f"rep={self.rep} offset={self.offset} spec={self.spec.canonical}"
+            f"position={position} integer={integer} "
+            f"rep={rep} offset={offset} spec={self.spec.canonical}"
         )
 
     @classmethod
@@ -457,12 +465,11 @@ class StreamCursor:
             raise ValueError(f"malformed checkpoint line: {line!r}")
         values = [f.split("=", 1)[1] for f in fields]
         spec = parse_number_spec(values[4])
-        try:
-            position, integer, rep, offset = (int(v) for v in values[:4])
-        except ValueError as exc:
-            raise ValueError(f"malformed checkpoint line: {line!r}") from exc
-        if position < 0 or integer < 0:
+        # ASCII digits only: no sign, exponent, separator or other script,
+        # read through Decimal, which has no limit on their number
+        if not all(v.isascii() and v.isdigit() for v in values[:4]):
             raise ValueError(f"malformed checkpoint line: {line!r}")
+        position, integer, rep, offset = (int(Decimal(v)) for v in values[:4])
         return cls(spec, position, integer, rep, offset)
 
 

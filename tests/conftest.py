@@ -22,18 +22,21 @@ def trial_division_is_prime(n: int) -> bool:
     return True
 
 
+def plain_sieve(limit: int) -> bytearray:
+    """Prime flags of 0, 1, ..., limit - 1 by a plain one-shot sieve."""
+    flags = bytearray([1]) * limit
+    flags[:2] = bytes(min(limit, 2))
+    p = 2
+    while p * p < limit:
+        if flags[p]:
+            flags[p * p :: p] = bytearray(len(range(p * p, limit, p)))
+        p += 1
+    return flags
+
+
 def simple_prime_count(x: int) -> int:
     """pi(x) by a plain one-shot sieve."""
-    if x < 2:
-        return 0
-    flags = bytearray([1]) * (x + 1)
-    flags[0] = flags[1] = 0
-    p = 2
-    while p * p <= x:
-        if flags[p]:
-            flags[p * p :: p] = bytearray(len(range(p * p, x + 1, p)))
-        p += 1
-    return sum(flags)
+    return sum(plain_sieve(x + 1)) if x >= 2 else 0
 
 
 def digits_of(n: int, base: int) -> list[int]:

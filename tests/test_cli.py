@@ -195,6 +195,18 @@ class TestCount:
         assert code == 0
         assert out == "0 5\n1 12\ntotal 17\n"
 
+    @pytest.mark.parametrize("flag", ["--max-digits", "--max-emit"])
+    def test_digit_cap(self, flag):
+        # --max-emit is the older spelling of --max-digits
+        args = ("count", "--spec", "primes", "--base", "10", "-n", "1000")
+        code, out, _ = run_cli(*args, flag, "1000")
+        assert code == 0
+        assert out.endswith("total 1000\n")
+        code, out, err = run_cli(*args, flag, "999")
+        assert code == 3
+        assert out == ""
+        assert "cap 999" in err
+
 
 class TestTrajectory:
     def test_explicit_checkpoints_to_stdout(self):

@@ -9,6 +9,7 @@ at powers of the base and across sieve segment boundaries.
 """
 
 import itertools
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -277,13 +278,60 @@ def test_naturals_scans_and_reads_match_oracle(base, c, data):
         done = n
 
 
+@pytest.mark.parametrize("base", (8, 10, 16))
+def test_list_runs_written_by_one_format(base):
+    """Lists of members of one length, which bases 8, 10 and 16 write with
+    one printf-style format, against to_digits: runs of one member and of
+    MAX_BATCH, and members past str()'s limit on decimal digits, which
+    base 10 writes through Decimal."""
+    rng = random.Random(base)
+    encode = _run_encoder(base)
+    huge = [10**5000 + i for i in (0, 1, 9, 10, 99)]
+    runs = [(huge[:1], len(to_digits(huge[0], base))), (huge, len(to_digits(huge[0], base)))]
+    for k in (1, 2, 7, 15):
+        pool = range(base ** (k - 1), base**k)
+        runs += [(sorted(rng.sample(pool, min(n, len(pool)))), k) for n in (1, MAX_BATCH)]
+    assert MAX_BATCH in [len(run) for run, _ in runs]
+    for run, k in runs:
+        want = bytes(itertools.chain.from_iterable(to_digits(m, base) for m in run))
+        assert encode(run, k) == want
+
+
+@pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (7, Fraction(2))])
+def test_complement_of_primes_is_one_then_the_composites(base, c):
+    """complement:primes, which takes the composites from the inverted
+    sieve flags, against the literal expansion of 1 and the composites:
+    reads, prefix counts and reads resumed from checkpoint text."""
+    limit = 30000
+    members = (n for n in itertools.count(1) if not trial_division_is_prime(n))
+    stream = concat_stream(members, base, c.numerator, c.denominator, limit)
+    number = NumberSpec(Complement(Primes()), base, c)
+    one = list(to_digits(1, base)) * floor_power(c, 1)
+    composites = StreamCursor(NumberSpec(Composites(), base, c))
+    assert one + composites.read(limit - len(one)) == stream
+    assert StreamCursor(number).read(limit) == stream
+    stops = [1, len(one), len(one) + 1, 777, 4321, limit]
+    for n in stops:
+        tally = Counter(stream[:n])
+        assert counter_prefix(number, n).counts == [tally[s] for s in range(base)]
+    line = StreamCursor(number).checkpoint()
+    for start, stop in zip([0] + stops, stops):
+        cursor = StreamCursor.from_checkpoint(line)
+        assert cursor.read(stop - start) == stream[start:stop]
+        line = cursor.checkpoint()
+    for after in range(6):
+        want = [m for m in (1, 4, 6, 8, 9, 10, 12, 14, 15) if m > after][:5]
+        assert list(itertools.islice(Complement(Primes()).members(after), 5)) == want
+
+
 def test_long_members_past_the_decimal_str_limit():
-    """Members of 5001 decimal digits, past str()'s default limit, which
-    the text form of a checkpoint cannot carry: the cursor is restored
-    from the checkpoint's fields."""
+    """Members of 5001 decimal digits, past str()'s default limit: the
+    cursor is restored from the text of its checkpoint."""
     lo = 10**5000
     position = sum(length * 9 * 10 ** (length - 1) for length in range(1, 5001))
-    cursor = StreamCursor(NumberSpec(Naturals(), 10), position, lo, 0, 0)
+    line = StreamCursor(NumberSpec(Naturals(), 10), position, lo, 0, 0).checkpoint()
+    cursor = StreamCursor.from_checkpoint(line)
+    assert cursor.position == position and cursor.integer == lo
     want = [d for m in (lo, lo + 1, lo + 2) for d in to_digits(m, 10)]
     assert cursor.read(3 * 5001) == want
     # a whole run whose places from 4 up step once, at lo + 10**4

@@ -19,6 +19,7 @@ from cedigits import (
 from cedigits import primes
 from cedigits.primes import (
     FIRST_SEGMENT,
+    SEGMENT_SIZE,
     is_prime,
     iter_composites,
     iter_primes,
@@ -27,11 +28,16 @@ from cedigits.primes import (
 )
 from cedigits.sequences import MAX_BATCH
 
-from conftest import simple_prime_count, trial_division_is_prime
+from conftest import plain_sieve, simple_prime_count, trial_division_is_prime
 
 
 def take(spec, n, after=0):
     return list(itertools.islice(spec.members(after), n))
+
+
+# the base primes a segment strikes itself; 2 to 13 are the wheel's
+SIEVING_PRIMES = [p for p in range(17, 3000) if trial_division_is_prime(p)]
+WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
 
 
 class TestExamples:
@@ -131,6 +137,50 @@ class TestPrimesMachinery:
             assert all(0 < len(b) <= MAX_BATCH for b in batches)
             got = list(itertools.chain.from_iterable(batches))
             assert got[: len(want)] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 20),
+            st.builds(lambda k, d: WHEEL_PERIOD * k + d, st.integers(1, 10**4), st.integers(-1, 1)),
+            st.builds(lambda p, d: p * p + d, st.sampled_from(SIEVING_PRIMES), st.integers(-1, 1)),
+            st.integers(0, 10**10),
+        )
+    )
+    def test_segment_flags_match_point_queries(self, start):
+        """The flags of the first four segments of a walk from ``start``,
+        across its FIRST_SEGMENT growth edges, integer by integer: near 0,
+        where the wheel is patched, at the ends of the wheel's period, and
+        where a base prime's square starts its strikes."""
+        lo = start
+        for seg_lo, flags in itertools.islice(primes._segments(start), 4):
+            assert seg_lo == lo
+            assert flags == bytes(map(is_prime, range(lo, lo + len(flags))))
+            lo += len(flags)
+        assert lo == start + 8 * FIRST_SEGMENT
+
+    @pytest.mark.parametrize("start", [0, 10**6 + 12_345])
+    def test_walk_grows_the_base_primes_from_two(self, monkeypatch, start):
+        """A walk that starts with only the prime 2 known grows the base
+        primes as it goes, and carries each prime's next multiple over
+        three full SEGMENT_SIZE segments, where the primes from 1009 up
+        join the walk from 10**6 on."""
+        monkeypatch.setattr(primes, "_base_primes", [2])
+        # the growing segments before the first full one cover SEGMENT_SIZE
+        stop = start + 4 * SEGMENT_SIZE
+        walked = bytearray()
+        widths = []
+        for lo, flags in primes._segments(start):
+            assert lo == start + len(walked)
+            walked += flags
+            widths.append(len(flags))
+            if len(walked) >= stop - start:
+                break
+        assert widths[-4:] == [SEGMENT_SIZE // 2] + [SEGMENT_SIZE] * 3
+        assert walked == plain_sieve(stop)[start:]
+        base = primes._base_primes
+        assert base[-1] ** 2 >= stop
+        assert base == list(itertools.compress(range(base[-1] + 1), plain_sieve(base[-1] + 1)))
 
     def test_deep_walk_matches_point_queries(self):
         # a walk near 10**12 grows the shared base primes to 10**6 and more

@@ -312,6 +312,33 @@ class TestCheckpoints:
         cursor.read(n)
         assert StreamCursor.from_checkpoint(cursor.checkpoint()) == cursor
 
+    def test_members_past_the_decimal_str_limit_round_trip(self):
+        # 10**5000 has 5001 decimal digits, past str()'s and int()'s limit
+        cursor = StreamCursor(NumberSpec(Naturals(), 10), 0, 10**5000)
+        line = cursor.checkpoint()
+        assert f" integer=1{'0' * 5000} " in line
+        resumed = StreamCursor.from_checkpoint(line)
+        assert resumed == cursor
+        assert resumed.checkpoint() == line
+
+    @pytest.mark.parametrize(
+        "form", [str.__str__, "+{}".format, "{}e0".format, "{}.0".format, "0_{}".format,
+                 lambda d: d.translate({ord("0") + k: 0x660 + k for k in range(10)})],
+        ids=["plain", "sign", "exponent", "fraction", "separator", "arabic-indic"],
+    )
+    def test_integer_fields_take_ascii_digits_only(self, form):
+        # signs, exponents, fractions, separators and digits of other scripts
+        # are refused in every integer field; plain ASCII digits round-trip
+        fields = {"position": "20", "integer": "15", "rep": "0", "offset": "2"}
+        for key in fields:
+            line = " ".join(f"{k}={form(v) if k == key else v}" for k, v in fields.items())
+            line += " spec=naturals|b=10|c=1/1"
+            if form is str.__str__:
+                assert StreamCursor.from_checkpoint(line).checkpoint() == line
+            else:
+                with pytest.raises(ValueError):
+                    StreamCursor.from_checkpoint(line)
+
     def test_malformed_lines_rejected(self):
         for line in (
             "",
