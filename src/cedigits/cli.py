@@ -52,12 +52,21 @@ DEFAULT_VERIFY_MAX_DIGITS = 10**7
 
 VERIFY_CSV_HEADER = "b,c_num,c_den,k,d_exact,d_stream,ones_exact,ones_stream,match"
 
+# digit value -> its character in DIGIT_ALPHABET
+_ALPHABET_TABLE = bytes.maketrans(bytes(range(36)), DIGIT_ALPHABET.encode("ascii"))
+
 
 def render_digits(digits: Sequence[int], base: int) -> str:
-    """Alphanumeric rendering through base 36, comma-separated beyond."""
+    """Alphanumeric rendering through base 36, comma-separated beyond.
+
+    Through base 36 the digits, as bytes (which ``read`` hands out
+    unconverted), are mapped to characters by one translate.  Beyond,
+    each digit value is written once and shared by all its places, so
+    the join holds pointers, not a string per digit."""
     if base <= 36:
-        return "".join(DIGIT_ALPHABET[d] for d in digits)
-    return ",".join(str(d) for d in digits)
+        return bytes(digits).translate(_ALPHABET_TABLE).decode("ascii")
+    names = list(map(str, range(base)))
+    return ",".join(map(names.__getitem__, digits))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError, SequenceExhaustedError
@@ -28,6 +29,7 @@ from .primes import (
     prime_batches,
     prime_count,
 )
+from .rational import parse_natural
 
 __all__ = [
     "SequenceSpec",
@@ -218,7 +220,7 @@ class Polynomial(SequenceSpec):
     @property
     def canonical(self) -> str:
         head = "poly-primes" if self.argument == "primes" else "poly"
-        return head + ":" + ",".join(str(c) for c in self.coefficients)
+        return head + ":" + ",".join(map(str, map(Decimal, self.coefficients)))
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,8 @@ class Explicit(SequenceSpec):
 
     @property
     def canonical(self) -> str:
-        return "explicit:" + ",".join(str(v) for v in self.values)
+        # through Decimal, which has no limit on the digits of a member
+        return "explicit:" + ",".join(map(str, map(Decimal, self.values)))
 
 
 def _last_gap(spec: SequenceSpec) -> int | None:
@@ -326,12 +329,12 @@ class Complement(SequenceSpec):
 
 
 def parse_int_list(text: str, what: str) -> tuple[int, ...]:
-    """Comma-separated integers, none for a blank text.  A bad item raises
-    ValueError naming ``what`` the list holds."""
+    """Comma-separated natural numbers in ASCII digits, none for a blank
+    text.  A bad item raises ValueError naming ``what`` the list holds."""
     if text.strip() == "":
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(map(parse_natural, text.split(",")))
     except ValueError as exc:
         raise ValueError(f"bad {what} list: {text!r}") from exc
 

@@ -15,10 +15,11 @@ members goes through C-speed conversions, one per member.  The block
 view ``iter_blocks`` is cut from the runs.
 StreamCursor is the one walker of the stream.  It stands in one run at a
 time, crosses whole copies, members and runs by arithmetic, and hands
-the digits it crosses to a sink as pieces (digits, length, copies): a
-list for ``read``, counters for the prefix scans of ``stats``, nothing
-for ``skip_to``.  It serializes to a one-line checkpoint of the exact
-stream state.
+the digits it crosses to a sink as pieces (digits, length, copies): the
+pieces ``read`` joins once into the encoder's type (bytes whose values
+are the digits up to base 256, a list of ints beyond), counters for the
+prefix scans of ``stats``, nothing for ``skip_to``.  It serializes to a
+one-line checkpoint of the exact stream state.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import floordiv, mod
 from typing import Callable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError
-from .rational import floor_power, format_rational, parse_rational
+from .rational import floor_power, format_rational, parse_natural, parse_rational
 from .sequences import SequenceSpec, parse_sequence
 
 __all__ = [
@@ -116,7 +117,7 @@ def parse_number_spec(text: str) -> NumberSpec:
         raise ValueError(f"bad number spec: {text!r}")
     seq = parse_sequence(parts[0])
     try:
-        base = int(parts[1][2:])
+        base = parse_natural(parts[1][2:])
     except ValueError as exc:
         raise ValueError(f"bad base in number spec: {text!r}") from exc
     c = parse_rational(parts[2][2:])
@@ -409,27 +410,32 @@ class StreamCursor:
                 return
 
     def next_digit(self) -> int:
-        """Emit the digit at position + 1 and advance."""
+        """Emit the digit at position + 1, as an int, and advance."""
         return self.read(1)[0]
 
-    def read(self, n: int) -> list[int]:
-        """Emit the next n digits as a list.
+    def read(self, n: int) -> bytes | list[int]:
+        """Emit the next n digits: bytes whose values are the digits for
+        bases up to 256, a list of ints beyond, as the run encoder
+        writes them.
 
         Equivalent to n calls of next_digit, but slices whole copies.
         """
         if n < 0:
             raise ValueError("cannot read a negative number of digits")
-        out: list[int] = []
+        pieces: list[Sequence[int]] = []
 
         def write(digits: Sequence[int], length: int, copies: int) -> None:
             if copies == 1:
-                out.extend(digits)
-                return
-            blocks = [digits[k : k + length] * copies for k in range(0, len(digits), length)]
-            out.extend(b"".join(blocks) if isinstance(digits, bytes) else chain.from_iterable(blocks))
+                pieces.append(digits)
+            else:
+                blocks = range(0, len(digits), length)
+                pieces.extend(digits[k : k + length] * copies for k in blocks)
 
-        self._advance(n, write)
-        return out
+        if n:  # a move of no digits hands out an empty ``_block``, a tuple when unset
+            self._advance(n, write)
+        if self.spec.base > 256:
+            return list(chain.from_iterable(pieces))
+        return b"".join(pieces)
 
     def skip_to(self, n: int) -> None:
         """Advance so the next digit emitted is at position n + 1.
@@ -465,11 +471,10 @@ class StreamCursor:
             raise ValueError(f"malformed checkpoint line: {line!r}")
         values = [f.split("=", 1)[1] for f in fields]
         spec = parse_number_spec(values[4])
-        # ASCII digits only: no sign, exponent, separator or other script,
-        # read through Decimal, which has no limit on their number
-        if not all(v.isascii() and v.isdigit() for v in values[:4]):
-            raise ValueError(f"malformed checkpoint line: {line!r}")
-        position, integer, rep, offset = (int(Decimal(v)) for v in values[:4])
+        try:
+            position, integer, rep, offset = map(parse_natural, values[:4])
+        except ValueError as exc:
+            raise ValueError(f"malformed checkpoint line: {line!r}") from exc
         return cls(spec, position, integer, rep, offset)
 
 

@@ -8,9 +8,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cedigits
 from cedigits.cli import (
+    DIGIT_ALPHABET,
     VERIFY_CSV_HEADER,
     main,
     render_digits,
@@ -124,6 +127,23 @@ class TestDigits:
             "digits", "--sequence", "nope", "--base", "10", "-n", "5"
         )
         assert code == 2
+        assert "error" in err
+
+    @pytest.mark.parametrize(
+        "spec,c",
+        [("explicit:+2,\u0665", "1"), ("naturals", "1_5/1_0"), ("naturals", "+3/2")],
+        ids=["signed-and-arabic-indic-members", "separators-in-c", "signed-c"],
+    )
+    def test_numbers_take_ascii_digits_only(self, spec, c):
+        code, out, err = run_cli("digits", "--sequence", spec, "--base", "10", "--c", c, "-n", "2")
+        assert (code, out) == (2, "")
+        assert "error" in err
+
+    def test_resume_with_a_base_not_in_ascii_digits_is_usage_error(self, tmp_path):
+        state = tmp_path / "cursor.txt"
+        state.write_text("position=0 integer=0 rep=0 offset=0 spec=naturals|b=1_0|c=1\n")
+        code, out, err = run_cli("digits", "--resume", str(state), "-n", "5")
+        assert (code, out) == (2, "")
         assert "error" in err
 
     def test_out_file(self, tmp_path):
@@ -373,3 +393,20 @@ class TestRendering:
 
     def test_comma_separated_beyond_36(self):
         assert render_digits((0, 9, 37, 499), 500) == "0,9,37,499"
+
+    @given(st.integers(2, 36), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_translate_equals_the_per_digit_join(self, base, data):
+        digits = data.draw(st.lists(st.integers(0, base - 1), max_size=60))
+        want = "".join(DIGIT_ALPHABET[d] for d in digits)
+        assert render_digits(bytes(digits), base) == want
+        assert render_digits(tuple(digits), base) == want
+
+    @given(st.sampled_from((37, 256, 257)), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_comma_join_beyond_36(self, base, data):
+        digits = data.draw(st.lists(st.integers(0, base - 1), max_size=60))
+        want = ",".join(str(d) for d in digits)
+        assert render_digits(digits, base) == want
+        if base <= 256:
+            assert render_digits(bytes(digits), base) == want

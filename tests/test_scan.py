@@ -274,7 +274,7 @@ def test_naturals_scans_and_reads_match_oracle(base, c, data):
     for n in stops:
         tally = Counter(stream[:n])
         assert counter_prefix(number, n).counts == [tally[s] for s in range(base)]
-        assert cursor.read(n - done) == stream[done:n]
+        assert cursor.read(n - done) == bytes(stream[done:n])
         done = n
 
 
@@ -306,10 +306,10 @@ def test_complement_of_primes_is_one_then_the_composites(base, c):
     members = (n for n in itertools.count(1) if not trial_division_is_prime(n))
     stream = concat_stream(members, base, c.numerator, c.denominator, limit)
     number = NumberSpec(Complement(Primes()), base, c)
-    one = list(to_digits(1, base)) * floor_power(c, 1)
+    one = bytes(to_digits(1, base)) * floor_power(c, 1)
     composites = StreamCursor(NumberSpec(Composites(), base, c))
-    assert one + composites.read(limit - len(one)) == stream
-    assert StreamCursor(number).read(limit) == stream
+    assert one + composites.read(limit - len(one)) == bytes(stream)
+    assert StreamCursor(number).read(limit) == bytes(stream)
     stops = [1, len(one), len(one) + 1, 777, 4321, limit]
     for n in stops:
         tally = Counter(stream[:n])
@@ -317,7 +317,7 @@ def test_complement_of_primes_is_one_then_the_composites(base, c):
     line = StreamCursor(number).checkpoint()
     for start, stop in zip([0] + stops, stops):
         cursor = StreamCursor.from_checkpoint(line)
-        assert cursor.read(stop - start) == stream[start:stop]
+        assert cursor.read(stop - start) == bytes(stream[start:stop])
         line = cursor.checkpoint()
     for after in range(6):
         want = [m for m in (1, 4, 6, 8, 9, 10, 12, 14, 15) if m > after][:5]
@@ -332,7 +332,7 @@ def test_long_members_past_the_decimal_str_limit():
     line = StreamCursor(NumberSpec(Naturals(), 10), position, lo, 0, 0).checkpoint()
     cursor = StreamCursor.from_checkpoint(line)
     assert cursor.position == position and cursor.integer == lo
-    want = [d for m in (lo, lo + 1, lo + 2) for d in to_digits(m, 10)]
+    want = bytes([d for m in (lo, lo + 1, lo + 2) for d in to_digits(m, 10)])
     assert cursor.read(3 * 5001) == want
     # a whole run whose places from 4 up step once, at lo + 10**4
     run = range(lo + 9500, lo + 9500 + MAX_BATCH)

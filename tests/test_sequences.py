@@ -1,5 +1,6 @@
 import itertools
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,8 @@ from cedigits.primes import (
     prime_batches,
     prime_count,
 )
-from cedigits.sequences import MAX_BATCH
+from cedigits.rational import parse_rational
+from cedigits.sequences import MAX_BATCH, parse_int_list
 
 from conftest import plain_sieve, simple_prime_count, trial_division_is_prime
 
@@ -410,3 +412,31 @@ class TestParse:
     def test_rejects_garbage(self, text):
         with pytest.raises(ValueError):
             parse_sequence(text)
+
+    @pytest.mark.parametrize("item", ["+2", "-2", "1_0", " 2", "2 ", "\u0665", "2.0", "1e3", ""])
+    def test_int_list_items_take_ascii_digits_only(self, item):
+        with pytest.raises(ValueError, match="bad member list"):
+            parse_int_list(f"1,{item}", "member")
+
+    def test_int_list_items_past_the_decimal_str_limit(self):
+        big = "1" + "0" * 5000
+        assert parse_int_list(f"3,{big}", "member") == (3, 10**5000)
+        assert parse_sequence(f"explicit:3,{big}").canonical == f"explicit:3,{big}"
+        assert parse_sequence(f"poly:{big},1").canonical == f"poly:{big},1"
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("2", 2), ("3/2", Fraction(3, 2)), ("1.5", Fraction(3, 2)), ("10.25", Fraction(41, 4)),
+         ("6/4", Fraction(3, 2))],
+    )
+    def test_rationals_in_the_canonical_forms(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "+3/2", "-3/2", "3/0", "1.", ".5", "1e0", " 3/2", "3 /2", "1_5/1_0",
+         "\u0661", "3/2/1", "1.5/2", "3/2.0"],
+    )
+    def test_rationals_in_other_forms_refused(self, text):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)

@@ -146,7 +146,7 @@ class TestBlockStream:
         spec = NumberSpec(Naturals(), 10)
         direct = open_stream(spec).read(30)
         grouped = list(itertools.islice(block_stream(open_stream(spec), 1), 30))
-        assert grouped == direct
+        assert bytes(grouped) == direct
 
     def test_pairs_of_decimal_champernowne(self):
         cursor = open_stream(NumberSpec(Naturals(), 10))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from cedigits import (
 from cedigits.primes import MAX_BATCH
 from cedigits.stream import _member_runs, iter_blocks
 
-from conftest import concat_stream
+from conftest import concat_stream, trial_division_is_prime
 
 HALF3 = Fraction(3, 2)
 
@@ -92,17 +93,17 @@ class TestPrefixes:
 
     def test_binary_champernowne(self):
         cursor = open_stream(NumberSpec(Naturals(), 2))
-        assert cursor.read(5) == [1, 1, 0, 1, 1]
+        assert cursor.read(5) == bytes([1, 1, 0, 1, 1])
 
     def test_repeated_blocks_with_three_halves(self):
         cursor = open_stream(NumberSpec(Naturals(), 2, HALF3))
-        assert cursor.read(5) == [1, 1, 0, 1, 0]
+        assert cursor.read(5) == bytes([1, 1, 0, 1, 0])
         assert cursor.next_digit() == 1
 
     def test_against_enumeration_oracle(self):
         spec = NumberSpec(Primes(), 3, HALF3)
         want = concat_stream(spec.sequence.members(0), 3, 3, 2, 400)
-        assert open_stream(spec).read(400) == want
+        assert open_stream(spec).read(400) == bytes(want)
 
     def test_position_is_one_indexed_count(self):
         cursor = open_stream(NumberSpec(Naturals(), 10))
@@ -116,7 +117,7 @@ class TestPrefixes:
     def test_member_past_the_decimal_str_limit(self):
         # str() refuses ints of more than 4300 decimal digits by default
         spec = NumberSpec(Explicit((10**5000 + 7,)), 10)
-        assert open_stream(spec).read(5) == [1, 0, 0, 0, 0]
+        assert open_stream(spec).read(5) == bytes([1, 0, 0, 0, 0])
         assert counter_prefix(spec, 5001).counts == [4999, 1, 0, 0, 0, 0, 0, 1, 0, 0]
         assert counter_prefix(spec, 4999).counts == [4998, 1] + [0] * 8
         assert count_symbol_prefix(spec, 7, 5001) == 1
@@ -133,7 +134,7 @@ class TestRead:
         c1 = open_stream(spec)
         c2 = open_stream(spec)
         got = c1.read(a) + c1.read(b)
-        want = [c2.next_digit() for _ in range(a + b)]
+        want = bytes([c2.next_digit() for _ in range(a + b)])
         assert got == want
         assert c1.position == c2.position == a + b
 
@@ -279,7 +280,7 @@ class TestCheckpoints:
         cursor.read(1)  # exactly consumes the block of 9
         line = cursor.checkpoint()
         resumed = StreamCursor.from_checkpoint(line)
-        assert resumed.read(2) == [1, 0]
+        assert resumed.read(2) == bytes([1, 0])
 
     @pytest.mark.parametrize("rep,offset", [(7, 9), (1, 0), (0, 1)])
     def test_fresh_state_with_progress_rejected(self, rep, offset):
@@ -362,9 +363,40 @@ class TestNumberSpec:
         spec = NumberSpec(Composites(), 12, Fraction(7, 3))
         assert parse_number_spec(spec.canonical) == spec
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "naturals|b=1_0|c=1",
+            "naturals|b=+10|c=1",
+            "explicit:+2,\u0665|b=10|c=1",
+            "naturals|b=10|c=1_5/1_0",
+        ],
+        ids=["separator-in-base", "signed-base", "signed-and-arabic-indic-members",
+             "separators-in-c"],
+    )
+    def test_integers_take_ascii_digits_only(self, text):
+        # int() and Fraction() read each of these, as another canonical text
+        with pytest.raises(ValueError):
+            parse_number_spec(text)
+        with pytest.raises(ValueError):
+            StreamCursor.from_checkpoint(f"position=0 integer=0 rep=0 offset=0 spec={text}")
+
+    def test_explicit_member_past_the_decimal_str_limit_round_trips(self):
+        # the spec part of the checkpoint writes and reads the members
+        # through Decimal, as the cursor fields are
+        spec = NumberSpec(Explicit((7, 10**5000, 10**5000 + 3)), 10, HALF3)
+        fresh = open_stream(spec).read(1 + 5001 * 2 * 2)
+        cursor = open_stream(spec)
+        cursor.read(5001 + 100)  # inside the second copy of 10**5000
+        line = cursor.checkpoint()
+        assert f"spec=explicit:7,1{'0' * 5000},1{'0' * 4999}3|b=10|c=3/2" in line
+        resumed = StreamCursor.from_checkpoint(line)
+        assert resumed == cursor and resumed.checkpoint() == line
+        assert resumed.read(len(fresh) - cursor.position) == fresh[cursor.position :]
+
     def test_exhausted_stream_raises(self):
         cursor = open_stream(NumberSpec(Explicit((1, 2)), 10))
-        assert cursor.read(2) == [1, 2]
+        assert cursor.read(2) == bytes([1, 2])
         with pytest.raises(SequenceExhaustedError):
             cursor.next_digit()
 
@@ -488,7 +520,7 @@ class TestLaziness:
     it (blocks 3 3 | 5 5 | 7 7 | 11 11 11 11 under c = 2)."""
 
     spec = NumberSpec(OneBatch(), 10, Fraction(2))
-    digits = [3, 3, 5, 5, 7, 7] + [1, 1] * 4
+    digits = bytes([3, 3, 5, 5, 7, 7] + [1, 1] * 4)
 
     def test_read_to_the_end_of_the_batch(self):
         cursor = open_stream(self.spec)
@@ -500,9 +532,9 @@ class TestLaziness:
     def test_skip_to_the_end_of_the_batch(self):
         cursor = open_stream(self.spec)
         cursor.skip_to(13)
-        assert cursor.read(1) == [1]
+        assert cursor.read(1) == bytes([1])
         cursor.skip_to(14)
-        assert cursor.read(0) == []
+        assert cursor.read(0) == bytes([])
         with pytest.raises(AssertionError):
             cursor.skip_to(15)
 
@@ -512,3 +544,61 @@ class TestLaziness:
         assert cursor.read(14 - position) == self.digits[position:]
         with pytest.raises(AssertionError):
             cursor.next_digit()
+
+
+# Member sources written from the definitions, for the specs of the byte
+# path; the explicit list crosses the byte range of the digit values.
+BYTE_PATH_MEMBERS = {
+    "naturals": lambda: itertools.count(1),
+    "primes": lambda: filter(trial_division_is_prime, itertools.count(1)),
+    "composites": lambda: itertools.filterfalse(trial_division_is_prime, itertools.count(4)),
+    "poly:1,2,3": lambda: (1 + 2 * n + 3 * n * n for n in itertools.count(1)),
+    "explicit:1,2,3,10,254,255,256,257,1000,65535,65536,65793": lambda: iter(
+        (1, 2, 3, 10, 254, 255, 256, 257, 1000, 65535, 65536, 65793)
+    ),
+}
+BYTE_PATH_BUDGET = 3000
+
+
+class TestByteReads:
+    """read hands out the encoder's buffer: bytes whose values are the
+    digits up to base 256, a list of ints beyond."""
+
+    @given(
+        st.sampled_from(sorted(BYTE_PATH_MEMBERS)),
+        st.sampled_from((2, 3, 10, 16, 255, 256, 257)),
+        st.sampled_from((Fraction(1), HALF3)),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_piecewise_reads_join_to_the_oracle(self, seq, base, c, data):
+        spec = NumberSpec(parse_sequence(seq), base, c)
+        kind = bytes if base <= 256 else list
+        members = BYTE_PATH_MEMBERS[seq]()
+        want = concat_stream(members, base, c.numerator, c.denominator, BYTE_PATH_BUDGET)
+        fresh = open_stream(spec).read(len(want))
+        assert type(fresh) is kind
+        assert fresh == kind(want)
+        assert open_stream(spec).read(0) == kind()
+        assert type(open_stream(spec).read(0)) is kind
+        # stops inside copies, at the ends of copies, members and runs, and
+        # repeated stops, which read no digit
+        edges = stream_edges(spec, len(want))
+        candidates = sorted(set(edges["copy"] + edges["member"] + edges["run"]))
+        stops = data.draw(
+            st.lists(
+                st.one_of(st.sampled_from(candidates), st.integers(0, len(want))),
+                max_size=10,
+            )
+        )
+        cursor = open_stream(spec)
+        joined = kind()
+        for stop in sorted(stops):
+            piece = cursor.read(stop - cursor.position)
+            assert type(piece) is kind
+            joined += piece
+        assert joined == fresh[: cursor.position]
+        if cursor.position < len(want):
+            digit = cursor.next_digit()
+            assert type(digit) is int
+            assert digit == want[cursor.position - 1]
