@@ -24,7 +24,7 @@ from .oracle import (
     hypothesis_report,
     ones_exact_champernowne,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_natural, parse_rational
 from .sequences import DEFAULT_COUNTING_CAP, Naturals, parse_int_list, parse_sequence
 from .stats import (
     counter_prefix,
@@ -202,7 +202,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
             raise ValueError("--k-range takes the form LO:HI")
         cps = [
             d_exact(OracleParams(spec.base, spec.multiplier, k))
-            for k in range(int(lo), int(hi) + 1)
+            for k in range(parse_natural(lo), parse_natural(hi) + 1)
         ]
     traj = trajectory(spec, args.symbol, cps)
     print(f"lil bound (base {spec.base}): {lil_bound(spec.base):.6f}")
@@ -261,29 +261,30 @@ def build_parser() -> argparse.ArgumentParser:
     def add_spec_args(p: argparse.ArgumentParser, required: bool = True) -> None:
         p.add_argument("--spec", "--sequence", dest="sequence", required=required,
                        default=None, help="sequence spec, e.g. primes or poly:0,0,1")
-        p.add_argument("--base", type=int, required=required, default=None,
+        p.add_argument("--base", type=parse_natural, required=required, default=None,
                        help="stream base, at least 2")
         p.add_argument("--c", default="1", help="repetition multiplier, e.g. 3/2 or 1.5")
 
     p_digits = sub.add_parser("digits", help="emit a digit prefix")
     add_spec_args(p_digits, required=False)
-    p_digits.add_argument("-n", "--n", type=int, required=True, help="number of digits")
+    p_digits.add_argument("-n", "--n", type=parse_natural, required=True,
+                          help="number of digits")
     p_digits.add_argument("--out", default=None, help="write digits to a file")
-    p_digits.add_argument("--max-emit", type=int, default=DEFAULT_EMISSION_CAP)
+    p_digits.add_argument("--max-emit", type=parse_natural, default=DEFAULT_EMISSION_CAP)
     p_digits.add_argument("--save-cursor", default=None, help="write a checkpoint after emitting")
     p_digits.add_argument("--resume", default=None, help="continue from a checkpoint file")
     p_digits.set_defaults(func=_cmd_digits)
 
     p_count = sub.add_parser("count", help="symbol counts over a prefix")
     add_spec_args(p_count)
-    p_count.add_argument("-n", "--n", type=int, required=True, help="prefix length")
-    p_count.add_argument("--max-digits", "--max-emit", dest="max_digits", type=int,
+    p_count.add_argument("-n", "--n", type=parse_natural, required=True, help="prefix length")
+    p_count.add_argument("--max-digits", "--max-emit", dest="max_digits", type=parse_natural,
                          default=DEFAULT_EMISSION_CAP, help="largest prefix length to count")
     p_count.set_defaults(func=_cmd_count)
 
     p_traj = sub.add_parser("trajectory", help="statistic trajectory at checkpoints")
     add_spec_args(p_traj)
-    p_traj.add_argument("--symbol", type=int, default=1, help="symbol to track")
+    p_traj.add_argument("--symbol", type=parse_natural, default=1, help="symbol to track")
     group = p_traj.add_mutually_exclusive_group(required=True)
     group.add_argument("--checkpoints", default=None, help="comma-separated prefix lengths")
     group.add_argument("--k-range", default=None,
@@ -294,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="stream vs closed-form equality checks")
     p_verify.add_argument("--bases", default=",".join(map(str, DEFAULT_VERIFY_BASES)))
     p_verify.add_argument("--cs", default=",".join(map(str, DEFAULT_VERIFY_CS)))
-    p_verify.add_argument("--max-digits", type=int, default=DEFAULT_VERIFY_MAX_DIGITS)
-    p_verify.add_argument("--max-k", type=int, default=None)
+    p_verify.add_argument("--max-digits", type=parse_natural,
+                          default=DEFAULT_VERIFY_MAX_DIGITS)
+    p_verify.add_argument("--max-k", type=parse_natural, default=None)
     p_verify.add_argument("--csv", default=None, help="also write the report as CSV")
     p_verify.add_argument("--selftest-corrupt", action="store_true",
                           help="negative control: corrupt the oracle and expect mismatch")
@@ -304,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_thresh = sub.add_parser("threshold", help="density threshold diagnostics")
     add_spec_args(p_thresh)
     p_thresh.add_argument("--xs", required=True, help="comma-separated sample points")
-    p_thresh.add_argument("--cap", type=int, default=DEFAULT_COUNTING_CAP, help="counting cap")
+    p_thresh.add_argument("--cap", type=parse_natural, default=DEFAULT_COUNTING_CAP,
+                          help="counting cap")
     p_thresh.set_defaults(func=_cmd_threshold)
 
     return parser

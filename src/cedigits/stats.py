@@ -210,8 +210,6 @@ def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:
     _check_symbol(spec, symbol)
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    if n == 0:
-        return 0
     ((_, counts),) = _scan(spec, [n], symbol)
     return counts[0]
 
@@ -220,8 +218,6 @@ def counter_prefix(spec: NumberSpec, n: int) -> DigitCounter:
     """Full symbol counter over the first n digits of the stream."""
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    if n == 0:
-        return DigitCounter(spec.base)
     ((_, counts),) = _scan(spec, [n])
     return DigitCounter(spec.base, counts)
 

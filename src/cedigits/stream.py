@@ -148,11 +148,12 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
     A ``range`` of consecutive members is written column by column: the
     digit at place i of consecutive integers cycles through the base in
     stretches of base**i, so each place below ``low`` is a slice of one
-    cached cycle or a few constant stretches, put into every member by
-    one strided slice assignment.  With base**low >= len(run), the
-    places from ``low`` up step at most once across the run: they are
-    the digits of two members, repeated.  A run costs O(length) C-level
-    operations, not one conversion per member.
+    cached cycle, put into every member by one strided slice assignment.
+    With base**low >= len(run), the places from ``low`` up step at most
+    once across the run, so the run is first written as its first member
+    repeated up to that step and its last member after it, and the
+    columns then overwrite the places below ``low``.  A run costs
+    O(length) C-level operations, not one conversion per member.
     """
     if base > 256:
         return lambda members, length: list(
@@ -197,28 +198,18 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
             columns.reverse()
             return "".join(chain.from_iterable(zip(*columns))).encode("latin-1")
 
-    stretch = [bytes((d,)) for d in range(base)]
     tiles: dict[int, bytes] = {}  # place -> its cycle, repeated to cover a run
 
-    def column(place: int, first: int, n: int) -> bytes | memoryview:
+    def column(place: int, first: int, n: int) -> memoryview:
         """Digits at ``place`` of first, first + 1, ..., first + n - 1."""
         size = base**place
         period = size * base
-        if period <= n:
-            at = first % period
-            tile = tiles.get(place, b"")
-            if len(tile) < at + n:
-                cycle = b"".join(d * size for d in stretch)
-                tile = tiles[place] = cycle * (n // period + 2)
-            return memoryview(tile)[at : at + n]
-        parts = []
-        stop = first + n
-        while first < stop:
-            q = first // size
-            end = min(stop, (q + 1) * size)
-            parts.append(stretch[q % base] * (end - first))
-            first = end
-        return b"".join(parts)
+        at = first % period
+        tile = tiles.get(place, b"")
+        if len(tile) < at + n:
+            cycle = b"".join(bytes((d,)) * size for d in range(base))
+            tile = tiles[place] = cycle * (n // period + 2)
+        return memoryview(tile)[at : at + n]
 
     def encode(members: Sequence[int], length: int) -> bytes:
         if type(members) is not range or members.step != 1:
@@ -227,15 +218,11 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
         low = 0
         while low < length and base**low < n:
             low += 1
-        high, first = divmod(members.start, base**low)
-        before = min(n, base**low - first)  # members before the places from low up step
-        out = bytearray()
-        for h, count in ((high, before), (high + 1, n - before)):
-            if count:
-                head = write((h,), length - low) if low < length else b""
-                out += bytearray(head + bytes(low)) * count
+        before = min(n, base**low - members.start % base**low)  # before the high places step
+        ends = write((members[0], members[-1]), length)
+        out = bytearray(ends[:length]) * before + ends[length:] * (n - before)
         for place in range(low):
-            out[length - 1 - place :: length] = column(place, first, n)
+            out[length - 1 - place :: length] = column(place, members.start, n)
         return bytes(out)
 
     return encode
@@ -249,19 +236,15 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
     members all have ``length`` digits, so it holds at most MAX_BATCH
     members; the stream writes each of them ``copies`` times before the
     next.  Runs are cut at powers of the base and at the ends of batches,
-    and the copy count is computed once per length, so every digit, copy
-    and position is exact.
+    and each run's copy count is floor(c**length) in integers, so every
+    digit, copy and position is exact.
     """
-    by_length: dict[int, tuple[int, int]] = {}  # length -> (base**length, copies)
     for batch in spec.sequence.batches(after):
         start = 0
         while start < len(batch):
             length = digit_length(batch[start], spec.base)
-            if length not in by_length:
-                by_length[length] = (spec.base**length, floor_power(spec.multiplier, length))
-            bound, copies = by_length[length]
-            stop = bisect_left(batch, bound, start)
-            yield batch[start:stop], length, copies
+            stop = bisect_left(batch, spec.base**length, start)
+            yield batch[start:stop], length, floor_power(spec.multiplier, length)
             start = stop
 
 
@@ -286,9 +269,6 @@ def _hand_out(
     ``copies`` times each, where member i is ``digits[i * length:(i + 1)
     * length]``.  The pieces are the rest of a copy, the rest of a
     member's copies, whole members, whole copies and the start of a copy."""
-    if copies == 1:  # the digits are the stream itself
-        sink(digits[start:stop], stop - start, 1)
-        return
     span = length * copies
     while start < stop:
         member, used = divmod(start, span)

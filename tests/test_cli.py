@@ -32,6 +32,37 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_refused(*argv):
+    """(exit code, stdout, stderr) of a command line the parser refuses."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+# Each command line runs with every integer flag at 10; NUMBER marks the
+# one flag written in a form the digit rule refuses.
+INTEGER_FLAGS = [
+    ("digits", "--spec", "naturals", "--base", "NUMBER", "-n", "10"),
+    ("digits", "--spec", "naturals", "--base", "10", "-n", "NUMBER"),
+    ("digits", "--spec", "naturals", "--base", "10", "-n", "10", "--max-emit", "NUMBER"),
+    ("count", "--spec", "naturals", "--base", "10", "-n", "NUMBER"),
+    ("count", "--spec", "naturals", "--base", "10", "-n", "10", "--max-digits", "NUMBER"),
+    ("trajectory", "--spec", "naturals", "--base", "16", "--symbol", "NUMBER",
+     "--checkpoints", "20"),
+    ("verify", "--bases", "2", "--cs", "1", "--max-digits", "NUMBER"),
+    ("verify", "--bases", "2", "--cs", "1", "--max-digits", "100", "--max-k", "NUMBER"),
+    ("threshold", "--spec", "primes", "--base", "10", "--xs", "10", "--cap", "NUMBER"),
+]
+# 10 in Arabic-Indic digits, with a separator, with a sign, after a space
+NOT_ASCII_DIGITS = ["\u0661\u0660", "1_0", "+10", " 10"]
+
+
+def flag_id(argv):
+    return f"{argv[0]}{argv[argv.index('NUMBER') - 1]}"
+
+
 class TestDigits:
     def test_champernowne_prefix(self):
         code, out, _ = run_cli(
@@ -198,6 +229,35 @@ class TestDigits:
         assert "resume" in err
 
 
+class TestIntegerFlags:
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=flag_id)
+    def test_ten_is_accepted(self, argv):
+        code, out, _ = run_cli(*(a.replace("NUMBER", "10") for a in argv))
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize(
+        "form", NOT_ASCII_DIGITS, ids=["arabic-indic", "separator", "sign", "space"]
+    )
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=flag_id)
+    def test_numbers_take_ascii_digits_only(self, argv, form):
+        code, out, err = run_refused(*(form if a == "NUMBER" else a for a in argv))
+        assert (code, out) == (2, "")
+        assert "invalid" in err
+
+    @pytest.mark.parametrize(
+        "k_range",
+        ["\u0661\u0660:+12", "\u0661\u0660:12", "1_0:12", "+10:12", " 10:12", "10: 12"],
+        ids=["arabic-indic-and-sign", "arabic-indic", "separator", "sign", "space", "space-in-hi"],
+    )
+    def test_k_range_bounds_take_ascii_digits_only(self, k_range):
+        code, out, err = run_cli(
+            "trajectory", "--spec", "naturals", "--base", "2", "--k-range", k_range
+        )
+        assert (code, out) == (2, "")
+        assert "not a natural number" in err
+
+
 class TestCount:
     def test_counts_over_prefix(self):
         code, out, _ = run_cli(
@@ -313,15 +373,20 @@ class TestVerify:
         assert code == 1
         assert "all rows match: no" in out
 
-    @pytest.mark.parametrize(
-        "flags",
-        [("--bases", ""), ("--max-digits", "-5"), ("--max-k", "-1"), ("--max-k", "0")],
-    )
+    @pytest.mark.parametrize("flags", [("--bases", ""), ("--max-k", "0")])
     def test_grid_without_rows_is_usage_error(self, flags, tmp_path):
         path = tmp_path / "verify.csv"
         code, out, err = run_cli("verify", *flags, "--csv", str(path))
         assert code == 2
         assert "no row" in err
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flags", [("--max-digits", "-5"), ("--max-k", "-1")])
+    def test_negative_bound_is_refused_by_the_parser(self, flags, tmp_path):
+        path = tmp_path / "verify.csv"
+        code, out, _ = run_refused("verify", *flags, "--csv", str(path))
+        assert code == 2
         assert out == ""
         assert not path.exists()
 

@@ -30,6 +30,7 @@ from cedigits import (
     StreamCursor,
     count_symbol_prefix,
     counter_prefix,
+    digit_length,
     floor_power,
     to_digits,
     trajectory,
@@ -251,6 +252,30 @@ def test_range_runs_written_column_by_column(base, k, where, n, data):
     digits = _run_encoder(base)(run, k)
     assert isinstance(digits, bytes)
     assert digits == bytes(itertools.chain.from_iterable(to_digits(m, base) for m in run))
+
+
+@pytest.mark.parametrize("base", (2, 3, 10, 255, 256))
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=MAX_BATCH), st.integers(0, 3)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([(1, 0), (7, 1), (MAX_BATCH, 0), (3, 2)])
+@settings(max_examples=60, deadline=None)
+def test_range_runs_reuse_and_regrow_the_cycle_tiles(base, runs):
+    """One encoder writes range runs one after another, each of n members
+    starting one below a multiple of the period of a place, base**(place
+    + 1), so a later run slices the tiles an earlier one grew, or grows
+    them again, and its high places step after its first member."""
+    encode = _run_encoder.__wrapped__(base)  # an encoder with no tiles yet
+    length = digit_length(MAX_BATCH, base) + 6
+    for multiple, (n, place) in enumerate(runs, start=1):
+        start = base ** (length - 1) + multiple * base ** (place + 1) - 1
+        run = range(start, start + n)
+        want = bytes(itertools.chain.from_iterable(to_digits(m, base) for m in run))
+        assert encode(run, length) == want
 
 
 @given(

@@ -23,6 +23,7 @@ from cedigits import (
     lil_bound,
     lil_statistic,
     open_stream,
+    parse_sequence,
     trajectory,
 )
 
@@ -189,6 +190,16 @@ class TestPrefixCounting:
         spec = NumberSpec(Explicit((5,)), 2, HALF3)
         assert count_symbol_prefix(spec, 1, 7) == 5
         assert count_symbol_prefix(spec, 0, 7) == 2
+
+    @pytest.mark.parametrize("base", (10, 256, 257, 300))
+    @pytest.mark.parametrize("sequence", ("naturals", "explicit:"))
+    def test_zero_length_prefix_counts_nothing(self, sequence, base):
+        spec = NumberSpec(parse_sequence(sequence), base, HALF3)
+        for symbol in (0, 1, base - 1):
+            assert count_symbol_prefix(spec, symbol, 0) == 0
+        counter = counter_prefix(spec, 0)
+        assert counter == DigitCounter(base)
+        assert counter.total == 0
 
     def test_finite_stream_too_short(self):
         spec = NumberSpec(Explicit((5,)), 2, HALF3)
