@@ -373,7 +373,11 @@ class TestVerify:
         assert code == 1
         assert "all rows match: no" in out
 
-    @pytest.mark.parametrize("flags", [("--bases", ""), ("--max-k", "0")])
+    # The ids are the ones these cases had when the list also held the
+    # negative bounds, which the parser now refuses before any grid is built.
+    @pytest.mark.parametrize(
+        "flags", [("--bases", ""), ("--max-k", "0")], ids=["flags0", "flags3"]
+    )
     def test_grid_without_rows_is_usage_error(self, flags, tmp_path):
         path = tmp_path / "verify.csv"
         code, out, err = run_cli("verify", *flags, "--csv", str(path))
