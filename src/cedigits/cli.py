@@ -200,10 +200,10 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         lo, sep, hi = args.k_range.partition(":")
         if not sep:
             raise ValueError("--k-range takes the form LO:HI")
-        cps = [
-            d_exact(OracleParams(spec.base, spec.multiplier, k))
-            for k in range(parse_natural(lo), parse_natural(hi) + 1)
-        ]
+        ks = range(parse_natural(lo), parse_natural(hi) + 1)
+        if not ks:  # as in verify, a range with no k would check nothing
+            raise ValueError(f"--k-range {args.k_range} selects no k: LO is above HI")
+        cps = [d_exact(OracleParams(spec.base, spec.multiplier, k)) for k in ks]
     traj = trajectory(spec, args.symbol, cps)
     print(f"lil bound (base {spec.base}): {lil_bound(spec.base):.6f}")
     if args.out:

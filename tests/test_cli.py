@@ -344,6 +344,14 @@ class TestTrajectory:
         assert code == 2
         assert "16" in err
 
+    @pytest.mark.parametrize("k_range", ["5:3", "1:0"])
+    def test_reversed_k_range_is_usage_error(self, k_range):
+        code, out, err = run_cli(
+            "trajectory", "--spec", "naturals", "--base", "2", "--k-range", k_range
+        )
+        assert (code, out) == (2, "")
+        assert "selects no k" in err
+
     def test_requires_checkpoints_or_range(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("trajectory", "--sequence", "naturals", "--base", "10")

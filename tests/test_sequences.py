@@ -1,4 +1,5 @@
 import itertools
+import sys
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -30,7 +31,12 @@ from cedigits.primes import (
 from cedigits.rational import parse_rational
 from cedigits.sequences import MAX_BATCH, parse_int_list
 
-from conftest import plain_sieve, simple_prime_count, trial_division_is_prime
+from conftest import (
+    lucy_prime_count,
+    plain_sieve,
+    simple_prime_count,
+    trial_division_is_prime,
+)
 
 
 def take(spec, n, after=0):
@@ -208,8 +214,13 @@ class TestPrimesMachinery:
 SMALL_PRIMES = [p for p in range(2, 98) if trial_division_is_prime(p)]
 
 
+# every prime n up to 300 and three past it: where a = pi(cbrt(x)) steps up
+CUBE_ROOTS = [n for n in range(2, 301) if trial_division_is_prime(n)] + [463, 467, 997]
+
+
 class TestPrimeCount:
-    """prime_count by the Lucy recursion, against sieves and published values."""
+    """prime_count by Meissel's formula, against sieves, the Lucy recursion
+    and published values."""
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     def test_around_prime_squares(self, p):
@@ -217,10 +228,59 @@ class TestPrimeCount:
         for x in (p * p - 1, p * p, p * p + 1):
             assert prime_count(x) == simple_prime_count(x)
 
+    @pytest.mark.parametrize("p", [997, 1009, 9973, 10007, 31607])
+    def test_around_large_prime_squares(self, p):
+        # p*p and the even p*p + 1 are composite, so the three counts agree
+        x = p * p
+        want = lucy_prime_count(x)
+        assert [prime_count(v, cap=x + 1) for v in (x - 1, x, x + 1)] == [want] * 3
+
+    @pytest.mark.parametrize("n", CUBE_ROOTS)
+    def test_around_cubes(self, n):
+        # n**3 and n**3 + 1 = (n + 1)(n*n - n + 1) are composite, so the
+        # three counts agree, while c steps from n - 1 to n and a from
+        # pi(n - 1) to pi(n) between the first two
+        x = n**3
+        want = lucy_prime_count(x)
+        assert [prime_count(v, cap=x + 1) for v in (x - 1, x, x + 1)] == [want] * 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 33, 333, 3330])
+    def test_around_wheel_periods(self, k):
+        # phi(y, 6) is read off one period of the wheel, 30030 integers
+        for x in (k * 30030 - 1, k * 30030, k * 30030 + 1):
+            assert prime_count(x) == lucy_prime_count(x)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 * 10**5))
     def test_matches_oracle(self, pi_oracle, x):
         assert prime_count(x) == pi_oracle(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10**7))
+    def test_matches_lucy(self, x):
+        assert prime_count(x) == lucy_prime_count(x)
+
+    def test_no_primes_below_two(self):
+        assert [prime_count(x) for x in (-(10**9), -10, -1, 0, 1)] == [0] * 5
+
+    def test_cube_root_is_exact(self):
+        for n in [*range(2, 3000), 10**6, 10**9, 2**70 + 1]:
+            for x in (n**3 - 1, n**3, n**3 + 1):
+                c = primes._cube_root(x)
+                assert c**3 <= x < (c + 1) ** 3
+
+    def test_depth_does_not_grow_with_a(self):
+        # a = pi(1000) = 168 at 10**9: a recursion on b would need as many
+        # frames, one on the divisions needs log(10**9) / log(17) < 8
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            assert prime_count(10**9, cap=10**9) == 50_847_534
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_matches_segmented_sieve(self):
         xs = (10**6, 10**7 - 1, 10**7)
@@ -235,6 +295,9 @@ class TestPrimeCount:
 
     def test_published_value_at_the_default_cap(self):
         assert prime_count(10**8) == 5_761_455
+
+    def test_published_value_at_ten_to_the_ten(self):
+        assert prime_count(10**10, cap=10**10) == 455_052_511
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
