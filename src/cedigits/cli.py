@@ -14,6 +14,7 @@ import argparse
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO, Sequence
 
 from .errors import CapExceededError, SequenceExhaustedError
@@ -45,6 +46,8 @@ DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 BASE_CAP = 1 << 16
 
 DEFAULT_EMISSION_CAP = 10**8
+# digits read, rendered and written at a time, so memory stays bounded
+DIGITS_CHUNK = 1 << 16
 
 DEFAULT_VERIFY_BASES = (2, 3, 10)
 DEFAULT_VERIFY_CS = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -65,8 +68,14 @@ def render_digits(digits: Sequence[int], base: int) -> str:
     the join holds pointers, not a string per digit."""
     if base <= 36:
         return bytes(digits).translate(_ALPHABET_TABLE).decode("ascii")
-    names = list(map(str, range(base)))
-    return ",".join(map(names.__getitem__, digits))
+    return ",".join(map(_digit_names(base).__getitem__, digits))
+
+
+@lru_cache(maxsize=2)
+def _digit_names(base: int) -> list[str]:
+    """The decimal text of every digit value, built once per base rather
+    than once per chunk that ``digits`` renders."""
+    return list(map(str, range(base)))
 
 
 @dataclass(frozen=True)
@@ -168,12 +177,26 @@ def _cmd_digits(args: argparse.Namespace) -> int:
         raise CapExceededError(
             f"emitting {args.n} digits exceeds the per-run cap {args.max_emit}"
         )
-    rendered = render_digits(cursor.read(args.n), cursor.spec.base)
+    base = cursor.spec.base
+    chunks = (
+        render_digits(cursor.read(min(DIGITS_CHUNK, args.n - at)), base)
+        for at in range(0, args.n, DIGITS_CHUNK)
+    )
+    # read before the output is opened: a stream that ends within the
+    # first chunk leaves no output behind
+    first = next(chunks, "")
+
+    def write(fh: IO[str]) -> None:
+        fh.write(first)
+        for rendered in chunks:
+            fh.write("," + rendered if base > 36 else rendered)
+        fh.write("\n")
+
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(rendered + "\n")
+            write(fh)
     else:
-        print(rendered)
+        write(sys.stdout)
     if args.save_cursor:
         save_checkpoint(cursor, args.save_cursor)
     return 0

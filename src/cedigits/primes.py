@@ -2,7 +2,9 @@
 
 Bulk generation runs a segmented sieve of Eratosthenes so that streaming
 the primes (or the composites) never materializes more than one segment,
-and hands the members out in lists of at most MAX_BATCH.  Each segment
+and hands the members out in batches of at most MAX_BATCH: the primes as
+``FlagBatch`` views of a stretch of a segment's flags, which extract
+their members only when asked, and the composites as lists.  Each segment
 starts as a slice of one wheel pattern on which the multiples of 2, 3, 5,
 7, 11 and 13 are already struck; a walk carries each larger base prime's
 next multiple from one segment to the next, and the base primes are
@@ -17,7 +19,7 @@ sets that are deterministic for every modulus below 2**64.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import isqrt, prod
@@ -184,16 +186,72 @@ def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
 
 
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_CUT_BLOCK = 1024  # flags per block count when a segment is cut into batches
 
 
-def prime_batches(start: int = 2) -> Iterator[list[int]]:
-    """Yield the primes >= start in increasing order, in lists of at most
-    MAX_BATCH, without end.  The regex engine finds the set flags at C
-    speed."""
+class FlagBatch(Sequence):
+    """The primes of the flag indices [start, stop) of one segment's flags,
+    whose index 0 is the integer ``lo``: a read-only sequence of ``size``
+    members.  Its length, first and last members come from the flags;
+    the member list is extracted once, when the view is indexed anywhere
+    else, sliced or iterated."""
+
+    __slots__ = ("flags", "lo", "start", "stop", "size", "_members")
+
+    def __init__(self, flags: bytearray, lo: int, start: int, stop: int, size: int) -> None:
+        self.flags, self.lo, self.start, self.stop, self.size = flags, lo, start, stop, size
+        self._members: list[int] | None = None
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if self._members is None and self.size and i in (0, -1, self.size - 1):
+            find = self.flags.find if i == 0 else self.flags.rfind
+            return self.lo + find(1, self.start, self.stop)
+        return self._list()[i]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._list())
+
+    def _list(self) -> list[int]:
+        if self._members is None:
+            found = re.compile(b"\x01").finditer(self.flags, self.start, self.stop)
+            self._members = [self.lo + m.start() for m in found]
+        return self._members
+
+    def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
+        """The members below ``value`` and the others, as two views."""
+        cut = min(max(value - self.lo, self.start), self.stop)
+        below = self.flags.count(1, self.start, cut)
+        return (
+            FlagBatch(self.flags, self.lo, self.start, cut, below),
+            FlagBatch(self.flags, self.lo, cut, self.stop, self.size - below),
+        )
+
+
+def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
+    """Yield the primes >= start in increasing order, without end, as
+    views of their sieve flags, one segment's stretch at a time: each
+    holds MAX_BATCH primes, but the last of a segment may hold fewer.
+    The cuts come from per-block flag counts, and the MAX_BATCH-th set
+    flag after a cut from the regex engine, at C speed."""
+    one = re.compile(b"\x01")
     for lo, flags in _segments(max(start, 2)):
-        members = [lo + m.start() for m in re.finditer(b"\x01", flags)]
-        for i in range(0, len(members), MAX_BATCH):
-            yield members[i : i + MAX_BATCH]
+        width = len(flags)
+        blocks = range(0, width, _CUT_BLOCK)
+        ends = range(_CUT_BLOCK, width + _CUT_BLOCK, _CUT_BLOCK)
+        sums = list(accumulate(map(flags.count, repeat(1), blocks, ends)))
+        total = sums[-1]
+        at = 0
+        for k in range(MAX_BATCH, total, MAX_BATCH):
+            j = bisect_left(sums, k)
+            found = one.finditer(flags, blocks[j])
+            cut = next(islice(found, k - (sums[j - 1] if j else 0) - 1, None)).end()
+            yield FlagBatch(flags, lo, at, cut, MAX_BATCH)
+            at = cut
+        if total:
+            yield FlagBatch(flags, lo, at, width, total - (total - 1) // MAX_BATCH * MAX_BATCH)
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:

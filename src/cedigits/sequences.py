@@ -25,7 +25,7 @@ from .primes import (
     composite_batches,
     is_prime,
     iter_composites,  # noqa: F401
-    iter_primes,
+    iter_primes,  # noqa: F401
     prime_batches,
     prime_count,
 )
@@ -195,11 +195,15 @@ class Polynomial(SequenceSpec):
         return lo
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
+        """The values at the arguments of each batch of the primes, or of
+        MAX_BATCH naturals."""
         start = self._largest_arg_leq(after) + 1
-        args = iter_primes(start) if self.argument == "primes" else itertools.count(start)
-        values = map(self.value, args)
-        while True:
-            yield list(itertools.islice(values, MAX_BATCH))
+        if self.argument == "primes":
+            args: Iterator[Sequence[int]] = prime_batches(start)
+        else:
+            args = (range(lo, lo + MAX_BATCH) for lo in itertools.count(start, MAX_BATCH))
+        for batch in args:
+            yield list(map(self.value, batch))
 
     def is_member(self, n: int) -> bool:
         if n < 1:

@@ -11,10 +11,13 @@ statistic to infinity instead, which the trajectory measurements make
 visible.
 
 Every prefix count walks one fresh StreamCursor to its stops with a
-counting sink.  The cursor hands out whole runs, members and copies as
-pieces; each is counted at C speed and multiplied by its copy count, so
-repeated copies are never written out.  Counts and positions are Python ints
-throughout, so the scan is as exact as a digit-by-digit walk.
+counting sink.  A run the cursor crosses whole, every copy of every
+member, is counted without being written out when it is a range of
+consecutive members or a run of primes (``_run_counts``).  The
+rest it hands out as pieces of runs, members and copies; each is counted
+at C speed and multiplied by its copy count, so repeated copies are never
+written out.  Counts and positions are Python ints throughout, so the
+scan is as exact as a digit-by-digit walk.
 """
 
 from __future__ import annotations
@@ -23,10 +26,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from typing import IO, Iterable, Iterator, Sequence
+from functools import lru_cache, reduce
+from itertools import chain, repeat
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
+from .primes import FlagBatch
 from .stream import NumberSpec, StreamCursor
 
 __all__ = [
@@ -160,6 +165,88 @@ def _check_symbol(spec: NumberSpec, symbol: int) -> None:
         raise ValueError(f"symbol {symbol} out of range for base {spec.base}")
 
 
+@lru_cache(maxsize=8)
+def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list[int] | None]:
+    """Function giving, for each of ``symbols``, its count in one copy of
+    every member of a run of ``length``-digit members, without writing
+    the run out; None for a run it does not count so, which the scan
+    has written out and counts instead.  Bases above 256 are always
+    written.
+
+    A ``range`` run counts digit d at place i, with s = base**i, as the
+    members whose remainder mod base * s lies in [d * s, (d + 1) * s):
+    that many in every whole cycle and a clamped part of one cycle, the
+    difference of two closed forms.
+    A run of primes, a ``FlagBatch``, is counted off its sieve flags.
+    With G = base**low near the square root of the run's width in flags,
+    the low places of a member m are the digits of m mod G: one strided
+    slice of the flags per residue counts the members of each.  The high
+    places are the digits of m // G: one count per block of G flags gives
+    their weights.  Both are then reduced place by place, in integers.
+    """
+    units: dict[int, list[int]] = {}  # size -> the residues mod size prime to the base
+
+    def tally(counts: list[int], first: int, weights: list[int], places: int) -> None:
+        # the digits at the lowest ``places`` places of first, first + 1,
+        # ..., first + len(weights) - 1, each counted ``weights[k]`` times
+        for _ in range(places):
+            if len(weights) == 1:
+                counts[first % base] += weights[0]
+            else:
+                for k in range(min(base, len(weights))):
+                    counts[(first + k) % base] += sum(weights[k::base])
+                aligned = [0] * (first % base) + weights + [0] * (base - 1)
+                weights = [*map(sum, zip(*[iter(aligned)] * base))]
+            first //= base
+
+    def flag_counts(run: FlagBatch, length: int) -> list[int]:
+        flags, start, stop = run.flags, run.start, run.stop
+        low = 1
+        while low < length and base ** (2 * low + 1) <= stop - start:
+            low += 1
+        size = base**low
+        first = run.lo + start  # the integer of flag ``start``
+        counts = [0] * base
+        # a prime above the base is prime to it, so only those residues hold one
+        if first <= base:
+            residues: Sequence[int] = range(size)
+        elif (residues := units.get(size)) is None:
+            residues = units[size] = [r for r in range(size) if math.gcd(r, base) == 1]
+        starts = [start + (r - first) % size for r in residues]
+        strides = map(flags.__getitem__, map(slice, starts, repeat(stop), repeat(size)))
+        weights = [0] * size
+        for r, found in zip(residues, map(bytearray.count, strides, repeat(1))):
+            weights[r] = found
+        tally(counts, 0, weights, low)
+        edges = range(first // size * size + size - run.lo, stop, size)
+        blocks = map(flags.count, repeat(b"\x01"), chain((start,), edges), chain(edges, (stop,)))
+        tally(counts, first // size, [*blocks], length - low)
+        return counts
+
+    def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
+        if base > 256:
+            return None
+        if type(run) is range and run.step == 1:
+            places = []  # (s, the quotient and remainder of stop, of start, by base * s)
+            s = 1
+            for _ in range(length):
+                places.append((s, *divmod(run.stop, s * base), *divmod(run.start, s * base)))
+                s *= base
+            return [
+                sum(
+                    (q1 - q0) * s + min(max(r1 - d * s, 0), s) - min(max(r0 - d * s, 0), s)
+                    for s, q1, r1, q0, r0 in places
+                )
+                for d in symbols
+            ]
+        if type(run) is FlagBatch:
+            counts = flag_counts(run, length)
+            return [counts[d] for d in symbols]
+        return None
+
+    return count
+
+
 def _scan(
     spec: NumberSpec,
     stops: Sequence[int],
@@ -192,12 +279,22 @@ def _scan(
             for j, s in enumerate(symbols):
                 counts[j] += digits.count(s) * copies
 
+    run_counts = _run_counts(spec.base)
+
+    def add_run(run: Sequence[int], length: int, copies: int) -> bool:
+        found = run_counts(run, length, symbols)
+        if found is None:
+            return False
+        for j, c in enumerate(found):
+            counts[j] += c * copies
+        return True
+
     cursor = StreamCursor(spec)
     for stop in stops:
         if members:
-            cursor._advance_past(stop, add)
+            cursor._advance_past(stop, add, add_run)
         else:
-            cursor._advance(stop - cursor.position, add)
+            cursor._advance(stop - cursor.position, add, add_run)
         yield cursor.position, list(counts)
 
 

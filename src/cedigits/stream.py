@@ -18,8 +18,10 @@ time, crosses whole copies, members and runs by arithmetic, and hands
 the digits it crosses to a sink as pieces (digits, length, copies): the
 pieces ``read`` joins once into the encoder's type (bytes whose values
 are the digits up to base 256, a list of ints beyond), counters for the
-prefix scans of ``stats``, nothing for ``skip_to``.  It serializes to a
-one-line checkpoint of the exact stream state.
+prefix scans of ``stats``, nothing for ``skip_to``.  A prefix scan may
+also take a run the cursor crosses whole and count it without writing
+it out.  The cursor serializes to a one-line checkpoint of the exact
+stream state.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from operator import floordiv, mod
 from typing import Callable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError
+from .primes import FlagBatch
 from .rational import floor_power, format_rational, parse_natural, parse_rational
 from .sequences import SequenceSpec, parse_sequence
 
@@ -130,6 +133,9 @@ _CHUNK_TABLE_LIMIT = 1 << 10
 # Takes the digits crossed by a move, as pieces (digits, length, copies):
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
+# Takes a run (members, length, copies) crossed whole, and returns False
+# to have its digits handed to the sink instead.
+Whole = Callable[[Sequence[int], int, int], bool]
 
 # printf conversions of the bases whose digits the stdlib writes at C
 # speed; base 2, which has none, goes through format() with code "b".
@@ -235,17 +241,23 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
     A run is a stretch of one batch of ``spec.sequence.batches`` whose
     members all have ``length`` digits, so it holds at most MAX_BATCH
     members; the stream writes each of them ``copies`` times before the
-    next.  Runs are cut at powers of the base and at the ends of batches,
-    and each run's copy count is floor(c**length) in integers, so every
-    digit, copy and position is exact.
+    next.  Runs are cut at powers of the base and at the ends of batches;
+    a batch of sieve flags is cut there by value, so that no member is
+    extracted.  Each run's copy count is floor(c**length) in integers, so
+    every digit, copy and position is exact.
     """
     for batch in spec.sequence.batches(after):
-        start = 0
-        while start < len(batch):
-            length = digit_length(batch[start], spec.base)
-            stop = bisect_left(batch, spec.base**length, start)
-            yield batch[start:stop], length, floor_power(spec.multiplier, length)
-            start = stop
+        while batch:
+            length = digit_length(batch[0], spec.base)
+            top = spec.base**length
+            if batch[-1] < top:
+                run, batch = batch, ()
+            elif type(batch) is FlagBatch:
+                run, batch = batch.split(top)
+            else:
+                stop = bisect_left(batch, top)
+                run, batch = batch[:stop], batch[stop:]
+            yield run, length, floor_power(spec.multiplier, length)
 
 
 def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
@@ -337,9 +349,11 @@ class StreamCursor:
         self._run, self._at = run, 0
         return True
 
-    def _advance(self, n: int, sink: Sink | None = None) -> None:
+    def _advance(self, n: int, sink: Sink | None = None, whole: Whole | None = None) -> None:
         """The one walker of the stream: go n digits forward, handing the
-        digits crossed to ``sink`` when given.  Whole copies, members and
+        digits crossed to ``sink`` when given.  A run crossed whole, every
+        copy of every member, goes to ``whole`` first when given, and is
+        written out only if that returns False.  Whole copies, members and
         runs are crossed by arithmetic on ``_at``; only the members a sink
         needs are written out, and the next run is pulled only for a digit
         that is needed.  A move inside the copy the last write ended in
@@ -358,7 +372,8 @@ class StreamCursor:
             take = min(n, len(run) * span - self._at)
             if take:
                 stop = self._at + take
-                if sink is not None:
+                whole_run = take == len(run) * span
+                if sink is not None and not (whole_run and whole and whole(run, length, copies)):
                     first, last = self._at // span, (stop - 1) // span
                     digits = _run_encoder(self.spec.base)(run[first : last + 1], length)
                     skipped = first * span
@@ -378,14 +393,15 @@ class StreamCursor:
                     f"stream over {self.spec.canonical} ended at position {self.position}"
                 )
 
-    def _advance_past(self, m: int, sink: Sink) -> None:
+    def _advance_past(self, m: int, sink: Sink, whole: Whole | None = None) -> None:
         """Go to the end of the last copy of every member <= m, or to the
-        end of a finite stream, by bisecting each run the cursor stands in.
-        Members already crossed must be <= m."""
+        end of a finite stream.  A run whose last member is <= m is crossed
+        whole; the run holding m is bisected.  Members already crossed
+        must be <= m."""
         while True:
             run, length, copies = self._run
-            crossed = bisect_right(run, m)
-            self._advance(crossed * length * copies - self._at, sink)
+            crossed = len(run) if not run or run[-1] <= m else bisect_right(run, m)
+            self._advance(crossed * length * copies - self._at, sink, whole)
             if crossed < len(run) or not self._pull():
                 return
 

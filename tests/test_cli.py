@@ -186,6 +186,51 @@ class TestDigits:
         assert out == ""
         assert Path(path).read_bytes() == b"2357111317\n"
 
+    @pytest.mark.parametrize("spec,base", [("primes", 10), ("naturals", 37), ("primes", 257)])
+    @pytest.mark.parametrize("n", [0, 6, 7, 8, 50])
+    def test_chunks_join_to_one_read(self, spec, base, n, tmp_path, monkeypatch):
+        # written 7 digits at a time, the output, its file and the
+        # checkpoint are those of one read of all n digits
+        monkeypatch.setattr(cedigits.cli, "DIGITS_CHUNK", 7)
+        path, state = tmp_path / "digits.txt", tmp_path / "cursor.txt"
+        argv = ("digits", "--spec", spec, "--base", str(base), "--c", "3/2", "-n", str(n))
+        code, out, _ = run_cli(*argv, "--save-cursor", str(state))
+        assert code == 0
+        assert run_cli(*argv, "--out", str(path)) == (0, "", "")
+        number = cedigits.NumberSpec(cedigits.parse_sequence(spec), base, Fraction(3, 2))
+        cursor = cedigits.open_stream(number)
+        want = render_digits(cursor.read(n), base) + "\n"
+        assert out == want and path.read_text(encoding="utf-8") == want
+        assert state.read_text(encoding="utf-8") == cursor.checkpoint() + "\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_peak_memory_does_not_grow_with_n(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(cedigits.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        # the high-water RSS of the process itself: ru_maxrss would keep
+        # the peak of the test process that forked it
+        script = (
+            "import sys\n"
+            "from cedigits import cli\n"
+            "cli.main(sys.argv[1:])\n"
+            "line = [s for s in open('/proc/self/status') if s.startswith('VmHWM:')][0]\n"
+            "sys.stderr.write(line.split()[1])\n"
+        )
+
+        def peak_kib(n):
+            done = subprocess.run(
+                [sys.executable, "-c", script, "digits", "--spec", "primes", "--base", "10",
+                 "-n", str(n)],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120, check=True,
+            )
+            return int(done.stderr)
+
+        # one read of 10**7 digits held 55 MiB, against 20 MiB at 10**6
+        assert peak_kib(10**7) <= peak_kib(10**6) + 6 * 1024
+
     def test_save_and_resume_round_trip(self, tmp_path):
         state = str(tmp_path / "cursor.txt")
         code, first, _ = run_cli(

@@ -1,0 +1,269 @@
+"""Prime batches as views of the sieve flags, and the counts read off them.
+
+``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
+sequence over a stretch of one segment's flags, whose member list is
+extracted only when it is indexed inside, sliced or iterated.  The scan
+counts the digits of every run it crosses whole off those flags (and a
+``range`` run from closed forms), never writing them out.  These tests
+hold the views to a plain extraction, and the counts to the literal
+expansion of ``concat_stream`` over an independent sieve.
+"""
+
+import itertools
+import re
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cedigits import (
+    NumberSpec,
+    Primes,
+    StreamCursor,
+    count_symbol_prefix,
+    counter_prefix,
+    trajectory,
+)
+from cedigits.primes import (
+    FIRST_SEGMENT,
+    MAX_BATCH,
+    SEGMENT_SIZE,
+    FlagBatch,
+    _segments,
+    prime_batches,
+)
+from cedigits.stats import MIN_STATISTIC_N, _run_counts, prefix_counts_at_boundaries
+from cedigits.stream import _member_runs, _run_encoder
+
+from conftest import concat_stream, digits_of, plain_sieve
+
+WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
+STARTS = sorted(
+    {2, 3, 17, 10**6 + 12345}
+    | {2 + FIRST_SEGMENT * 2**k + d for k in range(7) for d in (-1, 0, 1)}
+    | {k * WHEEL_PERIOD + d for k in (1, 2, 7) for d in (-1, 1)}
+    | {k * SEGMENT_SIZE + d for k in (1, 2) for d in (-1, 0, 1)}
+)
+
+
+def plain_batches(start: int, segments: int) -> list[list[int]]:
+    """The primes of the first ``segments`` segments of a walk from
+    ``start``, found by ``re.finditer`` and cut into MAX_BATCH lists."""
+    batches = []
+    for lo, flags in itertools.islice(_segments(max(start, 2)), segments):
+        members = [lo + m.start() for m in re.finditer(b"\x01", flags)]
+        batches += [members[i : i + MAX_BATCH] for i in range(0, len(members), MAX_BATCH)]
+    return batches
+
+
+@pytest.mark.parametrize("start", STARTS)
+def test_flag_batches_equal_a_plain_extraction(start):
+    segments = 9  # from 2, past the first segment of full width
+    want = plain_batches(start, segments)
+    views = list(itertools.islice(prime_batches(start), len(want)))
+    # length, first and last member come from the flags alone
+    assert [(len(v), v[0], v[-1]) for v in views] == [(len(b), b[0], b[-1]) for b in want]
+    assert all(v._members is None for v in views)
+    assert [list(v) for v in views] == want
+    # an independent sieve holds the same primes
+    members = [m for b in want for m in b]
+    flags = plain_sieve(members[-1] + 1)
+    assert members == [n for n in range(max(start, 2), members[-1] + 1) if flags[n]]
+
+
+def test_segments_are_cut_at_exactly_max_batch():
+    # the segments from 10**6 of full width hold about 4700 primes each:
+    # four full batches and a shorter last one per segment
+    views = list(itertools.islice(prime_batches(10**6), 40))
+    assert [len(v) for v in views].count(MAX_BATCH) >= 20
+    for a, b in zip(views, views[1:]):
+        if a.flags is b.flags:
+            assert len(a) == MAX_BATCH and a.stop == b.start and a[-1] < b[0]
+        else:
+            assert a.stop == len(a.flags) and b.start == 0
+
+
+def test_a_segment_of_exactly_five_full_batches():
+    # in the walk from 252436 the eighth segment, the first of full
+    # width, holds exactly 5 * MAX_BATCH primes: no shorter batch ends it
+    start = 252_436
+    want = plain_batches(start, 8)
+    views = list(itertools.islice(prime_batches(start), len(want) + 1))
+    last = [v for v in views if v.flags is views[-2].flags]
+    assert [len(v) for v in last] == [MAX_BATCH] * 5
+    assert last[-1].stop == len(last[-1].flags)
+    assert [list(v) for v in views[:-1]] == want
+
+
+def full_view() -> tuple[FlagBatch, list[int]]:
+    """A fresh view of MAX_BATCH primes past 10**6, and its members by
+    a plain extraction."""
+    want = plain_batches(10**6, 10)
+    i = [len(b) for b in want].index(MAX_BATCH)
+    return next(itertools.islice(prime_batches(10**6), i, None)), want[i]
+
+
+def test_view_acts_as_a_sequence():
+    view, members = full_view()
+    assert len(view) == MAX_BATCH and bool(view)
+    assert (view[0], view[-1], view[len(view) - 1]) == (members[0], members[-1], members[-1])
+    assert view._members is None  # no extraction yet
+    assert view[-2] == members[-2] and view[-len(view)] == members[0]
+    assert view[5:9] == members[5:9] and view[::100] == members[::100]
+    assert list(view) == members and list(reversed(view)) == members[::-1]
+    assert members[7] in view and members[7] + 1 not in view
+    assert view.index(members[9]) == 9
+    for x in (members[0] - 1, members[0], members[500], members[500] + 1, members[-1] + 1):
+        assert bisect_left(view, x) == bisect_left(members, x)
+        assert bisect_right(view, x) == bisect_right(members, x)
+    with pytest.raises(IndexError):
+        view[len(view)]
+
+
+@pytest.mark.parametrize("cut", ["below", "first", "inside", "last", "above"])
+def test_view_splits_by_value(cut):
+    view, members = full_view()
+    value = {
+        "below": members[0] - 5,
+        "first": members[0],
+        "inside": members[400] + 1,
+        "last": members[-1],
+        "above": members[-1] + 5,
+    }[cut]
+    low, high = view.split(value)
+    assert view._members is None and low._members is None
+    below = bisect_left(members, value)
+    assert (len(low), len(high)) == (below, MAX_BATCH - below)
+    assert (list(low), list(high)) == (members[:below], members[below:])
+
+
+BASES = (2, 3, 7, 10, 16, 36, 255, 256, 257)
+MULTIPLIERS = (Fraction(1), Fraction(3, 2), Fraction(2))
+LIMIT = 150_000
+# an independent sieve; its primes reach past 2 + SEGMENT_SIZE, where
+# the walk from 2 meets its first segment of full width
+ORACLE_PRIMES = [n for n, f in enumerate(plain_sieve(700_000)) if f]
+_streams: dict = {}
+
+
+def oracle(base: int, c: Fraction):
+    """The stream's first LIMIT digits and the (member, end position)
+    of every block in it."""
+    key = base, c
+    if key not in _streams:
+        stream = concat_stream(ORACLE_PRIMES, base, c.numerator, c.denominator, LIMIT)
+        assert len(stream) == LIMIT
+        ends, pos = [], 0
+        for p in ORACLE_PRIMES:
+            length = len(digits_of(p, base))
+            pos += length * (c.numerator**length // c.denominator**length)
+            if pos > LIMIT:
+                break
+            ends.append((p, pos))
+        _streams[key] = stream, ends
+    return _streams[key]
+
+
+def edges(base: int) -> set[int]:
+    """Integers where the walk from 2 starts a segment, and powers of the
+    base, up to the oracle's last prime."""
+    found = {2 + FIRST_SEGMENT * 2**k for k in range(7)} | {2 + SEGMENT_SIZE}
+    power = base
+    while power < ORACLE_PRIMES[-1]:
+        found.add(power)
+        power *= base
+    return found
+
+
+def stop_candidates(base: int, c: Fraction) -> list[int]:
+    """Positions at window, segment and base**k edges, and inside
+    members and copies."""
+    _, ends = oracle(base, c)
+    near = edges(base)
+    stops = {0, 1, LIMIT - 1, LIMIT}
+    for i, (p, end) in enumerate(ends):
+        if i % MAX_BATCH in (0, 1, MAX_BATCH - 1) or any(abs(p - e) < 40 for e in near):
+            length = len(digits_of(p, base))
+            start = ends[i - 1][1] if i else 0
+            stops.update((start, start + 1, end - 1, end, (start + end) // 2, start + length + 1))
+    return sorted(s for s in stops if 0 <= s <= LIMIT)
+
+
+@given(st.sampled_from(BASES), st.sampled_from(MULTIPLIERS), st.data())
+@example(10, Fraction(1), None)
+@example(2, Fraction(3, 2), None)
+@example(256, Fraction(2), None)
+@settings(max_examples=60, deadline=None)
+def test_prime_scans_match_oracle(base, c, data):
+    stream, ends = oracle(base, c)
+    spec = NumberSpec(Primes(), base, c)
+    candidates = stop_candidates(base, c)
+    members = [p for p, _ in ends]
+    bounds = {m + d for m in members[:: max(1, len(members) // 7)] for d in (-1, 0, 1)}
+    bounds |= {e + d for e in edges(base) for d in (-1, 0)}
+    bounds = sorted(b for b in bounds if b < members[-1])
+    if data is None:  # the explicit examples take every candidate
+        stops, symbol = candidates, 1
+    else:
+        stops = sorted(set(data.draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))))
+        bounds = sorted(set(data.draw(st.lists(st.sampled_from(bounds), min_size=1, max_size=8))))
+        symbol = data.draw(st.integers(0, base - 1))
+    for n in stops[-6:]:
+        tally = Counter(stream[:n])
+        assert counter_prefix(spec, n).counts == [tally[s] for s in range(base)]
+        assert count_symbol_prefix(spec, symbol, n) == tally[symbol]
+    cps = [n for n in stops if n >= MIN_STATISTIC_N]
+    points = trajectory(spec, symbol, cps).points
+    assert [p.count for p in points] == [stream[:n].count(symbol) for n in cps]
+    want = []
+    for b in bounds:
+        pos = ends[bisect_right(members, b) - 1][1] if b >= members[0] else 0
+        want.append((pos, stream[:pos].count(symbol)))
+    assert prefix_counts_at_boundaries(spec, symbol, bounds) == want
+
+
+@pytest.mark.parametrize("base", [b for b in BASES if b <= 256])
+def test_run_counts_equal_written_counts(base):
+    """The counter on flag views and on ranges, run by run, against the
+    digits the encoder writes for the same run."""
+    count = _run_counts(base)
+    spec = NumberSpec(Primes(), base)
+    # the first runs hold the primes that divide the base
+    runs = list(itertools.islice(_member_runs(spec), 3))
+    runs += itertools.islice(_member_runs(spec, 10**6 - 3), 8)
+    for a, n in ((base**4 - 4, 4), (10**6 + 3, MAX_BATCH)):
+        runs.append((range(a, a + n), len(digits_of(a, base)), 1))
+    for run, length, _ in runs:
+        digits = _run_encoder(base)(run[:], length)
+        assert count(run, length, range(base)) == [digits.count(s) for s in range(base)]
+        assert count(run, length, (1,)) == [digits.count(1)]
+    assert count((2, 3), 1, (1,)) is None  # lists are written
+
+
+@pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (257, Fraction(1))])
+def test_skip_across_flag_views_then_read_and_resume(base, c, monkeypatch):
+    spec = NumberSpec(Primes(), base, c)
+    extracted = []
+    extract = FlagBatch._list
+
+    def counted(view):
+        if view._members is None:
+            extracted.append(view[0])
+        return extract(view)
+
+    monkeypatch.setattr(FlagBatch, "_list", counted)
+    n = 400_000
+    cursor = StreamCursor(spec)
+    cursor.skip_to(n)
+    assert len(extracted) <= 1  # at most the run the cursor stands in
+    digits = cursor.read(5000)
+    line = cursor.checkpoint()
+    fresh = StreamCursor(spec)
+    assert fresh.read(n + 5000)[n:] == digits
+    assert fresh.checkpoint() == line
+    resumed = StreamCursor.from_checkpoint(line)
+    assert resumed.checkpoint() == line
+    assert resumed.read(3000) == fresh.read(3000)
