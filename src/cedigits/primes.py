@@ -1,14 +1,17 @@
 """Primality, prime generation, and exact prime counting.
 
-Bulk generation runs a segmented sieve of Eratosthenes so that streaming
-the primes (or the composites) never materializes more than one segment,
-and hands the members out in batches of at most MAX_BATCH: the primes as
-``FlagBatch`` views of a stretch of a segment's flags, which extract
-their members only when asked, and the composites as lists.  Each segment
-starts as a slice of one wheel pattern on which the multiples of 2, 3, 5,
-7, 11 and 13 are already struck; a walk carries each larger base prime's
-next multiple from one segment to the next, and the base primes are
-sieved by the same kernel.
+Bulk generation runs a segmented sieve of Eratosthenes over spans of
+SEGMENT_SIZE integers, so that streaming the primes (or the composites)
+never materializes more than a span per walk and the one the process
+keeps, and hands the members out in batches of at most MAX_BATCH: the
+primes as ``FlagBatch`` views of a stretch of a segment's flags, which
+extract their members only when asked, and the composites as lists.
+Each span starts as a slice of one wheel pattern on which the multiples
+of 2, 3, 5, 7, 11 and 13 are already struck; a walk carries each larger
+base prime's next multiple from one span to the next, and the base
+primes are sieved by the same kernel.  The last span sieved is kept, so
+a walk that resumes near the last one, as a cursor restored from its
+checkpoint does, slices it instead of sieving.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
 kernel, and takes pi(x) from Meissel's formula over that table, exact
 and in integers throughout.
@@ -92,10 +95,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Every segment starts as a slice of one wheel tile, on which the
-# multiples of the wheel primes are already struck, so a walk strikes only
-# the primes from 17 up.  The tile is one period longer than a segment, so
-# a segment starting anywhere in the period is one slice of it.
+# Every span starts as a slice of one wheel tile, on which the multiples
+# of the wheel primes are already struck, so a walk strikes only the
+# primes from 17 up.  The tile is one period longer than a span, so a
+# span starting anywhere in the period is one slice of it.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL_PERIOD = prod(_WHEEL_PRIMES)  # 30030
 
@@ -162,25 +165,51 @@ def _grow(hi: int) -> None:
         _base_primes.extend(compress(range(lo, lo + width), flags))
 
 
+# The last span any walk sieved: (lo, flags of [lo, lo + SEGMENT_SIZE),
+# the primes from 17 up that struck it, their offsets past it).  It holds
+# its own primes, so its offsets never pair with another ``_base_primes``,
+# and it is replaced whole, never changed in place.
+_kept: tuple[int, bytearray, list[int], list[int]] = (0, bytearray(), [], [])
+
+
+def _span(prev: tuple[int, bytearray, list[int], list[int]], lo: int) -> tuple:
+    """Sieve the span from lo, carrying the offsets of ``prev`` when it
+    ends at lo and taking fresh ones otherwise, and keep it in ``_kept``."""
+    global _kept
+    at, flags, primes, offsets = prev
+    if at + len(flags) != lo:
+        primes, offsets = [], []
+    hi = lo + SEGMENT_SIZE
+    _grow(hi)
+    new = _base_primes[len(_WHEEL_PRIMES) + len(primes) : bisect_right(_base_primes, isqrt(hi - 1))]
+    primes, offsets = primes + new, offsets + _offsets(new, lo)
+    _kept = lo, _sieve(lo, SEGMENT_SIZE, primes, offsets), primes, offsets
+    return _kept
+
+
 def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
     """Prime flags of consecutive segments from ``start`` on, without end.
     The first is FIRST_SEGMENT wide and each later one as wide as all before
-    it, up to SEGMENT_SIZE: a short walk sieves little more than it reads.
-    The walk carries each base prime's next multiple from one segment to
-    the next; a prime joins at the first segment that ends past its
+    it, up to SEGMENT_SIZE.  Each is cut from a span of SEGMENT_SIZE
+    integers: the walk's current span or ``_kept``, where either holds it,
+    else a span sieved from the segment's start.  A segment as wide as a
+    span is that span, not a copy, so no consumer may mutate the flags.
+    A span carries each base prime's next multiple over to the span that
+    follows it; a prime joins at the first span that ends past its
     square."""
     first = lo = max(start, 0)
     width = FIRST_SEGMENT
-    primes: list[int] = []  # the base primes from 17 up that strike this walk
-    offsets: list[int] = []
+    span = _kept
     while True:
         hi = lo + width
-        _grow(hi)
-        top = bisect_right(_base_primes, isqrt(hi - 1))
-        new = _base_primes[len(_WHEEL_PRIMES) + len(primes) : top]
-        primes += new
-        offsets += _offsets(new, lo)
-        yield lo, _sieve(lo, width, primes, offsets)
+        for held in (span, _kept):
+            if held[0] <= lo and hi <= held[0] + len(held[1]):
+                span = held
+                break
+        else:
+            span = _span(span, lo)
+        at, flags = span[:2]
+        yield lo, flags if width == SEGMENT_SIZE else flags[lo - at : hi - at]
         lo = hi
         width = min(hi - first, SEGMENT_SIZE)
 

@@ -113,8 +113,11 @@ class NumberSpec:
         return self.canonical
 
 
+@lru_cache(maxsize=8)
 def parse_number_spec(text: str) -> NumberSpec:
-    """Inverse of NumberSpec.canonical."""
+    """Inverse of NumberSpec.canonical.  A NumberSpec is frozen, so a
+    checkpoint restore shares the spec its text last parsed to; a text
+    that fails to parse raises every time."""
     parts = text.strip().split("|")
     if len(parts) != 3 or not parts[1].startswith("b=") or not parts[2].startswith("c="):
         raise ValueError(f"bad number spec: {text!r}")
@@ -330,7 +333,7 @@ class StreamCursor:
             if not self.spec.sequence.is_member(self.integer):
                 raise ValueError(f"{self.integer} is not a member of {self.spec.sequence}")
             length = digit_length(self.integer, self.spec.base)
-            copies = repetitions(self.integer, self.spec.base, self.spec.multiplier)
+            copies = floor_power(self.spec.multiplier, length)
             if not 0 <= self.rep < copies:
                 raise ValueError("repetition index out of range")
             if not 0 <= self.offset <= length:

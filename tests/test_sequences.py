@@ -2,6 +2,8 @@ import itertools
 import sys
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,19 @@ from cedigits import (
     Composites,
     Explicit,
     Naturals,
+    NumberSpec,
     Polynomial,
     Primes,
     SequenceExhaustedError,
+    counter_prefix,
+    open_stream,
     parse_sequence,
 )
 from cedigits import primes
 from cedigits.primes import (
     FIRST_SEGMENT,
     SEGMENT_SIZE,
+    composite_batches,
     is_prime,
     iter_composites,
     iter_primes,
@@ -174,6 +180,8 @@ class TestPrimesMachinery:
         three full SEGMENT_SIZE segments, where the primes from 1009 up
         join the walk from 10**6 on."""
         monkeypatch.setattr(primes, "_base_primes", [2])
+        # and no span kept from an earlier walk, which this one would slice
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
         # the growing segments before the first full one cover SEGMENT_SIZE
         stop = start + 4 * SEGMENT_SIZE
         walked = bytearray()
@@ -209,6 +217,205 @@ class TestPrimesMachinery:
             Primes().count(10**6, cap=10**5)
         with pytest.raises(CapExceededError):
             Composites().count(10**6, cap=10**5)
+
+
+KEPT_LIMIT = 2 * 10**6  # a plain sieve checks the flags below it, point queries those above
+
+
+@cache
+def reference_flags() -> bytes:
+    return bytes(plain_sieve(KEPT_LIMIT))
+
+
+def expected_flags(lo: int, hi: int) -> bytes:
+    """Prime flags of [lo, hi): a plain sieve's, or point queries past it."""
+    if hi <= KEPT_LIMIT:
+        return reference_flags()[lo:hi]
+    return bytes(map(is_prime, range(lo, hi)))
+
+
+def walk(start: int, segments: int) -> bytearray:
+    """The flags of the first ``segments`` segments of a walk from
+    ``start``, each checked to start where the last one ended."""
+    walked = bytearray()
+    for lo, flags in itertools.islice(primes._segments(start), segments):
+        assert lo == start + len(walked)
+        walked += flags
+    return walked
+
+
+def check_kept() -> None:
+    """The kept span holds exact flags, every prime from 17 whose square
+    lies below its end, and for each the offset of its next multiple
+    past the end, as a fresh walk from there takes them."""
+    lo, flags, struck, offsets = primes._kept
+    end = lo + len(flags)
+    assert flags == expected_flags(lo, end)
+    root = isqrt(end - 1)
+    assert struck == [p for p in range(17, root + 1) if reference_flags()[p]]
+    assert offsets == [-end % p for p in struck]
+
+
+class TestKeptSpan:
+    """Every walk cuts its segments from spans of SEGMENT_SIZE integers,
+    and the last span any walk sieved is kept for the next: a walk from
+    inside it slices it, a segment past its end is cut from a span sieved
+    from the segment's start, and a span that starts at the kept span's
+    end carries its offsets.  Every walk is checked against a plain sieve
+    and point queries, and no consumer of the flags changes them."""
+
+    LO = 10**6 + 12_345
+
+    def test_walks_from_inside_the_kept_span_slice_it(self):
+        walk(self.LO, 1)
+        kept = primes._kept
+        assert kept[0] == self.LO
+        before = bytes(kept[1])
+        for start in (self.LO, self.LO + 450, self.LO + SEGMENT_SIZE - 2 * FIRST_SEGMENT):
+            assert walk(start, 2) == expected_flags(start, start + 2 * FIRST_SEGMENT)
+            assert primes._kept is kept  # nothing sieved
+        assert kept[1] == before
+        check_kept()
+
+    @pytest.mark.parametrize("back", [1, 500, FIRST_SEGMENT - 1])
+    def test_segment_straddling_the_kept_end(self, back):
+        walk(self.LO, 1)
+        kept = primes._kept
+        before = bytes(kept[1])
+        start = self.LO + SEGMENT_SIZE - back
+        assert walk(start, 3) == expected_flags(start, start + 4 * FIRST_SEGMENT)
+        assert primes._kept[0] == start  # a fresh span from the segment's start
+        assert kept[1] == before
+        check_kept()
+
+    def test_walk_from_the_kept_end_carries_its_offsets(self, monkeypatch):
+        walk(self.LO, 1)
+        end = self.LO + SEGMENT_SIZE
+        fresh = []
+        offsets = primes._offsets
+
+        def recorded(struck, lo):
+            fresh.append(list(struck))
+            return offsets(struck, lo)
+
+        monkeypatch.setattr(primes, "_offsets", recorded)
+        assert walk(end, 2) == expected_flags(end, end + 2 * FIRST_SEGMENT)
+        # only the primes that join the new span take fresh offsets
+        roots = range(isqrt(end - 1) + 1, isqrt(end + SEGMENT_SIZE - 1) + 1)
+        assert fresh == [[p for p in roots if reference_flags()[p]]]
+        assert primes._kept[0] == end
+        check_kept()
+
+    @pytest.mark.parametrize("start", [LO, LO + 450, 10**10 + 3])
+    def test_walk_continues_past_the_kept_span(self, start):
+        """From an aligned start the eighth segment starts at the end of
+        the first span; from inside the kept span the seventh straddles
+        its end, and the ninth carries the offsets of the eighth."""
+        walk(self.LO, 1)
+        segments = 10 if start < KEPT_LIMIT else 8
+        walked = walk(start, segments)
+        if start < KEPT_LIMIT:
+            assert walked == expected_flags(start, start + len(walked))
+        else:  # point queries on the first and the last segment of full width
+            for lo in (start, start + len(walked) - SEGMENT_SIZE):
+                assert walked[lo - start : lo - start + 2000] == expected_flags(lo, lo + 2000)
+        assert primes._kept[0] + SEGMENT_SIZE == start + len(walked)
+        check_kept()
+
+    def test_consumers_never_change_the_flags_they_are_given(self, monkeypatch):
+        """prime_count, prime_batches, composite_batches and the stream's
+        counters run between walks from inside one kept span; every flag
+        string handed out is unchanged after all of them, and exact."""
+        handed: list[tuple[int, bytearray, bytes]] = []
+        segments = primes._segments
+
+        def recorded(start):
+            for lo, flags in segments(start):
+                handed.append((lo, flags, bytes(flags)))
+                yield lo, flags
+
+        monkeypatch.setattr(primes, "_segments", recorded)
+        consumers = (
+            lambda start: prime_count(2 * 10**7),  # sieves [0, 73 680]: one whole span
+            lambda start: [list(b.split(start + 700)[1]) for b in itertools.islice(prime_batches(start), 30)],
+            lambda start: list(itertools.islice(composite_batches(start), 200)),
+            lambda start: counter_prefix(NumberSpec(Primes(), 10), 10**6),
+            lambda start: open_stream(NumberSpec(Composites(), 16, Fraction(3, 2))).read(10**6),
+        )
+        walk(self.LO, 1)
+        for step, consume in enumerate(consumers):
+            start = self.LO + 100 * step
+            assert walk(start, 1) == expected_flags(start, start + FIRST_SEGMENT)
+            kept = primes._kept
+            before = bytes(kept[1])
+            consume(start)
+            assert kept[1] == before
+            check_kept()
+        assert len({id(flags) for _, flags, _ in handed if len(flags) == SEGMENT_SIZE}) > 3
+        for lo, flags, before in handed:
+            assert flags == before == expected_flags(lo, lo + len(flags))
+
+    def test_a_walk_cuts_from_its_own_span_once_another_is_kept(self, monkeypatch):
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+        segments = primes._segments(self.LO)
+        next(segments)
+        prime_count(10**6)  # keeps a span of its own, at 0
+        sieved = []
+        monkeypatch.setattr(primes, "_span", lambda prev, lo: sieved.append(lo))
+        for lo, flags in itertools.islice(segments, 5):
+            assert flags == expected_flags(lo, lo + len(flags))
+        assert sieved == []
+
+    def test_interleaved_walks_stay_exact(self, monkeypatch):
+        """Three live walks, pulled in turn, with a count after every
+        pull but the first, which keeps a span of its own.  The first
+        two start in one span and both reach its end, the second first:
+        each carries that span's offsets, which the other's carry must
+        have left as they were.  The third starts just before that span
+        and cuts from spans of its own."""
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+        starts = (self.LO, self.LO + SEGMENT_SIZE // 2, self.LO - 300)
+        walks = [primes._segments(start) for start in starts]
+        at = list(starts)
+        # the second walk's seventh segment and the first's eighth start
+        # where the span sieved for the first segment ends
+        order = [0] + [1] * 7 + [2] * 3 + [0] * 7 + [2, 1, 0] * 3
+        for step, k in enumerate(order):
+            lo, flags = next(walks[k])
+            assert lo == at[k]
+            assert flags == expected_flags(lo, lo + len(flags))
+            at[k] += len(flags)
+            if step:
+                prime_count(10**6 + step)
+        check_kept()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("inside", "end", "straddle", "before", "anywhere")),
+                st.integers(0, SEGMENT_SIZE - 1),
+                st.integers(1, 9),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_walks_placed_about_the_kept_span(self, walks):
+        for where, shift, segments in walks:
+            lo = primes._kept[0] + len(primes._kept[1])
+            if not 0 < lo < 13 * 10**5:  # nothing kept yet, or kept too deep to check
+                lo = 10**6
+            start = {
+                "inside": lo - SEGMENT_SIZE + shift,
+                "end": lo,
+                "straddle": lo - 1 - shift % FIRST_SEGMENT,
+                "before": max(lo - SEGMENT_SIZE - 1 - shift, 0),
+                "anywhere": shift * 19,
+            }[where]
+            walked = walk(max(start, 0), segments)
+            assert walked == expected_flags(max(start, 0), max(start, 0) + len(walked))
+            check_kept()
 
 
 SMALL_PRIMES = [p for p in range(2, 98) if trial_division_is_prime(p)]

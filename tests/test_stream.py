@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -602,3 +603,69 @@ class TestByteReads:
             digit = cursor.next_digit()
             assert type(digit) is int
             assert digit == want[cursor.position - 1]
+
+
+# The benchmark's stream first, then the other sieve-fed and dense kinds.
+CHAIN_SPECS = ("composites", "primes", "naturals", "complement:poly:0,0,1")
+CHAIN_DIGITS = 400_000
+
+
+class TestCheckpointChains:
+    """A cursor restored from its checkpoint text reads what a fresh
+    cursor reads.  A client that restores a cursor from the last
+    checkpoint, skips, reads and checkpoints again, window after window,
+    reads the digits of one straight read: its resumes start inside the
+    sieve span the last window walked, or just past it."""
+
+    @given(
+        st.sampled_from(CHAIN_SPECS),
+        st.sampled_from((2, 10)),
+        st.sampled_from((Fraction(1), HALF3, Fraction(2))),
+        st.integers(0, 30_000),
+        st.integers(0, 3_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_restore_then_read_equals_a_fresh_read(self, seq, base, c, position, n):
+        spec = NumberSpec(parse_sequence(seq), base, c)
+        fresh = open_stream(spec).read(position + n)
+        cursor = open_stream(spec)
+        cursor.skip_to(position)
+        restored = StreamCursor.from_checkpoint(cursor.checkpoint())
+        assert restored == cursor
+        assert restored.read(n) == cursor.read(n) == fresh[position:]
+        assert restored.checkpoint() == cursor.checkpoint()
+
+    @pytest.mark.parametrize("c", [Fraction(1), HALF3, Fraction(2)], ids=["1", "3/2", "2"])
+    @pytest.mark.parametrize("base", [2, 10])
+    @pytest.mark.parametrize("seq", CHAIN_SPECS)
+    def test_closed_loop_equals_one_straight_read(self, seq, base, c):
+        spec = NumberSpec(parse_sequence(seq), base, c)
+        rng = random.Random(f"{seq} {base} {c}")
+        straight = open_stream(spec).read(CHAIN_DIGITS)
+        line = open_stream(spec).checkpoint()
+        windows = 0
+        while True:
+            position = StreamCursor.from_checkpoint(line).position
+            gap, length = rng.randint(0, 5_000), rng.randint(1, 3_000)
+            if position + gap + length > CHAIN_DIGITS:
+                break
+            cursor = StreamCursor.from_checkpoint(line)
+            cursor.skip_to(position + gap)
+            assert cursor.read(length) == straight[position + gap : position + gap + length]
+            line = cursor.checkpoint()
+            assert StreamCursor.from_checkpoint(line).checkpoint() == line
+            windows += 1
+        assert windows > 80
+        whole = open_stream(spec)
+        whole.skip_to(position)
+        assert line == whole.checkpoint()
+
+    def test_restores_share_the_parsed_spec(self):
+        text = "composites|b=10|c=3/2"
+        assert parse_number_spec(text) is parse_number_spec(text)
+        line = f"position=0 integer=0 rep=0 offset=0 spec={text}"
+        assert StreamCursor.from_checkpoint(line).spec is parse_number_spec(text)
+        # a failed parse is not remembered: it raises every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                parse_number_spec("composites|b=1|c=3/2")
