@@ -3,18 +3,20 @@
 Bulk generation runs a segmented sieve of Eratosthenes over spans of
 SEGMENT_SIZE integers, so that streaming the primes (or the composites)
 never materializes more than a span per walk and the one the process
-keeps, and hands the members out in batches of at most MAX_BATCH: the
-primes as ``FlagBatch`` views of a stretch of a segment's flags, which
-extract their members only when asked, and the composites as lists.
+keeps.  A walk hands out whole spans, and the members leave them in
+batches of at most MAX_BATCH, each ending at a block of MAX_BATCH
+integers or at the span's end: the primes as ``FlagBatch`` views of a
+stretch of a span's flags, which extract their members only when asked,
+and the composites as lists.
 Each span starts as a slice of one wheel pattern on which the multiples
 of 2, 3, 5, 7, 11 and 13 are already struck; a walk carries each larger
 base prime's next multiple from one span to the next, and the base
 primes are sieved by the same kernel.  The last span sieved is kept, so
-a walk that resumes near the last one, as a cursor restored from its
-checkpoint does, slices it instead of sieving.
+a walk that resumes inside it, as a cursor restored from its checkpoint
+does, reads it from there instead of sieving, and sieves on from its end.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
-kernel, and takes pi(x) from Meissel's formula over that table, exact
-and in integers throughout.
+kernel, and takes pi(x) from Meissel's formula over that table and the
+primes it holds up to sqrt(x), exact and in integers throughout.
 Point queries use a strong-pseudoprime (Miller-Rabin) test with witness
 sets that are deterministic for every modulus below 2**64.
 """
@@ -22,9 +24,9 @@ sets that are deterministic for every modulus below 2**64.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import isqrt, prod
 from operator import mod
 from typing import Iterator, Sequence
@@ -32,8 +34,9 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError
 
 SEGMENT_SIZE = 1 << 16
-FIRST_SEGMENT = 1 << 10
-MAX_BATCH = 1024  # most members in one batch of any sequence, and in one run of a stream
+# most members in one batch of any sequence, and in one run of a stream;
+# the sieve's batches end at blocks of this many integers of a span
+MAX_BATCH = 1024
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
 # witness list is a proven deterministic test for all n < limit.
@@ -115,7 +118,7 @@ _WHEEL = _wheel()
 # wheel primes themselves.  17 is the least prime a walk strikes.
 _SMALL = bytes(n in _WHEEL_PRIMES for n in range(17))
 # Every strike is a slice of these zeros: a prime from 17 up strikes at
-# most this many integers of a segment.
+# most this many integers of a span.
 _ZERO = bytearray(SEGMENT_SIZE // len(_SMALL) + 1)
 
 
@@ -124,7 +127,7 @@ def _sieve(lo: int, width: int, primes: list[int], offsets: list[int]) -> bytear
     kernel.  ``primes`` are the primes from 17 up whose square is below
     lo + width, and ``offsets[i]`` is where the next multiple of
     ``primes[i]`` to strike lies, counted from lo.  The offsets move on to
-    the next segment, the one starting at lo + width."""
+    the stretch that starts at lo + width."""
     at = lo % _WHEEL_PERIOD
     flags = _WHEEL[at : at + width]
     if lo < len(_SMALL):
@@ -154,7 +157,7 @@ _base_primes: list[int] = [2]
 def _grow(hi: int) -> None:
     """Extend ``_base_primes`` until its last prime's square is at least
     hi, so it holds every prime below sqrt(hi).  Each step sieves on from
-    the last prime p with the kernel, up to p * p, 4 * p or one segment
+    the last prime p with the kernel, up to p * p, 4 * p or one span
     past p, whichever comes first: the primes it needs are all known."""
     while (last := _base_primes[-1]) ** 2 < hi:
         lo = last + 1
@@ -187,39 +190,30 @@ def _span(prev: tuple[int, bytearray, list[int], list[int]], lo: int) -> tuple:
     return _kept
 
 
-def _segments(start: int) -> Iterator[tuple[int, bytearray]]:
-    """Prime flags of consecutive segments from ``start`` on, without end.
-    The first is FIRST_SEGMENT wide and each later one as wide as all before
-    it, up to SEGMENT_SIZE.  Each is cut from a span of SEGMENT_SIZE
-    integers: the walk's current span or ``_kept``, where either holds it,
-    else a span sieved from the segment's start.  A segment as wide as a
-    span is that span, not a copy, so no consumer may mutate the flags.
-    A span carries each base prime's next multiple over to the span that
-    follows it; a prime joins at the first span that ends past its
-    square."""
-    first = lo = max(start, 0)
-    width = FIRST_SEGMENT
+def _segments(start: int) -> Iterator[tuple[int, bytearray, int]]:
+    """Prime flags of consecutive spans, from the one that holds ``start``
+    on, without end, as (lo, flags of [lo, lo + SEGMENT_SIZE), at), to be
+    read from index at.  The first span is ``_kept`` when it holds start,
+    else one sieved from start, and is read from start; each later span
+    is sieved on from the walk's last one, carrying its offsets, and is
+    read whole.  A prime joins at the first span that ends past its
+    square.  Spans are handed out as they are, so no consumer may mutate
+    the flags."""
+    lo = max(start, 0)
     span = _kept
+    if not 0 <= lo - span[0] < len(span[1]):
+        span = _span(span, lo)
+    at = lo - span[0]
     while True:
-        hi = lo + width
-        for held in (span, _kept):
-            if held[0] <= lo and hi <= held[0] + len(held[1]):
-                span = held
-                break
-        else:
-            span = _span(span, lo)
-        at, flags = span[:2]
-        yield lo, flags if width == SEGMENT_SIZE else flags[lo - at : hi - at]
-        lo = hi
-        width = min(hi - first, SEGMENT_SIZE)
+        yield span[0], span[1], at
+        span, at = _span(span, span[0] + SEGMENT_SIZE), 0
 
 
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-_CUT_BLOCK = 1024  # flags per block count when a segment is cut into batches
 
 
 class FlagBatch(Sequence):
-    """The primes of the flag indices [start, stop) of one segment's flags,
+    """The primes of the flag indices [start, stop) of one span's flags,
     whose index 0 is the integer ``lo``: a read-only sequence of ``size``
     members.  Its length, first and last members come from the flags;
     the member list is extracted once, when the view is indexed anywhere
@@ -261,26 +255,20 @@ class FlagBatch(Sequence):
 
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     """Yield the primes >= start in increasing order, without end, as
-    views of their sieve flags, one segment's stretch at a time: each
-    holds MAX_BATCH primes, but the last of a segment may hold fewer.
-    The cuts come from per-block flag counts, and the MAX_BATCH-th set
-    flag after a cut from the regex engine, at C speed."""
-    one = re.compile(b"\x01")
-    for lo, flags in _segments(max(start, 2)):
-        width = len(flags)
-        blocks = range(0, width, _CUT_BLOCK)
-        ends = range(_CUT_BLOCK, width + _CUT_BLOCK, _CUT_BLOCK)
-        sums = list(accumulate(map(flags.count, repeat(1), blocks, ends)))
-        total = sums[-1]
-        at = 0
-        for k in range(MAX_BATCH, total, MAX_BATCH):
-            j = bisect_left(sums, k)
-            found = one.finditer(flags, blocks[j])
-            cut = next(islice(found, k - (sums[j - 1] if j else 0) - 1, None)).end()
-            yield FlagBatch(flags, lo, at, cut, MAX_BATCH)
-            at = cut
-        if total:
-            yield FlagBatch(flags, lo, at, width, total - (total - 1) // MAX_BATCH * MAX_BATCH)
+    views of their sieve flags.  A span is counted in blocks of MAX_BATCH
+    flags from where the walk reads it, and a batch takes blocks until
+    the next would bring it past MAX_BATCH primes, or the span ends: a
+    block holds at most MAX_BATCH primes, so no batch is empty."""
+    for lo, flags, at in _segments(max(start, 2)):
+        cut, size = at, 0
+        for block in range(at, SEGMENT_SIZE, MAX_BATCH):
+            found = flags.count(1, block, block + MAX_BATCH)
+            if size + found > MAX_BATCH:
+                yield FlagBatch(flags, lo, cut, block, size)
+                cut, size = block, 0
+            size += found
+        if size:
+            yield FlagBatch(flags, lo, cut, SEGMENT_SIZE, size)
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
@@ -289,13 +277,17 @@ def iter_primes(start: int = 2) -> Iterator[int]:
 
 
 def composite_batches(start: int = 4) -> Iterator[list[int]]:
-    """Yield the composites >= start in increasing order, in lists of at
-    most MAX_BATCH, without end.  Composites are dense, so ``compress`` over
-    the inverted flags picks them out faster than a search for each one."""
-    for lo, flags in _segments(max(start, 4)):
-        members = compress(range(lo, lo + len(flags)), flags.translate(_INVERT))
-        while batch := list(islice(members, MAX_BATCH)):
-            yield batch
+    """Yield the composites >= start in increasing order, without end,
+    one block of MAX_BATCH integers of a span at a time, so a walk
+    inverts and picks out only the flags it reads.  Composites are
+    dense, so ``compress`` over the inverted flags picks them out faster
+    than a search for each one; a block is skipped only when it is one
+    integer wide and prime."""
+    for lo, flags, at in _segments(max(start, 4)):
+        for block in range(at, SEGMENT_SIZE, MAX_BATCH):
+            inverted = flags[block : block + MAX_BATCH].translate(_INVERT)
+            if batch := [*compress(range(lo + block, lo + block + MAX_BATCH), inverted)]:
+                yield batch
 
 
 def iter_composites(start: int = 4) -> Iterator[int]:
@@ -338,6 +330,7 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
     pi(x // p_k) - (k - 1).  Each x // p_k is at most x // c, and so is
     every pi argument below: the prime flags of [0, x // c] are sieved
     once, and pi(v) is a per-64 block count plus one ``bytes.count``.
+    The p_k are read off the same flags: x // c >= sqrt(x).
 
     phi(y, b) is phi(y, 6), read off the wheel, minus phi(y // p_i, i - 1)
     for i = 7, ..., b.  Where y // p_i < p_i ** 2, that term counts 1 and
@@ -367,8 +360,8 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
     c = _cube_root(x)
     top = x // c
     flags = bytearray()
-    for _, segment in _segments(0):
-        flags += segment
+    for _, span, _ in _segments(0):
+        flags += span
         if len(flags) > top:
             break
     del flags[top + 1 :]
@@ -380,8 +373,7 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
     def pi(v: int) -> int:
         return blocks[v >> 6] + flags.count(1, v & -64, v + 1)
 
-    _grow(x + 1)
-    primes = _base_primes
+    primes = [*compress(range(isqrt(x) + 1), flags)]
     wheel_phi = _wheel_phi()
 
     def phi(y: int, b: int) -> int:
@@ -398,6 +390,6 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
 
     a = max(pi(c), len(_WHEEL_PRIMES))
     count = phi(x, a) + a - 1
-    for k in range(a, bisect_right(primes, isqrt(x))):
+    for k in range(a, len(primes)):
         count -= pi(x // primes[k]) - k
     return count

@@ -1,8 +1,9 @@
 """Prime batches as views of the sieve flags, and the counts read off them.
 
 ``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
-sequence over a stretch of one segment's flags, whose member list is
-extracted only when it is indexed inside, sliced or iterated.  The scan
+sequence over a stretch of one span's flags, whose member list is
+extracted only when it is indexed inside, sliced or iterated.  A batch
+ends at a block of MAX_BATCH integers or at its span's end.  The scan
 counts the digits of every run it crosses whole off those flags (and a
 ``range`` run from closed forms), never writing them out.  These tests
 hold the views to a plain extraction, and the counts to the literal
@@ -27,8 +28,8 @@ from cedigits import (
     counter_prefix,
     trajectory,
 )
+from cedigits import primes
 from cedigits.primes import (
-    FIRST_SEGMENT,
     MAX_BATCH,
     SEGMENT_SIZE,
     FlagBatch,
@@ -43,26 +44,46 @@ from conftest import concat_stream, digits_of, plain_sieve
 WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
 STARTS = sorted(
     {2, 3, 17, 10**6 + 12345}
-    | {2 + FIRST_SEGMENT * 2**k + d for k in range(7) for d in (-1, 0, 1)}
+    # block edges of a walk from 2, up to the end of its first span
+    | {2 + MAX_BATCH * 2**k + d for k in range(7) for d in (-1, 0, 1)}
     | {k * WHEEL_PERIOD + d for k in (1, 2, 7) for d in (-1, 1)}
     | {k * SEGMENT_SIZE + d for k in (1, 2) for d in (-1, 0, 1)}
 )
+ONE = re.compile(b"\x01")
 
 
-def plain_batches(start: int, segments: int) -> list[list[int]]:
-    """The primes of the first ``segments`` segments of a walk from
-    ``start``, found by ``re.finditer`` and cut into MAX_BATCH lists."""
+def plain_cut(members: list[int], first: int) -> list[list[int]]:
+    """``members``, the primes of one span from ``first`` on, grouped by
+    blocks of MAX_BATCH integers from ``first`` and cut into batches: a
+    batch is closed before the block that would bring it past
+    MAX_BATCH."""
+    batches, batch = [], []
+    for _, block in itertools.groupby(members, lambda m: (m - first) // MAX_BATCH):
+        block = list(block)
+        if len(batch) + len(block) > MAX_BATCH:
+            batches.append(batch)
+            batch = []
+        batch += block
+    return batches + [batch] if batch else batches
+
+
+def plain_batches(start: int, spans: int) -> list[list[int]]:
+    """The primes of the first ``spans`` spans of a walk from ``start``,
+    found by ``re.finditer`` from where the walk reads each span and cut
+    by ``plain_cut``.  The kept span is left as it was, so that a walk
+    from ``start`` after this one reads the same spans."""
+    kept = primes._kept
     batches = []
-    for lo, flags in itertools.islice(_segments(max(start, 2)), segments):
-        members = [lo + m.start() for m in re.finditer(b"\x01", flags)]
-        batches += [members[i : i + MAX_BATCH] for i in range(0, len(members), MAX_BATCH)]
+    for lo, flags, at in itertools.islice(_segments(max(start, 2)), spans):
+        batches += plain_cut([lo + m.start() for m in ONE.finditer(flags, at)], lo + at)
+    primes._kept = kept
     return batches
 
 
 @pytest.mark.parametrize("start", STARTS)
 def test_flag_batches_equal_a_plain_extraction(start):
-    segments = 9  # from 2, past the first segment of full width
-    want = plain_batches(start, segments)
+    spans = 3  # past the end of the first span, and through the second whole
+    want = plain_batches(start, spans)
     views = list(itertools.islice(prime_batches(start), len(want)))
     # length, first and last member come from the flags alone
     assert [(len(v), v[0], v[-1]) for v in views] == [(len(b), b[0], b[-1]) for b in want]
@@ -74,41 +95,59 @@ def test_flag_batches_equal_a_plain_extraction(start):
     assert members == [n for n in range(max(start, 2), members[-1] + 1) if flags[n]]
 
 
-def test_segments_are_cut_at_exactly_max_batch():
-    # the segments from 10**6 of full width hold about 4700 primes each:
-    # four full batches and a shorter last one per segment
-    views = list(itertools.islice(prime_batches(10**6), 40))
-    assert [len(v) for v in views].count(MAX_BATCH) >= 20
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 3 * 10**6))
+@example(2)
+@example(10**6)
+def test_batches_are_cut_at_block_edges(start):
+    """A batch's stretch ends at a block of MAX_BATCH integers, counted
+    from where the walk reads its span, or at the span's end, and the
+    next batch starts there; within a span, the next block would bring
+    the batch past MAX_BATCH primes, so it could take no more."""
+    views = list(itertools.islice(prime_batches(start), 20))
+    at = views[0].start
     for a, b in zip(views, views[1:]):
+        assert 0 < len(a) == a.flags.count(1, a.start, a.stop) <= MAX_BATCH
         if a.flags is b.flags:
-            assert len(a) == MAX_BATCH and a.stop == b.start and a[-1] < b[0]
+            assert a.stop == b.start and a[-1] < b[0] and (a.stop - at) % MAX_BATCH == 0
+            assert len(a) + a.flags.count(1, a.stop, a.stop + MAX_BATCH) > MAX_BATCH
         else:
-            assert a.stop == len(a.flags) and b.start == 0
+            assert a.stop == len(a.flags) == SEGMENT_SIZE and b.start == 0
+            at = 0
 
 
-def test_a_segment_of_exactly_five_full_batches():
-    # in the walk from 252436 the eighth segment, the first of full
-    # width, holds exactly 5 * MAX_BATCH primes: no shorter batch ends it
-    start = 252_436
-    want = plain_batches(start, 8)
-    views = list(itertools.islice(prime_batches(start), len(want) + 1))
-    last = [v for v in views if v.flags is views[-2].flags]
-    assert [len(v) for v in last] == [MAX_BATCH] * 5
-    assert last[-1].stop == len(last[-1].flags)
-    assert [list(v) for v in views[:-1]] == want
+def test_a_block_that_fills_a_batch_closes_it(monkeypatch):
+    """In walks sieved afresh, the blocks of [51846, 63110) and of
+    [488912, 502224) hold exactly MAX_BATCH primes: the first from the
+    walk's start, the second up to the end of the first span from 436688.
+    Each closes its batch, and the next batch starts at the next block,
+    or at the next span, and is not empty."""
+    for start, lo, hi in ((51_846, 51_846, 63_110), (436_688, 488_912, 502_224)):
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+        want = plain_batches(start, 2)
+        views = list(itertools.islice(prime_batches(start), len(want) + 1))
+        assert [list(v) for v in views[:-1]] == want
+        i = next(i for i, v in enumerate(views) if v.lo + v.stop == hi)
+        full, after = views[i], views[i + 1]
+        assert (full.lo + full.start, len(full)) == (lo, MAX_BATCH)
+        assert len(after) and full[-1] < after[0]
+        if hi == start + SEGMENT_SIZE:
+            assert full.stop == SEGMENT_SIZE and after.start == 0 and after.lo == hi
+        else:
+            assert after.flags is full.flags and after.start == full.stop
 
 
 def full_view() -> tuple[FlagBatch, list[int]]:
-    """A fresh view of MAX_BATCH primes past 10**6, and its members by
-    a plain extraction."""
-    want = plain_batches(10**6, 10)
-    i = [len(b) for b in want].index(MAX_BATCH)
+    """A fresh view of the largest batch of primes past 10**6 in two
+    spans, and its members by a plain extraction."""
+    want = plain_batches(10**6, 2)
+    i = max(range(len(want)), key=lambda i: len(want[i]))
     return next(itertools.islice(prime_batches(10**6), i, None)), want[i]
 
 
 def test_view_acts_as_a_sequence():
     view, members = full_view()
-    assert len(view) == MAX_BATCH and bool(view)
+    assert len(view) == len(members) > 600 and bool(view)
     assert (view[0], view[-1], view[len(view) - 1]) == (members[0], members[-1], members[-1])
     assert view._members is None  # no extraction yet
     assert view[-2] == members[-2] and view[-len(view)] == members[0]
@@ -136,17 +175,34 @@ def test_view_splits_by_value(cut):
     low, high = view.split(value)
     assert view._members is None and low._members is None
     below = bisect_left(members, value)
-    assert (len(low), len(high)) == (below, MAX_BATCH - below)
+    assert (len(low), len(high)) == (below, len(members) - below)
     assert (list(low), list(high)) == (members[:below], members[below:])
 
 
 BASES = (2, 3, 7, 10, 16, 36, 255, 256, 257)
 MULTIPLIERS = (Fraction(1), Fraction(3, 2), Fraction(2))
 LIMIT = 150_000
-# an independent sieve; its primes reach past 2 + SEGMENT_SIZE, where
-# the walk from 2 meets its first segment of full width
+# an independent sieve; its primes reach past the end of the first span
+# of a walk from 2, and through several more
 ORACLE_PRIMES = [n for n, f in enumerate(plain_sieve(700_000)) if f]
 _streams: dict = {}
+
+
+def batch_starts() -> set[int]:
+    """The first prime of every batch of a walk from 2, cut by
+    ``plain_cut`` from the oracle's primes, for both places its spans can
+    lie: sieved from 2, or from 0, when the span at 0 that a count sieved
+    is kept and the walk reads it from 2."""
+    found = set()
+    top = ORACLE_PRIMES[-1] + 1
+    for los in (range(2, top, SEGMENT_SIZE), [2, *range(SEGMENT_SIZE, top, SEGMENT_SIZE)]):
+        for lo, hi in zip(los, [*los[1:], top]):
+            span = ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo) : bisect_left(ORACLE_PRIMES, hi)]
+            found.update(batch[0] for batch in plain_cut(span, lo))
+    return found
+
+
+BATCH_STARTS = batch_starts()
 
 
 def oracle(base: int, c: Fraction):
@@ -168,9 +224,10 @@ def oracle(base: int, c: Fraction):
 
 
 def edges(base: int) -> set[int]:
-    """Integers where the walk from 2 starts a segment, and powers of the
-    base, up to the oracle's last prime."""
-    found = {2 + FIRST_SEGMENT * 2**k for k in range(7)} | {2 + SEGMENT_SIZE}
+    """Integers near which a walk from 2 starts a span, at 0 or 2 past a
+    multiple of SEGMENT_SIZE, and powers of the base, up to the oracle's
+    last prime."""
+    found = set(range(SEGMENT_SIZE, ORACLE_PRIMES[-1], SEGMENT_SIZE))
     power = base
     while power < ORACLE_PRIMES[-1]:
         found.add(power)
@@ -179,13 +236,14 @@ def edges(base: int) -> set[int]:
 
 
 def stop_candidates(base: int, c: Fraction) -> list[int]:
-    """Positions at window, segment and base**k edges, and inside
+    """Positions at window, batch, span and base**k edges, and inside
     members and copies."""
     _, ends = oracle(base, c)
     near = edges(base)
     stops = {0, 1, LIMIT - 1, LIMIT}
     for i, (p, end) in enumerate(ends):
-        if i % MAX_BATCH in (0, 1, MAX_BATCH - 1) or any(abs(p - e) < 40 for e in near):
+        around = ORACLE_PRIMES[max(i - 1, 0) : i + 2]  # p is a batch's first, second or last
+        if BATCH_STARTS.intersection(around) or any(abs(p - e) < 40 for e in near):
             length = len(digits_of(p, base))
             start = ends[i - 1][1] if i else 0
             stops.update((start, start + 1, end - 1, end, (start + end) // 2, start + length + 1))
@@ -203,7 +261,7 @@ def test_prime_scans_match_oracle(base, c, data):
     candidates = stop_candidates(base, c)
     members = [p for p, _ in ends]
     bounds = {m + d for m in members[:: max(1, len(members) // 7)] for d in (-1, 0, 1)}
-    bounds |= {e + d for e in edges(base) for d in (-1, 0)}
+    bounds |= {e + d for e in edges(base) | BATCH_STARTS for d in (-1, 0)}
     bounds = sorted(b for b in bounds if b < members[-1])
     if data is None:  # the explicit examples take every candidate
         stops, symbol = candidates, 1

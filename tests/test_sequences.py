@@ -25,7 +25,6 @@ from cedigits import (
 )
 from cedigits import primes
 from cedigits.primes import (
-    FIRST_SEGMENT,
     SEGMENT_SIZE,
     composite_batches,
     is_prime,
@@ -49,7 +48,7 @@ def take(spec, n, after=0):
     return list(itertools.islice(spec.members(after), n))
 
 
-# the base primes a segment strikes itself; 2 to 13 are the wheel's
+# the base primes a span strikes itself; 2 to 13 are the wheel's
 SIEVING_PRIMES = [p for p in range(17, 3000) if trial_division_is_prime(p)]
 WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
 
@@ -125,18 +124,22 @@ class TestPrimesMachinery:
             assert prime_count(x) == simple_prime_count(x)
 
     @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
-    def test_walks_cross_growing_segment_edges(self, start):
-        # the first segment from ``start`` is FIRST_SEGMENT wide and each
-        # later one as wide as all before it; these four hold fewer than
-        # MAX_BATCH primes each, so each is one batch
-        edges = [start + FIRST_SEGMENT * 2**k for k in range(4)]
+    def test_walks_cross_growing_segment_edges(self, monkeypatch, start):
+        # a walk sieved afresh from ``start`` counts its span in blocks of
+        # MAX_BATCH integers from start, and ends each batch at one; the
+        # window crosses the block edges 1, 2, 4 and 8 blocks on
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+        edges = [start + MAX_BATCH * 2**k for k in range(4)]
         window = range(start, edges[-1] + 40)
         want_primes = [n for n in window if trial_division_is_prime(n)]
         want_composites = [n for n in window if n >= 4 and not trial_division_is_prime(n)]
         assert list(itertools.islice(iter_primes(start), len(want_primes))) == want_primes
         assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
-        segments = list(itertools.islice(prime_batches(start), 4))
-        assert [seg[-1] < edge <= seg[-1] + 200 for seg, edge in zip(segments, edges)] == [True] * 4
+        for batch in itertools.islice(prime_batches(start), 2):
+            end = batch.lo + batch.stop
+            assert (end - start) % MAX_BATCH == 0 and batch[-1] < end
+        for batch in itertools.islice(composite_batches(start), 9):
+            assert len({(m - start) // MAX_BATCH for m in batch}) == 1  # one block each
         for spec, want in (
             (Naturals(), list(window)),
             (Primes(), want_primes),
@@ -162,37 +165,35 @@ class TestPrimesMachinery:
         )
     )
     def test_segment_flags_match_point_queries(self, start):
-        """The flags of the first four segments of a walk from ``start``,
-        across its FIRST_SEGMENT growth edges, integer by integer: near 0,
-        where the wheel is patched, at the ends of the wheel's period, and
-        where a base prime's square starts its strikes."""
+        """The flags at both ends of the first two spans of a walk from
+        ``start``, the first read from start, integer by integer: near 0,
+        where the wheel is patched, at the ends of the wheel's period,
+        where a base prime's square starts its strikes, and across the
+        span edge, where the walk carries its offsets."""
         lo = start
-        for seg_lo, flags in itertools.islice(primes._segments(start), 4):
-            assert seg_lo == lo
-            assert flags == bytes(map(is_prime, range(lo, lo + len(flags))))
-            lo += len(flags)
-        assert lo == start + 8 * FIRST_SEGMENT
+        for span_lo, flags, at in itertools.islice(primes._segments(start), 2):
+            assert span_lo + at == lo and len(flags) == SEGMENT_SIZE
+            for i in (at, max(SEGMENT_SIZE - 2 * MAX_BATCH, at)):
+                j = min(i + 2 * MAX_BATCH, SEGMENT_SIZE)
+                assert flags[i:j] == bytes(map(is_prime, range(span_lo + i, span_lo + j)))
+            lo = span_lo + SEGMENT_SIZE
 
     @pytest.mark.parametrize("start", [0, 10**6 + 12_345])
     def test_walk_grows_the_base_primes_from_two(self, monkeypatch, start):
         """A walk that starts with only the prime 2 known grows the base
-        primes as it goes, and carries each prime's next multiple over
-        three full SEGMENT_SIZE segments, where the primes from 1009 up
-        join the walk from 10**6 on."""
+        primes as it goes, and carries each prime's next multiple across
+        four spans, where the primes from 1009 up join the walk from
+        10**6 on."""
         monkeypatch.setattr(primes, "_base_primes", [2])
-        # and no span kept from an earlier walk, which this one would slice
+        # and no span kept from an earlier walk, which this one would read
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
-        # the growing segments before the first full one cover SEGMENT_SIZE
         stop = start + 4 * SEGMENT_SIZE
         walked = bytearray()
-        widths = []
-        for lo, flags in primes._segments(start):
-            assert lo == start + len(walked)
-            walked += flags
-            widths.append(len(flags))
-            if len(walked) >= stop - start:
-                break
-        assert widths[-4:] == [SEGMENT_SIZE // 2] + [SEGMENT_SIZE] * 3
+        spans = []
+        for lo, flags, at in itertools.islice(primes._segments(start), 4):
+            walked += flags[at:]
+            spans.append((lo, at, len(flags)))
+        assert spans == [(lo, 0, SEGMENT_SIZE) for lo in range(start, stop, SEGMENT_SIZE)]
         assert walked == plain_sieve(stop)[start:]
         base = primes._base_primes
         assert base[-1] ** 2 >= stop
@@ -234,13 +235,14 @@ def expected_flags(lo: int, hi: int) -> bytes:
     return bytes(map(is_prime, range(lo, hi)))
 
 
-def walk(start: int, segments: int) -> bytearray:
-    """The flags of the first ``segments`` segments of a walk from
-    ``start``, each checked to start where the last one ended."""
+def walk(start: int, spans: int) -> bytearray:
+    """The flags of the first ``spans`` spans of a walk from ``start``,
+    from where it reads each, each checked to start where the last one
+    ended."""
     walked = bytearray()
-    for lo, flags in itertools.islice(primes._segments(start), segments):
-        assert lo == start + len(walked)
-        walked += flags
+    for lo, flags, at in itertools.islice(primes._segments(start), spans):
+        assert lo + at == start + len(walked) and len(flags) == SEGMENT_SIZE
+        walked += flags[at:]
     return walked
 
 
@@ -257,12 +259,12 @@ def check_kept() -> None:
 
 
 class TestKeptSpan:
-    """Every walk cuts its segments from spans of SEGMENT_SIZE integers,
-    and the last span any walk sieved is kept for the next: a walk from
-    inside it slices it, a segment past its end is cut from a span sieved
-    from the segment's start, and a span that starts at the kept span's
-    end carries its offsets.  Every walk is checked against a plain sieve
-    and point queries, and no consumer of the flags changes them."""
+    """Every walk hands out whole spans of SEGMENT_SIZE integers, and the
+    last span any walk sieved is kept for the next: a walk from inside it
+    reads it from there, and every span after a walk's first is sieved at
+    the end of the walk's own last one, carrying its offsets.  Every walk
+    is checked against a plain sieve and point queries, and no consumer
+    of the flags changes them."""
 
     LO = 10**6 + 12_345
 
@@ -271,22 +273,66 @@ class TestKeptSpan:
         kept = primes._kept
         assert kept[0] == self.LO
         before = bytes(kept[1])
-        for start in (self.LO, self.LO + 450, self.LO + SEGMENT_SIZE - 2 * FIRST_SEGMENT):
-            assert walk(start, 2) == expected_flags(start, start + 2 * FIRST_SEGMENT)
+        for start in (self.LO, self.LO + 450, self.LO + SEGMENT_SIZE - 2 * MAX_BATCH):
+            assert walk(start, 1) == expected_flags(start, self.LO + SEGMENT_SIZE)
             assert primes._kept is kept  # nothing sieved
         assert kept[1] == before
         check_kept()
 
-    @pytest.mark.parametrize("back", [1, 500, FIRST_SEGMENT - 1])
-    def test_segment_straddling_the_kept_end(self, back):
+    @pytest.mark.parametrize("back", [1, 500, MAX_BATCH - 1])
+    def test_segment_straddling_the_kept_end(self, monkeypatch, back):
+        """A walk from inside the kept span reads it, then sieves one span
+        at its end, not at its start, where only the primes that join
+        take fresh offsets."""
         walk(self.LO, 1)
         kept = primes._kept
         before = bytes(kept[1])
-        start = self.LO + SEGMENT_SIZE - back
-        assert walk(start, 3) == expected_flags(start, start + 4 * FIRST_SEGMENT)
-        assert primes._kept[0] == start  # a fresh span from the segment's start
+        end = self.LO + SEGMENT_SIZE
+        primes._grow(end + SEGMENT_SIZE)  # so that only the walk takes offsets
+        sieved, fresh = [], []
+        span, offsets = primes._span, primes._offsets
+
+        def recorded_span(prev, lo):
+            sieved.append(lo)
+            return span(prev, lo)
+
+        def recorded_offsets(struck, lo):
+            fresh.append(list(struck))
+            return offsets(struck, lo)
+
+        monkeypatch.setattr(primes, "_span", recorded_span)
+        monkeypatch.setattr(primes, "_offsets", recorded_offsets)
+        start = end - back
+        assert walk(start, 2) == expected_flags(start, end + SEGMENT_SIZE)
+        assert sieved == [end] and primes._kept[0] == end
+        roots = range(isqrt(end - 1) + 1, isqrt(end + SEGMENT_SIZE - 1) + 1)
+        assert fresh == [[p for p in roots if reference_flags()[p]]]
         assert kept[1] == before
         check_kept()
+
+    @pytest.mark.parametrize("last", [1_048_573, 1_048_574])
+    def test_composite_batches_hold_one_block_each(self, monkeypatch, last):
+        """A walk from inside the kept span, 1023 flags past a block edge
+        of the span, counts blocks of MAX_BATCH integers from its start,
+        so the span's last block is one integer wide: a prime there makes
+        no batch, and a composite a batch of one.  Every batch holds the
+        composites of one block, and the next span's blocks start at its
+        start."""
+        lo = last + 1 - SEGMENT_SIZE
+        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+        walk(lo, 1)
+        start = lo + 3 * MAX_BATCH - 1
+        batches = list(itertools.islice(composite_batches(start), 70))
+        assert all(0 < len(b) <= MAX_BATCH for b in batches)
+        members = [m for b in batches for m in b]
+        assert members == [n for n in range(start, members[-1] + 1) if not reference_flags()[n]]
+        firsts = [start if b[0] <= last else last + 1 for b in batches]
+        blocks = [{(m - first) // MAX_BATCH for m in b} for b, first in zip(batches, firsts)]
+        assert all(len(block) == 1 for block in blocks)
+        ends = [b for b in batches if b[0] <= last]
+        whole = (SEGMENT_SIZE - 3 * MAX_BATCH) // MAX_BATCH  # the blocks before the last integer
+        assert len(ends) == whole + (not is_prime(last))
+        assert (ends[-1] == [last]) == (not is_prime(last))
 
     def test_walk_from_the_kept_end_carries_its_offsets(self, monkeypatch):
         walk(self.LO, 1)
@@ -299,7 +345,7 @@ class TestKeptSpan:
             return offsets(struck, lo)
 
         monkeypatch.setattr(primes, "_offsets", recorded)
-        assert walk(end, 2) == expected_flags(end, end + 2 * FIRST_SEGMENT)
+        assert walk(end, 1) == expected_flags(end, end + SEGMENT_SIZE)
         # only the primes that join the new span take fresh offsets
         roots = range(isqrt(end - 1) + 1, isqrt(end + SEGMENT_SIZE - 1) + 1)
         assert fresh == [[p for p in roots if reference_flags()[p]]]
@@ -308,15 +354,14 @@ class TestKeptSpan:
 
     @pytest.mark.parametrize("start", [LO, LO + 450, 10**10 + 3])
     def test_walk_continues_past_the_kept_span(self, start):
-        """From an aligned start the eighth segment starts at the end of
-        the first span; from inside the kept span the seventh straddles
-        its end, and the ninth carries the offsets of the eighth."""
+        """From inside the kept span, or from its start, a walk reads it
+        and carries its offsets into the next two spans; from deep in the
+        stream it sieves a first span of its own from its start."""
         walk(self.LO, 1)
-        segments = 10 if start < KEPT_LIMIT else 8
-        walked = walk(start, segments)
+        walked = walk(start, 3)
         if start < KEPT_LIMIT:
             assert walked == expected_flags(start, start + len(walked))
-        else:  # point queries on the first and the last segment of full width
+        else:  # point queries on the first and the last span
             for lo in (start, start + len(walked) - SEGMENT_SIZE):
                 assert walked[lo - start : lo - start + 2000] == expected_flags(lo, lo + 2000)
         assert primes._kept[0] + SEGMENT_SIZE == start + len(walked)
@@ -330,13 +375,13 @@ class TestKeptSpan:
         segments = primes._segments
 
         def recorded(start):
-            for lo, flags in segments(start):
+            for lo, flags, at in segments(start):
                 handed.append((lo, flags, bytes(flags)))
-                yield lo, flags
+                yield lo, flags, at
 
         monkeypatch.setattr(primes, "_segments", recorded)
         consumers = (
-            lambda start: prime_count(2 * 10**7),  # sieves [0, 73 680]: one whole span
+            lambda start: prime_count(2 * 10**7),  # sieves [0, 73 800]: two spans
             lambda start: [list(b.split(start + 700)[1]) for b in itertools.islice(prime_batches(start), 30)],
             lambda start: list(itertools.islice(composite_batches(start), 200)),
             lambda start: counter_prefix(NumberSpec(Primes(), 10), 10**6),
@@ -345,46 +390,52 @@ class TestKeptSpan:
         walk(self.LO, 1)
         for step, consume in enumerate(consumers):
             start = self.LO + 100 * step
-            assert walk(start, 1) == expected_flags(start, start + FIRST_SEGMENT)
+            walked = walk(start, 1)  # keeps a span that holds start
+            assert walked == expected_flags(start, start + len(walked))
             kept = primes._kept
             before = bytes(kept[1])
             consume(start)
             assert kept[1] == before
             check_kept()
-        assert len({id(flags) for _, flags, _ in handed if len(flags) == SEGMENT_SIZE}) > 3
+        assert len({id(flags) for _, flags, _ in handed}) > 3
         for lo, flags, before in handed:
             assert flags == before == expected_flags(lo, lo + len(flags))
 
-    def test_a_walk_cuts_from_its_own_span_once_another_is_kept(self, monkeypatch):
+    def test_a_walk_sieves_on_from_its_own_span_once_another_is_kept(self, monkeypatch):
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
         segments = primes._segments(self.LO)
         next(segments)
         prime_count(10**6)  # keeps a span of its own, at 0
-        sieved = []
-        monkeypatch.setattr(primes, "_span", lambda prev, lo: sieved.append(lo))
-        for lo, flags in itertools.islice(segments, 5):
-            assert flags == expected_flags(lo, lo + len(flags))
-        assert sieved == []
+        carried = []
+        span = primes._span
+
+        def recorded(prev, lo):
+            carried.append((prev[0] + len(prev[1]), lo))
+            return span(prev, lo)
+
+        monkeypatch.setattr(primes, "_span", recorded)
+        for lo, flags, at in itertools.islice(segments, 5):
+            assert at == 0 and flags == expected_flags(lo, lo + len(flags))
+        # each span is sieved at the end of the walk's last, not of the kept one
+        assert carried == [(lo, lo) for lo in range(self.LO + SEGMENT_SIZE, self.LO + 6 * SEGMENT_SIZE, SEGMENT_SIZE)]
 
     def test_interleaved_walks_stay_exact(self, monkeypatch):
         """Three live walks, pulled in turn, with a count after every
         pull but the first, which keeps a span of its own.  The first
-        two start in one span and both reach its end, the second first:
-        each carries that span's offsets, which the other's carry must
-        have left as they were.  The third starts just before that span
-        and cuts from spans of its own."""
+        two start in one span and both go on past its end, the second
+        first: each carries that span's offsets, which the other's carry
+        must have left as they were.  The third starts just before that
+        span and sieves spans of its own."""
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
         starts = (self.LO, self.LO + SEGMENT_SIZE // 2, self.LO - 300)
         walks = [primes._segments(start) for start in starts]
         at = list(starts)
-        # the second walk's seventh segment and the first's eighth start
-        # where the span sieved for the first segment ends
-        order = [0] + [1] * 7 + [2] * 3 + [0] * 7 + [2, 1, 0] * 3
+        order = [0, 1, 2, 1, 0, 2] + [1, 0, 2] * 2
         for step, k in enumerate(order):
-            lo, flags = next(walks[k])
-            assert lo == at[k]
-            assert flags == expected_flags(lo, lo + len(flags))
-            at[k] += len(flags)
+            lo, flags, i = next(walks[k])
+            assert lo + i == at[k]
+            assert flags[i:] == expected_flags(at[k], lo + len(flags))
+            at[k] = lo + len(flags)
             if step:
                 prime_count(10**6 + step)
         check_kept()
@@ -395,25 +446,25 @@ class TestKeptSpan:
             st.tuples(
                 st.sampled_from(("inside", "end", "straddle", "before", "anywhere")),
                 st.integers(0, SEGMENT_SIZE - 1),
-                st.integers(1, 9),
+                st.integers(1, 3),
             ),
             min_size=1,
             max_size=6,
         )
     )
     def test_walks_placed_about_the_kept_span(self, walks):
-        for where, shift, segments in walks:
+        for where, shift, spans in walks:
             lo = primes._kept[0] + len(primes._kept[1])
             if not 0 < lo < 13 * 10**5:  # nothing kept yet, or kept too deep to check
                 lo = 10**6
             start = {
                 "inside": lo - SEGMENT_SIZE + shift,
                 "end": lo,
-                "straddle": lo - 1 - shift % FIRST_SEGMENT,
+                "straddle": lo - 1 - shift % MAX_BATCH,
                 "before": max(lo - SEGMENT_SIZE - 1 - shift, 0),
                 "anywhere": shift * 19,
             }[where]
-            walked = walk(max(start, 0), segments)
+            walked = walk(max(start, 0), spans)
             assert walked == expected_flags(max(start, 0), max(start, 0) + len(walked))
             check_kept()
 

@@ -418,11 +418,16 @@ RESUME_BUDGET = 40_000
 
 
 def stream_edges(spec: NumberSpec, limit: int) -> dict[str, list[int]]:
-    """Positions up to ``limit`` where a copy, a member, a run or a run of
-    MAX_BATCH members ends."""
-    edges: dict[str, list[int]] = {"copy": [], "member": [], "run": [], "max_run": []}
-    pos = 0
+    """Positions up to ``limit`` where a copy, a member, a run, a run of
+    MAX_BATCH members or a run that its batch's end cuts at no power of
+    the base ends."""
+    kinds = ("copy", "member", "run", "max_run", "batch_end")
+    edges: dict[str, list[int]] = {kind: [] for kind in kinds}
+    pos = before = 0
     for run, length, copies in _member_runs(spec):
+        if length == before:  # the run before ended with its batch
+            edges["batch_end"].append(pos)
+        before = length
         for _ in run:
             edges["copy"].extend(range(pos + length, min(pos + length * copies, limit) + 1, length))
             pos += length * copies
@@ -481,13 +486,13 @@ class TestResumedCursors:
 
     @pytest.mark.parametrize("base", [2, 10])
     def test_windows_on_max_run_edges(self, base):
-        # the sieve's growing segments hold more than MAX_BATCH primes
-        # early on, so the primes reach a batch, and so a run, cut by its
-        # size first
+        # a batch of primes ends before the block of the sieve that would
+        # bring it past MAX_BATCH members, so the primes reach a run that
+        # the batch bound cuts, at no power of the base
         spec = NumberSpec(Primes(), base)
         edges = stream_edges(spec, RESUME_BUDGET)
-        assert edges["max_run"]
-        edge = edges["max_run"][0]
+        assert edges["batch_end"]
+        edge = edges["batch_end"][0]
         self.run_session(spec, [edge - 7, edge, edge + 3, edge + 50])
         self.run_session(spec, [edge - 60, edge - 1, edge, edge + 1])
 
