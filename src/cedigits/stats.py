@@ -13,7 +13,8 @@ visible.
 Every prefix count walks one fresh StreamCursor to its stops with a
 counting sink.  A run the cursor crosses whole, every copy of every
 member, is counted without being written out when it is a range of
-consecutive members or a run of primes (``_run_counts``).  The
+consecutive members or a run of primes (``_run_counts``), once per
+sieve span and member length, before the next other run or stop.  The
 rest it hands out as pieces of runs, members and copies; each is counted
 at C speed and multiplied by its copy count, so repeated copies are never
 written out.  Counts and positions are Python ints throughout, so the
@@ -27,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain, repeat
+from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
@@ -180,11 +181,11 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low near the square root of the run's width in flags,
     the low places of a member m are the digits of m mod G: one strided
-    slice of the flags per residue counts the members of each.  The high
-    places are the digits of m // G: one count per block of G flags gives
-    their weights.  Both are then reduced place by place, in integers.
+    column of the flags per residue counts the members of each.  The high
+    places, m // G, are weighed by the count of each row of G flags: the
+    columns, read as integers with one lane of bytes per row, add up to
+    all those counts at once.  Both are reduced place by place.
     """
-    units: dict[int, list[int]] = {}  # size -> the residues mod size prime to the base
 
     def tally(counts: list[int], first: int, weights: list[int], places: int) -> None:
         # the digits at the lowest ``places`` places of first, first + 1,
@@ -208,19 +209,25 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         first = run.lo + start  # the integer of flag ``start``
         counts = [0] * base
         # a prime above the base is prime to it, so only those residues hold one
-        if first <= base:
-            residues: Sequence[int] = range(size)
-        elif (residues := units.get(size)) is None:
-            residues = units[size] = [r for r in range(size) if math.gcd(r, base) == 1]
-        starts = [start + (r - first) % size for r in residues]
-        strides = map(flags.__getitem__, map(slice, starts, repeat(stop), repeat(size)))
+        residues = [r for r in range(size) if first <= base or math.gcd(r, base) == 1]
+        # a row of size integers from a multiple of size holds at most one
+        # flag per residue, so ``lane`` bytes hold its count without carry
+        lane = (len(residues).bit_length() + 7) // 8
         weights = [0] * size
-        for r, found in zip(residues, map(bytearray.count, strides, repeat(1))):
-            weights[r] = found
+        total = 0
+        for r in residues:
+            column = flags[start + (r - first) % size : stop : size]
+            weights[r] = column.count(1)
+            if lane > 1:
+                column, ones = bytearray(len(column) * lane), column
+                column[::lane] = ones
+            total += int.from_bytes(column, "little") << (8 * lane if r < first % size else 0)
         tally(counts, 0, weights, low)
-        edges = range(first // size * size + size - run.lo, stop, size)
-        blocks = map(flags.count, repeat(b"\x01"), chain((start,), edges), chain(edges, (stop,)))
-        tally(counts, first // size, [*blocks], length - low)
+        rows = total.to_bytes(((run.lo + stop - 1) // size - first // size + 1) * lane, "little")
+        blocks = [*rows] if lane == 1 else [
+            int.from_bytes(rows[k : k + lane], "little") for k in range(0, len(rows), lane)
+        ]
+        tally(counts, first // size, blocks, length - low)
         return counts
 
     def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
@@ -280,8 +287,9 @@ def _scan(
                 counts[j] += digits.count(s) * copies
 
     run_counts = _run_counts(spec.base)
+    held: list[tuple[FlagBatch, int, int]] = []  # primes crossed whole, not yet counted
 
-    def add_run(run: Sequence[int], length: int, copies: int) -> bool:
+    def count_run(run: Sequence[int], length: int, copies: int) -> bool:
         found = run_counts(run, length, symbols)
         if found is None:
             return False
@@ -289,12 +297,27 @@ def _scan(
             counts[j] += c * copies
         return True
 
+    def add_run(run: Sequence[int], length: int, copies: int) -> bool:
+        if held:
+            view, held_length, _ = last = held.pop()
+            same_flags = type(run) is FlagBatch and run.flags is view.flags
+            if same_flags and (run.start, length) == (view.stop, held_length):
+                run = FlagBatch(run.flags, run.lo, view.start, run.stop, view.size + run.size)
+            else:
+                count_run(*last)
+        if type(run) is FlagBatch and spec.base <= 256:
+            held.append((run, length, copies))
+            return True
+        return count_run(run, length, copies)
+
     cursor = StreamCursor(spec)
     for stop in stops:
         if members:
             cursor._advance_past(stop, add, add_run)
         else:
             cursor._advance(stop - cursor.position, add, add_run)
+        if held:
+            count_run(*held.pop())
         yield cursor.position, list(counts)
 
 

@@ -4,17 +4,20 @@
 sequence over a stretch of one span's flags, whose member list is
 extracted only when it is indexed inside, sliced or iterated.  A batch
 ends at a block of MAX_BATCH integers or at its span's end.  The scan
-counts the digits of every run it crosses whole off those flags (and a
-``range`` run from closed forms), never writing them out.  These tests
+counts the digits of every run it crosses whole off those flags, once
+for the runs of one span at one member length (and a ``range`` run from
+closed forms), never writing them out.  These tests
 hold the views to a plain extraction, and the counts to the literal
 expansion of ``concat_stream`` over an independent sieve.
 """
 
 import itertools
+import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,9 +29,10 @@ from cedigits import (
     StreamCursor,
     count_symbol_prefix,
     counter_prefix,
+    to_digits,
     trajectory,
 )
-from cedigits import primes
+from cedigits import primes, stats
 from cedigits.primes import (
     MAX_BATCH,
     SEGMENT_SIZE,
@@ -299,6 +303,96 @@ def test_run_counts_equal_written_counts(base):
         assert count(run, length, range(base)) == [digits.count(s) for s in range(base)]
         assert count(run, length, (1,)) == [digits.count(1)]
     assert count((2, 3), 1, (1,)) is None  # lists are written
+
+
+@pytest.mark.parametrize("base", [10, 36, 40, 256])
+def test_rows_of_a_whole_span_count_without_carry(base):
+    """Views over one whole span with a flag on every integer prime to
+    the base, so that every row of the kernel holds one flag per residue:
+    40 in base 10, 432 in base 36 and 640 in base 40, more than one byte
+    holds, and 128 in base 256.  The counts equal those of the digits of
+    the flagged integers, all of one length, for the whole span and for
+    a stretch that starts and ends inside a row."""
+    power = base
+    while power < 2 * SEGMENT_SIZE:
+        power *= base
+    lo = power + 12345
+    flags = bytearray(math.gcd(lo + i, base) == 1 for i in range(SEGMENT_SIZE))
+    length = len(to_digits(lo, base))
+    count = _run_counts(base)
+    for start, stop in ((0, SEGMENT_SIZE), (777, SEGMENT_SIZE - 5)):
+        tally = Counter(chain.from_iterable(
+            to_digits(lo + i, base) for i in range(start, stop) if flags[i]
+        ))
+        view = FlagBatch(flags, lo, start, stop, flags.count(1, start, stop))
+        assert len(to_digits(lo + stop - 1, base)) == length
+        assert count(view, length, range(base)) == [tally[d] for d in range(base)]
+
+
+def prime_oracle(base: int, c: Fraction, positions: list[int], bounds: list[int]):
+    """Symbol-1 counts at digit ``positions`` and (position, count) after
+    each boundary member, one prime's ``concat_stream`` at a time, so
+    that streams of millions of digits are never held whole."""
+    at, pos, ones, wants, found = 0, 0, 0, [], []
+    primes = iter(ORACLE_PRIMES)
+    for b in bounds:
+        while (p := next(primes)) <= b:
+            block = concat_stream([p], base, c.numerator, c.denominator, 10**9)
+            while at < len(positions) and positions[at] <= pos + len(block):
+                wants.append(ones + block[: positions[at] - pos].count(1))
+                at += 1
+            pos, ones = pos + len(block), ones + block.count(1)
+        primes = chain([p], primes)
+        found.append((pos, ones))
+    return wants, found
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize("base,power", [(2, 2**15), (10, 10**5), (36, 36**3)])
+def test_stops_inside_a_joined_span(base, power, c):
+    """Runs of primes of one length in one span are counted as one run;
+    stops and boundaries inside such a span, and across a power of the
+    base inside it, still see the exact counts."""
+    lo = 2 + (power - 2) // SEGMENT_SIZE * SEGMENT_SIZE  # a walk from 2 reads a span from here
+    bounds = sorted({lo + 9000, lo + 20_000, power - 1, power, power + 1, power + 3000})
+    bounds = [b for b in bounds if b < lo + SEGMENT_SIZE - 1]
+    ends = [pos for pos, _ in prime_oracle(base, c, [], bounds)[1]]
+    positions = {e + d for e in ends for d in (-1, 0, 1)}
+    positions |= {(a + b) // 2 for a, b in zip(ends, ends[1:])}
+    positions = sorted(n for n in positions if n <= ends[-1])
+    want, found = prime_oracle(base, c, positions, bounds)
+    spec = NumberSpec(Primes(), base, c)
+    assert prefix_counts_at_boundaries(spec, 1, bounds) == found
+    assert [p.count for p in trajectory(spec, 1, positions).points] == want
+
+
+def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):
+    """Over 10**6 base-10 digits, the flag kernel counts each span at each
+    member length at most once between two stops, and takes whole spans."""
+    calls = []
+    stop = [0]
+    kernel = stats._run_counts
+
+    def recording(base):
+        count = kernel(base)
+
+        def recorded(run, length, symbols):
+            if type(run) is FlagBatch:
+                calls.append((run.lo, length, stop[0], run.stop - run.start))
+            return count(run, length, symbols)
+
+        return recorded
+
+    monkeypatch.setattr(stats, "_run_counts", recording)
+    spec = NumberSpec(Primes(), 10)
+    stops = [1000, 250_000, 250_001, 500_000, 10**6]
+    scan = stats._scan(spec, stops)
+    for stop[0], n in enumerate(stops):
+        assert next(scan)[0] == n
+    keys = Counter(call[:3] for call in calls)
+    assert max(keys.values()) == 1
+    assert len(calls) <= len({call[:2] for call in calls}) + len(stops)
+    assert SEGMENT_SIZE in {call[3] for call in calls}
 
 
 @pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (257, Fraction(1))])
