@@ -1,13 +1,13 @@
 """Primality, prime generation, and exact prime counting.
 
 Bulk generation runs a segmented sieve of Eratosthenes over spans of
-SEGMENT_SIZE integers, so that streaming the primes (or the composites)
-never materializes more than a span per walk and the one the process
-keeps.  A walk hands out whole spans, and the members leave them in
-batches of at most MAX_BATCH, each ending at a block of MAX_BATCH
-integers or at the span's end: the primes as ``FlagBatch`` views of a
-stretch of a span's flags, which extract their members only when asked,
-and the composites as lists.
+SEGMENT_SIZE integers from multiples of SEGMENT_SIZE, so that streaming
+the primes (or the composites) never materializes more than a span per
+walk and the one the process keeps.  A walk hands out whole spans, and
+the members leave them in batches of at most MAX_BATCH, each ending at
+a block of MAX_BATCH integers or at the span's end: the primes as
+``FlagBatch`` views of a stretch of a span's flags, extracted only when
+asked, and the composites as lists.  A walk's start alone sets its cuts.
 Each span starts as a slice of one wheel pattern on which the multiples
 of 2, 3, 5, 7, 11 and 13 are already struck; a walk carries each larger
 base prime's next multiple from one span to the next, and the base
@@ -168,10 +168,10 @@ def _grow(hi: int) -> None:
         _base_primes.extend(compress(range(lo, lo + width), flags))
 
 
-# The last span any walk sieved: (lo, flags of [lo, lo + SEGMENT_SIZE),
-# the primes from 17 up that struck it, their offsets past it).  It holds
-# its own primes, so its offsets never pair with another ``_base_primes``,
-# and it is replaced whole, never changed in place.
+# The last span any walk sieved, at a multiple lo of SEGMENT_SIZE: (lo,
+# flags of [lo, lo + SEGMENT_SIZE), the primes from 17 up that struck it,
+# their offsets past it).  It holds its own primes, so its offsets never
+# pair with another ``_base_primes``; it is replaced whole, never mutated.
 _kept: tuple[int, bytearray, list[int], list[int]] = (0, bytearray(), [], [])
 
 
@@ -192,17 +192,17 @@ def _span(prev: tuple[int, bytearray, list[int], list[int]], lo: int) -> tuple:
 
 def _segments(start: int) -> Iterator[tuple[int, bytearray, int]]:
     """Prime flags of consecutive spans, from the one that holds ``start``
-    on, without end, as (lo, flags of [lo, lo + SEGMENT_SIZE), at), to be
-    read from index at.  The first span is ``_kept`` when it holds start,
-    else one sieved from start, and is read from start; each later span
-    is sieved on from the walk's last one, carrying its offsets, and is
-    read whole.  A prime joins at the first span that ends past its
-    square.  Spans are handed out as they are, so no consumer may mutate
-    the flags."""
+    on, without end, as (lo, flags of [lo, lo + SEGMENT_SIZE), at), with
+    lo a multiple of SEGMENT_SIZE, read from index at.  The first span is
+    ``_kept`` when it holds start, else sieved afresh, and is read from
+    start; each later span is sieved on from the walk's last one, carrying
+    its offsets, and is read whole.  A prime joins at the first span that
+    ends past its square.  Spans are handed out as they are, so no
+    consumer may mutate the flags."""
     lo = max(start, 0)
     span = _kept
     if not 0 <= lo - span[0] < len(span[1]):
-        span = _span(span, lo)
+        span = _span(span, lo - lo % SEGMENT_SIZE)
     at = lo - span[0]
     while True:
         yield span[0], span[1], at
@@ -256,9 +256,9 @@ class FlagBatch(Sequence):
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     """Yield the primes >= start in increasing order, without end, as
     views of their sieve flags.  A span is counted in blocks of MAX_BATCH
-    flags from where the walk reads it, and a batch takes blocks until
-    the next would bring it past MAX_BATCH primes, or the span ends: a
-    block holds at most MAX_BATCH primes, so no batch is empty."""
+    flags from where the walk reads it, start or the span's start, and a
+    batch takes blocks until the next would bring it past MAX_BATCH
+    primes, or the span ends: no block holds more, so no batch is empty."""
     for lo, flags, at in _segments(max(start, 2)):
         cut, size = at, 0
         for block in range(at, SEGMENT_SIZE, MAX_BATCH):
@@ -278,11 +278,11 @@ def iter_primes(start: int = 2) -> Iterator[int]:
 
 def composite_batches(start: int = 4) -> Iterator[list[int]]:
     """Yield the composites >= start in increasing order, without end,
-    one block of MAX_BATCH integers of a span at a time, so a walk
-    inverts and picks out only the flags it reads.  Composites are
-    dense, so ``compress`` over the inverted flags picks them out faster
-    than a search for each one; a block is skipped only when it is one
-    integer wide and prime."""
+    one block of MAX_BATCH integers of a span at a time, counted as in
+    ``prime_batches``, so a walk inverts and picks out only the flags it
+    reads.  Composites are dense, so ``compress`` over the inverted flags
+    picks them out faster than a search for each one; a block is skipped
+    only when it is one integer wide and prime."""
     for lo, flags, at in _segments(max(start, 4)):
         for block in range(at, SEGMENT_SIZE, MAX_BATCH):
             inverted = flags[block : block + MAX_BATCH].translate(_INVERT)

@@ -340,8 +340,10 @@ class StreamCursor:
                 raise ValueError("digit offset out of range")
             self._run = ((self.integer,), length, copies)
             self._at = self.rep * length + self.offset
-        elif self.rep or self.offset:
-            raise ValueError("a cursor before its first member has no repetition or offset")
+            if self.position < self._at:
+                raise ValueError("position is before the digits read of its member")
+        elif self.rep or self.offset or self.position:
+            raise ValueError("a cursor before its first member has read nothing")
         self._runs = _member_runs(self.spec, self.integer)  # runs only when pulled
 
     def _pull(self) -> bool:

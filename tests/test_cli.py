@@ -255,6 +255,23 @@ class TestDigits:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "position=5 integer=0 rep=0 offset=0 spec=primes|b=10|c=1/1",
+            "position=0 integer=7 rep=0 offset=1 spec=primes|b=10|c=1",
+        ],
+    )
+    def test_resume_at_a_position_the_state_disproves_is_usage_error(self, tmp_path, line):
+        state = tmp_path / "cursor.txt"
+        state.write_text(line + "\n")
+        code, out, err = run_cli(
+            "digits", "--resume", str(state), "-n", "5", "--save-cursor", str(state)
+        )
+        assert (code, out) == (2, "")
+        assert "error" in err
+        assert state.read_text() == line + "\n"  # no checkpoint saved
+
     def test_resume_at_a_non_member_is_usage_error(self, tmp_path):
         state = tmp_path / "cursor.txt"
         state.write_text("position=1 integer=4 rep=0 offset=1 spec=primes|b=10|c=1\n")

@@ -32,7 +32,7 @@ from cedigits import (
     to_digits,
     trajectory,
 )
-from cedigits import primes, stats
+from cedigits import stats
 from cedigits.primes import (
     MAX_BATCH,
     SEGMENT_SIZE,
@@ -74,13 +74,10 @@ def plain_cut(members: list[int], first: int) -> list[list[int]]:
 def plain_batches(start: int, spans: int) -> list[list[int]]:
     """The primes of the first ``spans`` spans of a walk from ``start``,
     found by ``re.finditer`` from where the walk reads each span and cut
-    by ``plain_cut``.  The kept span is left as it was, so that a walk
-    from ``start`` after this one reads the same spans."""
-    kept = primes._kept
+    by ``plain_cut``."""
     batches = []
     for lo, flags, at in itertools.islice(_segments(max(start, 2)), spans):
         batches += plain_cut([lo + m.start() for m in ONE.finditer(flags, at)], lo + at)
-    primes._kept = kept
     return batches
 
 
@@ -120,14 +117,13 @@ def test_batches_are_cut_at_block_edges(start):
             at = 0
 
 
-def test_a_block_that_fills_a_batch_closes_it(monkeypatch):
-    """In walks sieved afresh, the blocks of [51846, 63110) and of
-    [488912, 502224) hold exactly MAX_BATCH primes: the first from the
-    walk's start, the second up to the end of the first span from 436688.
-    Each closes its batch, and the next batch starts at the next block,
-    or at the next span, and is not empty."""
-    for start, lo, hi in ((51_846, 51_846, 63_110), (436_688, 488_912, 502_224)):
-        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+def test_a_block_that_fills_a_batch_closes_it():
+    """The blocks of [51846, 63110) and of [444954, 458752) hold exactly
+    MAX_BATCH primes: the first from the start of a walk from 51846, the
+    second up to the end of the span at 393216 that a walk from 394778
+    reads first.  Each closes its batch, and the next batch starts at
+    the next block, or at the next span, and is not empty."""
+    for start, lo, hi in ((51_846, 51_846, 63_110), (394_778, 444_954, 458_752)):
         want = plain_batches(start, 2)
         views = list(itertools.islice(prime_batches(start), len(want) + 1))
         assert [list(v) for v in views[:-1]] == want
@@ -135,7 +131,7 @@ def test_a_block_that_fills_a_batch_closes_it(monkeypatch):
         full, after = views[i], views[i + 1]
         assert (full.lo + full.start, len(full)) == (lo, MAX_BATCH)
         assert len(after) and full[-1] < after[0]
-        if hi == start + SEGMENT_SIZE:
+        if hi % SEGMENT_SIZE == 0:
             assert full.stop == SEGMENT_SIZE and after.start == 0 and after.lo == hi
         else:
             assert after.flags is full.flags and after.start == full.stop
@@ -194,15 +190,14 @@ _streams: dict = {}
 
 def batch_starts() -> set[int]:
     """The first prime of every batch of a walk from 2, cut by
-    ``plain_cut`` from the oracle's primes, for both places its spans can
-    lie: sieved from 2, or from 0, when the span at 0 that a count sieved
-    is kept and the walk reads it from 2."""
+    ``plain_cut`` from the oracle's primes: the walk reads the span at 0
+    from 2, and each later span, at a multiple of SEGMENT_SIZE, whole."""
     found = set()
     top = ORACLE_PRIMES[-1] + 1
-    for los in (range(2, top, SEGMENT_SIZE), [2, *range(SEGMENT_SIZE, top, SEGMENT_SIZE)]):
-        for lo, hi in zip(los, [*los[1:], top]):
-            span = ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo) : bisect_left(ORACLE_PRIMES, hi)]
-            found.update(batch[0] for batch in plain_cut(span, lo))
+    los = [2, *range(SEGMENT_SIZE, top, SEGMENT_SIZE)]
+    for lo, hi in zip(los, [*los[1:], top]):
+        span = ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo) : bisect_left(ORACLE_PRIMES, hi)]
+        found.update(batch[0] for batch in plain_cut(span, lo))
     return found
 
 
@@ -228,9 +223,8 @@ def oracle(base: int, c: Fraction):
 
 
 def edges(base: int) -> set[int]:
-    """Integers near which a walk from 2 starts a span, at 0 or 2 past a
-    multiple of SEGMENT_SIZE, and powers of the base, up to the oracle's
-    last prime."""
+    """Integers at which a walk from 2 starts a span, the multiples of
+    SEGMENT_SIZE, and powers of the base, up to the oracle's last prime."""
     found = set(range(SEGMENT_SIZE, ORACLE_PRIMES[-1], SEGMENT_SIZE))
     power = base
     while power < ORACLE_PRIMES[-1]:
@@ -353,7 +347,7 @@ def test_stops_inside_a_joined_span(base, power, c):
     """Runs of primes of one length in one span are counted as one run;
     stops and boundaries inside such a span, and across a power of the
     base inside it, still see the exact counts."""
-    lo = 2 + (power - 2) // SEGMENT_SIZE * SEGMENT_SIZE  # a walk from 2 reads a span from here
+    lo = max(power - power % SEGMENT_SIZE, 2)  # a walk from 2 reads a span from here
     bounds = sorted({lo + 9000, lo + 20_000, power - 1, power, power + 1, power + 3000})
     bounds = [b for b in bounds if b < lo + SEGMENT_SIZE - 1]
     ends = [pos for pos, _ in prime_oracle(base, c, [], bounds)[1]]

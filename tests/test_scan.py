@@ -389,11 +389,10 @@ def test_repeated_copies_are_counted_not_written():
 
 class TestSegmentBoundary:
     """The sieve hands out members one span at a time; a stream from the
-    start reads its first span to 2 + SEGMENT_SIZE, between the primes
-    65537 and 65539, or to SEGMENT_SIZE, between 65521 and 65537, when
-    it reads the span at 0 that a count kept.  The window holds both."""
+    start reads its first span to SEGMENT_SIZE, between the primes 65521
+    and 65537."""
 
-    edge = 2 + SEGMENT_SIZE
+    edge = SEGMENT_SIZE
     window = range(edge - 600, edge + 600)
 
     def test_generators_cross_the_edge(self):

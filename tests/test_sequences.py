@@ -124,11 +124,15 @@ class TestPrimesMachinery:
             assert prime_count(x) == simple_prime_count(x)
 
     @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
-    def test_walks_cross_growing_segment_edges(self, monkeypatch, start):
-        # a walk sieved afresh from ``start`` counts its span in blocks of
-        # MAX_BATCH integers from start, and ends each batch at one; the
-        # window crosses the block edges 1, 2, 4 and 8 blocks on
-        monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+    def test_walks_cross_growing_segment_edges(self, start):
+        # a walk from ``start`` reads the span on the grid of SEGMENT_SIZE
+        # that holds start, counts it in blocks of MAX_BATCH integers from
+        # start and each later span from its own start, and ends each
+        # batch at a block; the window crosses the block edges 1, 2, 4
+        # and 8 blocks on, and from 65 000 the span edge at 65 536
+        def block(m: int) -> tuple[int, int]:
+            return m // SEGMENT_SIZE, (m - max(start, m - m % SEGMENT_SIZE)) // MAX_BATCH
+
         edges = [start + MAX_BATCH * 2**k for k in range(4)]
         window = range(start, edges[-1] + 40)
         want_primes = [n for n in window if trial_division_is_prime(n)]
@@ -137,9 +141,11 @@ class TestPrimesMachinery:
         assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
         for batch in itertools.islice(prime_batches(start), 2):
             end = batch.lo + batch.stop
-            assert (end - start) % MAX_BATCH == 0 and batch[-1] < end
+            read = max(start, batch.lo)  # where the walk reads the batch's span from
+            assert (end - read) % MAX_BATCH == 0 or batch.stop == SEGMENT_SIZE
+            assert batch[-1] < end
         for batch in itertools.islice(composite_batches(start), 9):
-            assert len({(m - start) // MAX_BATCH for m in batch}) == 1  # one block each
+            assert len({block(m) for m in batch}) == 1  # one block each
         for spec, want in (
             (Naturals(), list(window)),
             (Primes(), want_primes),
@@ -182,18 +188,20 @@ class TestPrimesMachinery:
     def test_walk_grows_the_base_primes_from_two(self, monkeypatch, start):
         """A walk that starts with only the prime 2 known grows the base
         primes as it goes, and carries each prime's next multiple across
-        four spans, where the primes from 1009 up join the walk from
-        10**6 on."""
+        four spans, where the primes from 997 up join the walk from
+        10**6 + 12 345, whose first span starts at 983 040."""
         monkeypatch.setattr(primes, "_base_primes", [2])
         # and no span kept from an earlier walk, which this one would read
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
-        stop = start + 4 * SEGMENT_SIZE
+        first = start - start % SEGMENT_SIZE  # the span on the grid that holds start
+        stop = first + 4 * SEGMENT_SIZE
         walked = bytearray()
         spans = []
         for lo, flags, at in itertools.islice(primes._segments(start), 4):
             walked += flags[at:]
             spans.append((lo, at, len(flags)))
-        assert spans == [(lo, 0, SEGMENT_SIZE) for lo in range(start, stop, SEGMENT_SIZE)]
+        los = range(first, stop, SEGMENT_SIZE)
+        assert spans == [(lo, max(start - lo, 0), SEGMENT_SIZE) for lo in los]
         assert walked == plain_sieve(stop)[start:]
         base = primes._base_primes
         assert base[-1] ** 2 >= stop
@@ -247,10 +255,12 @@ def walk(start: int, spans: int) -> bytearray:
 
 
 def check_kept() -> None:
-    """The kept span holds exact flags, every prime from 17 whose square
-    lies below its end, and for each the offset of its next multiple
-    past the end, as a fresh walk from there takes them."""
+    """The kept span starts at a multiple of SEGMENT_SIZE and holds exact
+    flags, every prime from 17 whose square lies below its end, and for
+    each the offset of its next multiple past the end, as a fresh walk
+    from there takes them."""
     lo, flags, struck, offsets = primes._kept
+    assert lo % SEGMENT_SIZE == 0  # every span lies on one grid
     end = lo + len(flags)
     assert flags == expected_flags(lo, end)
     root = isqrt(end - 1)
@@ -259,22 +269,25 @@ def check_kept() -> None:
 
 
 class TestKeptSpan:
-    """Every walk hands out whole spans of SEGMENT_SIZE integers, and the
-    last span any walk sieved is kept for the next: a walk from inside it
-    reads it from there, and every span after a walk's first is sieved at
-    the end of the walk's own last one, carrying its offsets.  Every walk
-    is checked against a plain sieve and point queries, and no consumer
-    of the flags changes them."""
+    """Every walk hands out whole spans of SEGMENT_SIZE integers, each
+    starting at a multiple of SEGMENT_SIZE, and the last span any walk
+    sieved is kept for the next: a walk from inside it reads it from
+    there, and every span after a walk's first is sieved at the end of
+    the walk's own last one, carrying its offsets.  Every walk is checked
+    against a plain sieve and point queries, and no consumer of the flags
+    changes them."""
 
     LO = 10**6 + 12_345
+    SPAN = LO - LO % SEGMENT_SIZE  # 983 040, where the span that holds LO starts
+    END = SPAN + SEGMENT_SIZE  # 1 048 576, where it ends
 
     def test_walks_from_inside_the_kept_span_slice_it(self):
         walk(self.LO, 1)
         kept = primes._kept
-        assert kept[0] == self.LO
+        assert kept[0] == self.SPAN
         before = bytes(kept[1])
-        for start in (self.LO, self.LO + 450, self.LO + SEGMENT_SIZE - 2 * MAX_BATCH):
-            assert walk(start, 1) == expected_flags(start, self.LO + SEGMENT_SIZE)
+        for start in (self.SPAN, self.LO, self.LO + 450, self.END - 2 * MAX_BATCH):
+            assert walk(start, 1) == expected_flags(start, self.END)
             assert primes._kept is kept  # nothing sieved
         assert kept[1] == before
         check_kept()
@@ -287,7 +300,7 @@ class TestKeptSpan:
         walk(self.LO, 1)
         kept = primes._kept
         before = bytes(kept[1])
-        end = self.LO + SEGMENT_SIZE
+        end = self.END
         primes._grow(end + SEGMENT_SIZE)  # so that only the walk takes offsets
         sieved, fresh = [], []
         span, offsets = primes._span, primes._offsets
@@ -310,14 +323,14 @@ class TestKeptSpan:
         assert kept[1] == before
         check_kept()
 
-    @pytest.mark.parametrize("last", [1_048_573, 1_048_574])
+    @pytest.mark.parametrize("last", [2**17 - 1, 2**20 - 1])
     def test_composite_batches_hold_one_block_each(self, monkeypatch, last):
         """A walk from inside the kept span, 1023 flags past a block edge
         of the span, counts blocks of MAX_BATCH integers from its start,
-        so the span's last block is one integer wide: a prime there makes
-        no batch, and a composite a batch of one.  Every batch holds the
-        composites of one block, and the next span's blocks start at its
-        start."""
+        so the span's last block is one integer wide: a prime there
+        (2**17 - 1) makes no batch, and a composite (2**20 - 1) a batch of
+        one.  Every batch holds the composites of one block, and the next
+        span's blocks start at its start."""
         lo = last + 1 - SEGMENT_SIZE
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
         walk(lo, 1)
@@ -336,7 +349,7 @@ class TestKeptSpan:
 
     def test_walk_from_the_kept_end_carries_its_offsets(self, monkeypatch):
         walk(self.LO, 1)
-        end = self.LO + SEGMENT_SIZE
+        end = self.END
         fresh = []
         offsets = primes._offsets
 
@@ -354,9 +367,10 @@ class TestKeptSpan:
 
     @pytest.mark.parametrize("start", [LO, LO + 450, 10**10 + 3])
     def test_walk_continues_past_the_kept_span(self, start):
-        """From inside the kept span, or from its start, a walk reads it
-        and carries its offsets into the next two spans; from deep in the
-        stream it sieves a first span of its own from its start."""
+        """From inside the kept span a walk reads it and carries its
+        offsets into the next two spans; from deep in the stream it sieves
+        a first span of its own, from the multiple of SEGMENT_SIZE at or
+        below its start."""
         walk(self.LO, 1)
         walked = walk(start, 3)
         if start < KEPT_LIMIT:
@@ -366,6 +380,31 @@ class TestKeptSpan:
                 assert walked[lo - start : lo - start + 2000] == expected_flags(lo, lo + 2000)
         assert primes._kept[0] + SEGMENT_SIZE == start + len(walked)
         check_kept()
+
+    @pytest.mark.parametrize("start", [2, 4, 1000, 65_535, 65_536, 65_537, LO])
+    def test_cuts_depend_on_the_start_alone(self, monkeypatch, start):
+        """A walk from one start cuts its prime views and its composite
+        batches in the same places whichever span is kept when it begins:
+        none, the span at 0 that a count keeps, the span that holds LO but
+        starts before it, or one far past start."""
+
+        def cuts(keep, kept) -> tuple[list, list]:
+            keep()  # right before each walk, checked to keep the span described
+            assert kept(*primes._kept[:2])
+            views = itertools.islice(prime_batches(start), 160)
+            prime_cuts = [(v.lo + v.start, v.lo + v.stop, len(v)) for v in views]
+            keep()
+            assert kept(*primes._kept[:2])
+            batches = itertools.islice(composite_batches(start), 200)
+            return prime_cuts, [(b[0], b[-1], len(b)) for b in batches]
+
+        def unkept() -> None:
+            monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
+
+        want = cuts(unkept, lambda lo, flags: not flags)
+        assert cuts(lambda: prime_count(10**6), lambda lo, flags: lo == 0 and flags) == want
+        assert cuts(lambda: walk(10**6, 1), lambda lo, flags: lo < self.LO < lo + len(flags)) == want
+        assert cuts(lambda: walk(5 * 10**6, 1), lambda lo, flags: lo > start) == want
 
     def test_consumers_never_change_the_flags_they_are_given(self, monkeypatch):
         """prime_count, prime_batches, composite_batches and the stream's
@@ -417,7 +456,7 @@ class TestKeptSpan:
         for lo, flags, at in itertools.islice(segments, 5):
             assert at == 0 and flags == expected_flags(lo, lo + len(flags))
         # each span is sieved at the end of the walk's last, not of the kept one
-        assert carried == [(lo, lo) for lo in range(self.LO + SEGMENT_SIZE, self.LO + 6 * SEGMENT_SIZE, SEGMENT_SIZE)]
+        assert carried == [(lo, lo) for lo in range(self.END, self.END + 5 * SEGMENT_SIZE, SEGMENT_SIZE)]
 
     def test_interleaved_walks_stay_exact(self, monkeypatch):
         """Three live walks, pulled in turn, with a count after every
@@ -427,7 +466,7 @@ class TestKeptSpan:
         must have left as they were.  The third starts just before that
         span and sieves spans of its own."""
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
-        starts = (self.LO, self.LO + SEGMENT_SIZE // 2, self.LO - 300)
+        starts = (self.LO, self.LO + SEGMENT_SIZE // 2, self.SPAN - 300)
         walks = [primes._segments(start) for start in starts]
         at = list(starts)
         order = [0, 1, 2, 1, 0, 2] + [1, 0, 2] * 2
@@ -456,7 +495,7 @@ class TestKeptSpan:
         for where, shift, spans in walks:
             lo = primes._kept[0] + len(primes._kept[1])
             if not 0 < lo < 13 * 10**5:  # nothing kept yet, or kept too deep to check
-                lo = 10**6
+                lo = self.END
             start = {
                 "inside": lo - SEGMENT_SIZE + shift,
                 "end": lo,

@@ -294,6 +294,23 @@ class TestCheckpoints:
             StreamCursor(NumberSpec(Naturals(), 10), 0, 0, rep, offset)
 
     @pytest.mark.parametrize(
+        "position,integer,rep,offset,spec",
+        [
+            (5, 0, 0, 0, "primes|b=10|c=1/1"),  # nothing read, yet a position
+            (0, 7, 0, 1, "primes|b=10|c=1"),  # a digit of 7 read, at position 0
+            (3, 11, 1, 2, "primes|b=10|c=3/2"),  # a copy and 2 digits of 11 read
+        ],
+    )
+    def test_position_before_the_digits_read_rejected(self, position, integer, rep, offset, spec):
+        # a position below the digits the state itself has read of its
+        # member is disproved by the state alone
+        line = f"position={position} integer={integer} rep={rep} offset={offset} spec={spec}"
+        with pytest.raises(ValueError):
+            StreamCursor.from_checkpoint(line)
+        with pytest.raises(ValueError):
+            StreamCursor(parse_number_spec(spec), position, integer, rep, offset)
+
+    @pytest.mark.parametrize(
         "integer,spec",
         [(4, "primes|b=10|c=1"), (7, "composites|b=10|c=3/2"), (8, "explicit:2,5,9|b=10|c=1")],
     )
