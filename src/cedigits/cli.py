@@ -156,15 +156,20 @@ def _print_verification_table(rows: Sequence[VerifyRow]) -> None:
         )
 
 
+def _multiplier(args: argparse.Namespace) -> Fraction:
+    """The --c given, or 1 without one."""
+    return parse_rational("1" if args.c is None else args.c)
+
+
 def _build_spec(args: argparse.Namespace) -> NumberSpec:
     if args.base >= BASE_CAP:
         raise ValueError(f"base {args.base} is beyond the CLI cap {BASE_CAP}")
-    return NumberSpec(parse_sequence(args.sequence), args.base, parse_rational(args.c))
+    return NumberSpec(parse_sequence(args.sequence), args.base, _multiplier(args))
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
     if args.resume is not None:
-        if args.sequence is not None or args.base is not None or args.c != "1":
+        if args.sequence is not None or args.base is not None or args.c is not None:
             raise ValueError("--resume replaces --sequence/--base/--c")
         cursor = load_checkpoint(args.resume)
         if cursor.spec.base >= BASE_CAP:
@@ -259,7 +264,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
-    c = parse_rational(args.c)
+    c = _multiplier(args)
     xs = parse_int_list(args.xs, "sample point")
     report = hypothesis_report(seq, args.base, c, xs, cap=args.cap)
     print(f"sequence: {report.sequence}")
@@ -286,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None, help="sequence spec, e.g. primes or poly:0,0,1")
         p.add_argument("--base", type=parse_natural, required=required, default=None,
                        help="stream base, at least 2")
-        p.add_argument("--c", default="1", help="repetition multiplier, e.g. 3/2 or 1.5")
+        p.add_argument("--c", default=None,
+                       help="repetition multiplier, e.g. 3/2 or 1.5 (default 1)")
 
     p_digits = sub.add_parser("digits", help="emit a digit prefix")
     add_spec_args(p_digits, required=False)

@@ -3,11 +3,11 @@
 Bulk generation runs a segmented sieve of Eratosthenes over spans of
 SEGMENT_SIZE integers from multiples of SEGMENT_SIZE, so that streaming
 the primes (or the composites) never materializes more than a span per
-walk and the one the process keeps.  A walk hands out whole spans, and
-the members leave them in batches of at most MAX_BATCH, each ending at
-a block of MAX_BATCH integers or at the span's end: the primes as
-``FlagBatch`` views of a stretch of a span's flags, extracted only when
-asked, and the composites as lists.  A walk's start alone sets its cuts.
+walk and the one the process keeps.  A walk hands out whole spans.  The
+primes leave them one batch per span, a ``FlagBatch`` view of the span's
+flags from where the walk reads it, extracted only when asked; the
+composites leave them as lists, one block of MAX_BATCH integers at a
+time.  A walk's start alone sets its cuts.
 Each span starts as a slice of one wheel pattern on which the multiples
 of 2, 3, 5, 7, 11 and 13 are already struck; a walk carries each larger
 base prime's next multiple from one span to the next, and the base
@@ -34,8 +34,8 @@ from typing import Iterator, Sequence
 from .errors import CapExceededError
 
 SEGMENT_SIZE = 1 << 16
-# most members in one batch of any sequence, and in one run of a stream;
-# the sieve's batches end at blocks of this many integers of a span
+# most members in one batch of any sequence but the primes, which come a
+# span at a time; the composites come in blocks of this many integers
 MAX_BATCH = 1024
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
@@ -255,20 +255,12 @@ class FlagBatch(Sequence):
 
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     """Yield the primes >= start in increasing order, without end, as
-    views of their sieve flags.  A span is counted in blocks of MAX_BATCH
-    flags from where the walk reads it, start or the span's start, and a
-    batch takes blocks until the next would bring it past MAX_BATCH
-    primes, or the span ends: no block holds more, so no batch is empty."""
+    views of their sieve flags, one batch per span: the rest of the first
+    span from start, then each later span whole.  A span without a prime
+    yields no batch."""
     for lo, flags, at in _segments(max(start, 2)):
-        cut, size = at, 0
-        for block in range(at, SEGMENT_SIZE, MAX_BATCH):
-            found = flags.count(1, block, block + MAX_BATCH)
-            if size + found > MAX_BATCH:
-                yield FlagBatch(flags, lo, cut, block, size)
-                cut, size = block, 0
-            size += found
-        if size:
-            yield FlagBatch(flags, lo, cut, SEGMENT_SIZE, size)
+        if size := flags.count(1, at):
+            yield FlagBatch(flags, lo, at, SEGMENT_SIZE, size)
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
@@ -278,11 +270,11 @@ def iter_primes(start: int = 2) -> Iterator[int]:
 
 def composite_batches(start: int = 4) -> Iterator[list[int]]:
     """Yield the composites >= start in increasing order, without end,
-    one block of MAX_BATCH integers of a span at a time, counted as in
-    ``prime_batches``, so a walk inverts and picks out only the flags it
-    reads.  Composites are dense, so ``compress`` over the inverted flags
-    picks them out faster than a search for each one; a block is skipped
-    only when it is one integer wide and prime."""
+    one block of MAX_BATCH integers of a span at a time, counted from
+    where the walk reads the span, so a walk inverts and picks out only
+    the flags it reads.  Composites are dense, so ``compress`` over the
+    inverted flags picks them out faster than a search for each one; a
+    block is skipped only when it is one integer wide and prime."""
     for lo, flags, at in _segments(max(start, 4)):
         for block in range(at, SEGMENT_SIZE, MAX_BATCH):
             inverted = flags[block : block + MAX_BATCH].translate(_INVERT)

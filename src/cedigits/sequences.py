@@ -49,8 +49,9 @@ class SequenceSpec(ABC):
     @abstractmethod
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
-        consecutive nonempty batches of at most MAX_BATCH members.  This
-        is the one enumeration of a spec."""
+        consecutive nonempty batches of at most MAX_BATCH members, or, for
+        the primes and polynomials over them, of one sieve span's primes.
+        This is the one enumeration of a spec."""
 
     @abstractmethod
     def is_member(self, n: int) -> bool:
@@ -195,8 +196,8 @@ class Polynomial(SequenceSpec):
         return lo
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """The values at the arguments of each batch of the primes, or of
-        MAX_BATCH naturals."""
+        """The values at the arguments of each batch of the primes, one
+        sieve span's, or of MAX_BATCH naturals."""
         start = self._largest_arg_leq(after) + 1
         if self.argument == "primes":
             args: Iterator[Sequence[int]] = prime_batches(start)

@@ -13,11 +13,12 @@ visible.
 Every prefix count walks one fresh StreamCursor to its stops with a
 counting sink.  A run the cursor crosses whole, every copy of every
 member, is counted without being written out when it is a range of
-consecutive members or a run of primes (``_run_counts``), once per
-sieve span and member length, before the next other run or stop.  The
-rest it hands out as pieces of runs, members and copies; each is counted
-at C speed and multiplied by its copy count, so repeated copies are never
-written out.  Counts and positions are Python ints throughout, so the
+consecutive members or a run of primes (``_run_counts``); a run of
+primes holds the primes of one length in one sieve span, so each span
+is counted once per member length.  The rest the cursor hands out as
+pieces of runs, members and copies; each is counted at C speed and
+multiplied by its copy count, so repeated copies are never written
+out.  Counts and positions are Python ints throughout, so the
 scan is as exact as a digit-by-digit walk.
 """
 
@@ -79,14 +80,23 @@ def lil_statistic(count: int, n: int, base: int) -> float:
     """Normalized discrepancy (count - n/b) / sqrt(2 n ln ln n).
 
     Defined for prefix lengths n >= 16, where ln ln n >= 1.  Shorter
-    prefixes raise UndefinedStatisticError.
+    prefixes raise UndefinedStatisticError.  Powers of two scale n and
+    the discrepancy into the float range without changing the result's
+    bits; a statistic past that range is an infinity of its sign.
     """
     if n < MIN_STATISTIC_N:
         raise UndefinedStatisticError(
             f"statistic needs a prefix of at least {MIN_STATISTIC_N} digits, got {n}"
         )
-    num = float(discrepancy(count, n, base))
-    return num / math.sqrt(2 * n * math.log(math.log(n)))
+    d = discrepancy(count, n, base)
+    up = max(abs(d.numerator).bit_length() - 1000, 0)  # d / 2**up is below 2**1000
+    down = max(n.bit_length() - 1000, 0) // 2  # and n / 4**down below 2**1001
+    num = d.numerator / (d.denominator << up)
+    den = math.sqrt(2 * (n / (1 << 2 * down)) * math.log(math.log(n)))
+    try:
+        return math.ldexp(num / den, up - down)
+    except OverflowError:
+        return math.inf if d > 0 else -math.inf
 
 
 class DigitCounter:
@@ -287,7 +297,6 @@ def _scan(
                 counts[j] += digits.count(s) * copies
 
     run_counts = _run_counts(spec.base)
-    held: list[tuple[FlagBatch, int, int]] = []  # primes crossed whole, not yet counted
 
     def count_run(run: Sequence[int], length: int, copies: int) -> bool:
         found = run_counts(run, length, symbols)
@@ -297,27 +306,12 @@ def _scan(
             counts[j] += c * copies
         return True
 
-    def add_run(run: Sequence[int], length: int, copies: int) -> bool:
-        if held:
-            view, held_length, _ = last = held.pop()
-            same_flags = type(run) is FlagBatch and run.flags is view.flags
-            if same_flags and (run.start, length) == (view.stop, held_length):
-                run = FlagBatch(run.flags, run.lo, view.start, run.stop, view.size + run.size)
-            else:
-                count_run(*last)
-        if type(run) is FlagBatch and spec.base <= 256:
-            held.append((run, length, copies))
-            return True
-        return count_run(run, length, copies)
-
     cursor = StreamCursor(spec)
     for stop in stops:
         if members:
-            cursor._advance_past(stop, add, add_run)
+            cursor._advance_past(stop, add, count_run)
         else:
-            cursor._advance(stop - cursor.position, add, add_run)
-        if held:
-            count_run(*held.pop())
+            cursor._advance(stop - cursor.position, add, count_run)
         yield cursor.position, list(counts)
 
 

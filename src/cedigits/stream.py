@@ -243,11 +243,13 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
 
     A run is a stretch of one batch of ``spec.sequence.batches`` whose
     members all have ``length`` digits, so it holds at most MAX_BATCH
-    members; the stream writes each of them ``copies`` times before the
-    next.  Runs are cut at powers of the base and at the ends of batches;
-    a batch of sieve flags is cut there by value, so that no member is
-    extracted.  Each run's copy count is floor(c**length) in integers, so
-    every digit, copy and position is exact.
+    members or the primes of one sieve span; the stream writes each of
+    them ``copies`` times before the next.  Runs are cut at powers of the
+    base and at the ends of batches; a batch of sieve flags is cut there
+    by value, so that no member is extracted, and each span of the primes
+    leaves as one run per member length.  Each run's copy count is
+    floor(c**length) in integers, so every digit, copy and position is
+    exact.
     """
     for batch in spec.sequence.batches(after):
         while batch:

@@ -290,6 +290,20 @@ class TestDigits:
         assert code == 2
         assert "resume" in err
 
+    @pytest.mark.parametrize("c", ["1", "1/1", "1.0", "3/2"])
+    def test_resume_refuses_any_multiplier(self, tmp_path, c):
+        # the checkpoint's own c is 3/2, which a --c given alongside would
+        # contradict or restate; either way the flag is refused, not ignored
+        state = tmp_path / "cursor.txt"
+        line = "position=13 integer=17 rep=0 offset=1 spec=primes|b=10|c=3/2\n"
+        state.write_text(line)
+        code, out, err = run_cli(
+            "digits", "--resume", str(state), "--c", c, "-n", "7", "--save-cursor", str(state)
+        )
+        assert (code, out) == (2, "")
+        assert "resume" in err
+        assert state.read_text() == line
+
 
 class TestIntegerFlags:
     @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=flag_id)
@@ -413,6 +427,22 @@ class TestTrajectory:
         )
         assert (code, out) == (2, "")
         assert "selects no k" in err
+
+    def test_statistic_past_the_float_range(self):
+        # with c = 10**400, k = 1 ends after the c copies of member 1, at
+        # n = c, past the float range; the counts stay exact, and the
+        # discrepancy 9c/10 gives a statistic of about 2.4e199.  k = 2
+        # writes c**2 copies of each two-digit member: its statistic, near
+        # 10**400, is itself past the range
+        c = 10**400
+        code, out, err = run_cli(
+            "trajectory", "--spec", "naturals", "--base", "10", "--c", str(c), "--k-range", "1:2"
+        )
+        assert (code, err) == (0, "")
+        lines = out.strip().split("\n")
+        assert lines[2].split(",")[:4] == [str(c), str(c), str(9 * c // 10), "1"]
+        stats = [float(line.split(",")[4]) for line in lines[2:]]
+        assert len(stats) == 2 and 1e199 < stats[0] < 1e200 and stats[1] == math.inf
 
     def test_requires_checkpoints_or_range(self):
         with pytest.raises(SystemExit) as exc:

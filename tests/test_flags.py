@@ -1,14 +1,14 @@
 """Prime batches as views of the sieve flags, and the counts read off them.
 
 ``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
-sequence over a stretch of one span's flags, whose member list is
-extracted only when it is indexed inside, sliced or iterated.  A batch
-ends at a block of MAX_BATCH integers or at its span's end.  The scan
-counts the digits of every run it crosses whole off those flags, once
-for the runs of one span at one member length (and a ``range`` run from
-closed forms), never writing them out.  These tests
-hold the views to a plain extraction, and the counts to the literal
-expansion of ``concat_stream`` over an independent sieve.
+sequence over one span's flags from where the walk reads the span,
+whose member list is extracted only when it is indexed inside, sliced
+or iterated.  A batch ends at its span's end.  The scan counts the
+digits of every run it crosses whole off those flags, once per span and
+member length (and a ``range`` run from closed forms), never writing
+them out.  These tests hold the views to a plain extraction, and the
+counts to the literal expansion of ``concat_stream`` over an
+independent sieve.
 """
 
 import itertools
@@ -47,8 +47,8 @@ from conftest import concat_stream, digits_of, plain_sieve
 
 WHEEL_PERIOD = 2 * 3 * 5 * 7 * 11 * 13
 STARTS = sorted(
-    {2, 3, 17, 10**6 + 12345}
-    # block edges of a walk from 2, up to the end of its first span
+    {2, 3, 17, 51_846, 394_778, 10**6 + 12345}
+    # through the first span, at 2 plus MAX_BATCH times powers of two
     | {2 + MAX_BATCH * 2**k + d for k in range(7) for d in (-1, 0, 1)}
     | {k * WHEEL_PERIOD + d for k in (1, 2, 7) for d in (-1, 1)}
     | {k * SEGMENT_SIZE + d for k in (1, 2) for d in (-1, 0, 1)}
@@ -56,29 +56,13 @@ STARTS = sorted(
 ONE = re.compile(b"\x01")
 
 
-def plain_cut(members: list[int], first: int) -> list[list[int]]:
-    """``members``, the primes of one span from ``first`` on, grouped by
-    blocks of MAX_BATCH integers from ``first`` and cut into batches: a
-    batch is closed before the block that would bring it past
-    MAX_BATCH."""
-    batches, batch = [], []
-    for _, block in itertools.groupby(members, lambda m: (m - first) // MAX_BATCH):
-        block = list(block)
-        if len(batch) + len(block) > MAX_BATCH:
-            batches.append(batch)
-            batch = []
-        batch += block
-    return batches + [batch] if batch else batches
-
-
 def plain_batches(start: int, spans: int) -> list[list[int]]:
     """The primes of the first ``spans`` spans of a walk from ``start``,
-    found by ``re.finditer`` from where the walk reads each span and cut
-    by ``plain_cut``."""
-    batches = []
-    for lo, flags, at in itertools.islice(_segments(max(start, 2)), spans):
-        batches += plain_cut([lo + m.start() for m in ONE.finditer(flags, at)], lo + at)
-    return batches
+    one list per span that holds one, found by ``re.finditer`` from where
+    the walk reads each span."""
+    walk = itertools.islice(_segments(max(start, 2)), spans)
+    found = ([lo + m.start() for m in ONE.finditer(flags, at)] for lo, flags, at in walk)
+    return [batch for batch in found if batch]
 
 
 @pytest.mark.parametrize("start", STARTS)
@@ -100,46 +84,23 @@ def test_flag_batches_equal_a_plain_extraction(start):
 @given(st.integers(2, 3 * 10**6))
 @example(2)
 @example(10**6)
-def test_batches_are_cut_at_block_edges(start):
-    """A batch's stretch ends at a block of MAX_BATCH integers, counted
-    from where the walk reads its span, or at the span's end, and the
-    next batch starts there; within a span, the next block would bring
-    the batch past MAX_BATCH primes, so it could take no more."""
+def test_batches_run_to_span_ends(start):
+    """The first batch reads its span from start, each view runs to its
+    span's end, and the next starts at 0 of the next span: one batch per
+    span, which counts every prime of its stretch."""
     views = list(itertools.islice(prime_batches(start), 20))
-    at = views[0].start
+    first = views[0].lo + views[0].start
+    # from start, or from the next span when start's holds no prime past it
+    assert first == start or first == start - start % SEGMENT_SIZE + SEGMENT_SIZE
     for a, b in zip(views, views[1:]):
-        assert 0 < len(a) == a.flags.count(1, a.start, a.stop) <= MAX_BATCH
-        if a.flags is b.flags:
-            assert a.stop == b.start and a[-1] < b[0] and (a.stop - at) % MAX_BATCH == 0
-            assert len(a) + a.flags.count(1, a.stop, a.stop + MAX_BATCH) > MAX_BATCH
-        else:
-            assert a.stop == len(a.flags) == SEGMENT_SIZE and b.start == 0
-            at = 0
-
-
-def test_a_block_that_fills_a_batch_closes_it():
-    """The blocks of [51846, 63110) and of [444954, 458752) hold exactly
-    MAX_BATCH primes: the first from the start of a walk from 51846, the
-    second up to the end of the span at 393216 that a walk from 394778
-    reads first.  Each closes its batch, and the next batch starts at
-    the next block, or at the next span, and is not empty."""
-    for start, lo, hi in ((51_846, 51_846, 63_110), (394_778, 444_954, 458_752)):
-        want = plain_batches(start, 2)
-        views = list(itertools.islice(prime_batches(start), len(want) + 1))
-        assert [list(v) for v in views[:-1]] == want
-        i = next(i for i, v in enumerate(views) if v.lo + v.stop == hi)
-        full, after = views[i], views[i + 1]
-        assert (full.lo + full.start, len(full)) == (lo, MAX_BATCH)
-        assert len(after) and full[-1] < after[0]
-        if hi % SEGMENT_SIZE == 0:
-            assert full.stop == SEGMENT_SIZE and after.start == 0 and after.lo == hi
-        else:
-            assert after.flags is full.flags and after.start == full.stop
+        assert 0 < len(a) == a.flags.count(1, a.start, a.stop)
+        assert a.stop == len(a.flags) == SEGMENT_SIZE and a.lo % SEGMENT_SIZE == 0
+        assert b.start == 0 and b.lo == a.lo + SEGMENT_SIZE and a[-1] < b[0]
 
 
 def full_view() -> tuple[FlagBatch, list[int]]:
-    """A fresh view of the largest batch of primes past 10**6 in two
-    spans, and its members by a plain extraction."""
+    """A fresh view of the larger of the first two batches of primes
+    past 10**6, one per span, and its members by a plain extraction."""
     want = plain_batches(10**6, 2)
     i = max(range(len(want)), key=lambda i: len(want[i]))
     return next(itertools.islice(prime_batches(10**6), i, None)), want[i]
@@ -189,16 +150,11 @@ _streams: dict = {}
 
 
 def batch_starts() -> set[int]:
-    """The first prime of every batch of a walk from 2, cut by
-    ``plain_cut`` from the oracle's primes: the walk reads the span at 0
-    from 2, and each later span, at a multiple of SEGMENT_SIZE, whole."""
-    found = set()
-    top = ORACLE_PRIMES[-1] + 1
-    los = [2, *range(SEGMENT_SIZE, top, SEGMENT_SIZE)]
-    for lo, hi in zip(los, [*los[1:], top]):
-        span = ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo) : bisect_left(ORACLE_PRIMES, hi)]
-        found.update(batch[0] for batch in plain_cut(span, lo))
-    return found
+    """The first prime of every batch of a walk from 2, one per span, from
+    the oracle's primes: the walk reads the span at 0 from 2, and each
+    later span, at a multiple of SEGMENT_SIZE, whole."""
+    los = range(0, ORACLE_PRIMES[-1], SEGMENT_SIZE)
+    return {ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo)] for lo in los}
 
 
 BATCH_STARTS = batch_starts()

@@ -126,10 +126,11 @@ class TestPrimesMachinery:
     @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
     def test_walks_cross_growing_segment_edges(self, start):
         # a walk from ``start`` reads the span on the grid of SEGMENT_SIZE
-        # that holds start, counts it in blocks of MAX_BATCH integers from
-        # start and each later span from its own start, and ends each
-        # batch at a block; the window crosses the block edges 1, 2, 4
-        # and 8 blocks on, and from 65 000 the span edge at 65 536
+        # that holds start from start, and each later span whole; a batch
+        # of primes is the rest of its span, and the composites come in
+        # blocks of MAX_BATCH integers from where the walk reads a span.
+        # The window crosses the block edges 1, 2, 4 and 8 blocks on, and
+        # from 65 000 the span edge at 65 536
         def block(m: int) -> tuple[int, int]:
             return m // SEGMENT_SIZE, (m - max(start, m - m % SEGMENT_SIZE)) // MAX_BATCH
 
@@ -142,10 +143,13 @@ class TestPrimesMachinery:
         for batch in itertools.islice(prime_batches(start), 2):
             end = batch.lo + batch.stop
             read = max(start, batch.lo)  # where the walk reads the batch's span from
-            assert (end - read) % MAX_BATCH == 0 or batch.stop == SEGMENT_SIZE
+            assert batch.lo + batch.start == read and batch.stop == SEGMENT_SIZE
             assert batch[-1] < end
         for batch in itertools.islice(composite_batches(start), 9):
             assert len({block(m) for m in batch}) == 1  # one block each
+        # a batch of the primes, or of a polynomial over them, may pass
+        # MAX_BATCH, but holds the arguments of one span only
+        spanned = (Primes(), Polynomial((0, 1), "primes"))
         for spec, want in (
             (Naturals(), list(window)),
             (Primes(), want_primes),
@@ -157,7 +161,10 @@ class TestPrimesMachinery:
             (Complement(Polynomial((window[-1], 1))), list(window)),
         ):
             batches = list(itertools.islice(spec.batches(start - 1), 40))
-            assert all(0 < len(b) <= MAX_BATCH for b in batches)
+            for b in batches:
+                assert 0 < len(b) <= MAX_BATCH or (
+                    len(b) and spec in spanned and b[0] // SEGMENT_SIZE == b[-1] // SEGMENT_SIZE
+                )
             got = list(itertools.chain.from_iterable(batches))
             assert got[: len(want)] == want
 

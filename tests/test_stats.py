@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedigits import (
@@ -136,6 +136,36 @@ class TestLil:
         exact = discrepancy(count, n, base)
         assert (stat > 0) == (exact > 0)
         assert (stat == 0) == (exact == 0)
+
+    def test_past_the_float_range(self):
+        # the one-digit naturals in base 10, each written c = 10**400 times:
+        # 9c digits, c of them ones, so the discrepancy is c/10 and the
+        # statistic (c/10) / sqrt(18 c ln ln 9c), about 1e199
+        c = 10**400
+        log = math.log(c // 10) - (math.log(18 * c) + math.log(math.log(math.log(9 * c)))) / 2
+        assert lil_statistic(c, 9 * c, 10) == pytest.approx(math.exp(log), rel=1e-11)
+        assert lil_statistic(c // 10, c, 10) == 0.0
+        assert lil_statistic(10**600, 10**1400, 10) < 0
+        # past the float range the statistic itself is infinite
+        assert lil_statistic(10**1000, 9 * 10**1000, 10) == math.inf
+        assert lil_statistic(0, 10**1400, 10) == -math.inf
+
+    @given(
+        st.integers(min_value=16, max_value=2**1015),
+        st.integers(min_value=2, max_value=2**16),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example(2**1001 + 12345, 10, None)
+    @example(2**1015, 3, None)
+    def test_equals_the_plain_formula_where_it_is_finite(self, n, base, data):
+        """Scaling by powers of two leaves every bit of the statistic as
+        the unscaled formula computes it, for n up to 2**1015 and any
+        count up to n."""
+        count = data.draw(st.integers(0, n)) if data else n // base + 1
+        plain = float(discrepancy(count, n, base)) / math.sqrt(2 * n * math.log(math.log(n)))
+        assert math.isfinite(plain)
+        assert lil_statistic(count, n, base) == plain
 
     def test_discrepancy_is_exact(self):
         assert discrepancy(12, 17, 2) == Fraction(7, 2)

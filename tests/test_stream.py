@@ -26,10 +26,10 @@ from cedigits import (
     save_checkpoint,
     to_digits,
 )
-from cedigits.primes import MAX_BATCH
+from cedigits.primes import MAX_BATCH, SEGMENT_SIZE
 from cedigits.stream import _member_runs, iter_blocks
 
-from conftest import concat_stream, trial_division_is_prime
+from conftest import concat_stream, plain_sieve, trial_division_is_prime
 
 HALF3 = Fraction(3, 2)
 
@@ -501,15 +501,17 @@ class TestResumedCursors:
                 stops.add(data.draw(st.sampled_from(edges[kind])))
         self.run_session(spec, sorted(stops))
 
-    @pytest.mark.parametrize("base", [2, 10])
+    @pytest.mark.parametrize("base", [3, 10])
     def test_windows_on_max_run_edges(self, base):
-        # a batch of primes ends before the block of the sieve that would
-        # bring it past MAX_BATCH members, so the primes reach a run that
-        # the batch bound cuts, at no power of the base
+        # a batch of primes ends with its sieve span, so the primes reach
+        # the longest run they make, one that the span edge at SEGMENT_SIZE
+        # cuts at no power of base 3 or 10; in base 3 it lies past
+        # RESUME_BUDGET digits
         spec = NumberSpec(Primes(), base)
-        edges = stream_edges(spec, RESUME_BUDGET)
-        assert edges["batch_end"]
+        edges = stream_edges(spec, 2 * RESUME_BUDGET)
         edge = edges["batch_end"][0]
+        below = [p for p, prime in enumerate(plain_sieve(SEGMENT_SIZE)) if prime]
+        assert edge == sum(len(to_digits(p, base)) for p in below)
         self.run_session(spec, [edge - 7, edge, edge + 3, edge + 50])
         self.run_session(spec, [edge - 60, edge - 1, edge, edge + 1])
 
