@@ -1,17 +1,21 @@
 """Primality, prime generation, and exact prime counting.
 
-Bulk generation runs a segmented sieve of Eratosthenes over spans of
-SEGMENT_SIZE integers from multiples of SEGMENT_SIZE, so that streaming
-the primes (or the composites) never materializes more than a span per
-walk and the one the process keeps.  A walk hands out whole spans.  The
-primes leave them one batch per span, a ``FlagBatch`` view of the span's
-flags from where the walk reads it, extracted only when asked; the
-composites leave them as lists, one block of MAX_BATCH integers at a
-time.  A walk's start alone sets its cuts.
-Each span starts as a slice of one wheel pattern on which the multiples
-of 2, 3, 5, 7, 11 and 13 are already struck; a walk carries each larger
-base prime's next multiple from one span to the next, and the base
-primes are sieved by the same kernel.  The last span sieved is kept, so
+Bulk generation runs a segmented sieve of Eratosthenes over spans that
+widen with depth, from SEGMENT_SIZE integers below 2**21 to MAX_SPAN
+from 2**27 (``span_width``), each from a multiple of its width, so that
+streaming the primes (or the composites) never materializes more than a
+span per walk and the one the process keeps.  A span loops over every
+base prime in Python, so a wider one shares that loop among more
+integers.  A walk hands out whole spans.  The primes leave them one
+batch per span, a ``FlagBatch`` view of the span's flags from where the
+walk reads it, whose members are found by counting flags and extracted
+only when it is iterated; the composites leave them as lists, one block
+of MAX_BATCH integers at a time.  A walk's start alone sets its cuts.
+Each span starts as one wheel period, rotated to the span's start and
+repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
+are already struck; a walk carries each larger base prime's next
+multiple from one span to the next, and the base primes are sieved by
+the same kernel.  The last span sieved is kept, so
 a walk that resumes inside it, as a cursor restored from its checkpoint
 does, reads it from there instead of sieving, and sieves on from its end.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
@@ -33,7 +37,10 @@ from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 
+# Spans widen with depth from SEGMENT_SIZE to MAX_SPAN integers (see
+# span_width).
 SEGMENT_SIZE = 1 << 16
+MAX_SPAN = 1 << 20
 # most members in one batch of any sequence but the primes, which come a
 # span at a time; the composites come in blocks of this many integers
 MAX_BATCH = 1024
@@ -98,10 +105,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Every span starts as a slice of one wheel tile, on which the multiples
-# of the wheel primes are already struck, so a walk strikes only the
-# primes from 17 up.  The tile is one period longer than a span, so a
-# span starting anywhere in the period is one slice of it.
+# Every span starts as one wheel period, on which the multiples of the
+# wheel primes are already struck, rotated to the span's start and
+# repeated to its width, so a walk strikes only the primes from 17 up.
 _WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
 _WHEEL_PERIOD = prod(_WHEEL_PRIMES)  # 30030
 
@@ -110,7 +116,7 @@ def _wheel() -> bytearray:
     pattern = bytearray([1]) * _WHEEL_PERIOD
     for p in _WHEEL_PRIMES:
         pattern[::p] = bytes(_WHEEL_PERIOD // p)
-    return (pattern * (SEGMENT_SIZE // _WHEEL_PERIOD + 2))[: _WHEEL_PERIOD + SEGMENT_SIZE]
+    return pattern
 
 
 _WHEEL = _wheel()
@@ -119,17 +125,31 @@ _WHEEL = _wheel()
 _SMALL = bytes(n in _WHEEL_PRIMES for n in range(17))
 # Every strike is a slice of these zeros: a prime from 17 up strikes at
 # most this many integers of a span.
-_ZERO = bytearray(SEGMENT_SIZE // len(_SMALL) + 1)
+_ZERO = bytes(MAX_SPAN // len(_SMALL) + 1)
+
+
+def span_width(n: int) -> int:
+    """Width of the sieve span that holds the integer n >= 0: a power of
+    two about 64 * sqrt(n), from SEGMENT_SIZE below 2**21 up to MAX_SPAN
+    from 2**27, which doubles at every second power of two from 2**21.
+    A span of each width starts at a multiple of it, and every width
+    divides the power of two at which it starts, so the span that holds n
+    is [n - n % w, n - n % w + w) with w = span_width(n), whatever span a
+    walk came from.  A span loops over every base prime below the square
+    root of its end in Python, so its width sets how many integers share
+    that loop."""
+    return min(MAX_SPAN, max(SEGMENT_SIZE, 1 << n.bit_length() // 2 + 6))
 
 
 def _sieve(lo: int, width: int, primes: list[int], offsets: list[int]) -> bytearray:
-    """Prime flags for [lo, lo + width), width <= SEGMENT_SIZE: the sieve
+    """Prime flags for [lo, lo + width), width <= MAX_SPAN: the sieve
     kernel.  ``primes`` are the primes from 17 up whose square is below
     lo + width, and ``offsets[i]`` is where the next multiple of
     ``primes[i]`` to strike lies, counted from lo.  The offsets move on to
     the stretch that starts at lo + width."""
     at = lo % _WHEEL_PERIOD
-    flags = _WHEEL[at : at + width]
+    flags = (_WHEEL[at:] + _WHEEL[:at]) * -(-width // _WHEEL_PERIOD)
+    del flags[width:]
     if lo < len(_SMALL):
         flags[: len(_SMALL) - lo] = _SMALL[lo : lo + width]
     for i, p in enumerate(primes):
@@ -168,8 +188,8 @@ def _grow(hi: int) -> None:
         _base_primes.extend(compress(range(lo, lo + width), flags))
 
 
-# The last span any walk sieved, at a multiple lo of SEGMENT_SIZE: (lo,
-# flags of [lo, lo + SEGMENT_SIZE), the primes from 17 up that struck it,
+# The last span any walk sieved, at a multiple lo of its width: (lo,
+# flags of [lo, lo + span_width(lo)), the primes from 17 up that struck it,
 # their offsets past it).  It holds its own primes, so its offsets never
 # pair with another ``_base_primes``; it is replaced whole, never mutated.
 _kept: tuple[int, bytearray, list[int], list[int]] = (0, bytearray(), [], [])
@@ -182,71 +202,127 @@ def _span(prev: tuple[int, bytearray, list[int], list[int]], lo: int) -> tuple:
     at, flags, primes, offsets = prev
     if at + len(flags) != lo:
         primes, offsets = [], []
-    hi = lo + SEGMENT_SIZE
+    width = span_width(lo)
+    hi = lo + width
     _grow(hi)
     new = _base_primes[len(_WHEEL_PRIMES) + len(primes) : bisect_right(_base_primes, isqrt(hi - 1))]
     primes, offsets = primes + new, offsets + _offsets(new, lo)
-    _kept = lo, _sieve(lo, SEGMENT_SIZE, primes, offsets), primes, offsets
+    _kept = lo, _sieve(lo, width, primes, offsets), primes, offsets
     return _kept
 
 
 def _segments(start: int) -> Iterator[tuple[int, bytearray, int]]:
     """Prime flags of consecutive spans, from the one that holds ``start``
-    on, without end, as (lo, flags of [lo, lo + SEGMENT_SIZE), at), with
-    lo a multiple of SEGMENT_SIZE, read from index at.  The first span is
-    ``_kept`` when it holds start, else sieved afresh, and is read from
-    start; each later span is sieved on from the walk's last one, carrying
-    its offsets, and is read whole.  A prime joins at the first span that
-    ends past its square.  Spans are handed out as they are, so no
-    consumer may mutate the flags."""
+    on, without end, as (lo, flags of [lo, lo + len(flags)), at), read
+    from index at.  A span's width is ``span_width(lo)`` and lo is a
+    multiple of it, so the next span starts at lo + len(flags) and the
+    spans depend on start alone.  The first span is ``_kept`` when it
+    holds start, else sieved afresh, and is read from start; each later
+    span is sieved on from the walk's last one, carrying its offsets, and
+    is read whole.  A prime joins at the first span that ends past its
+    square.  Spans are handed out as they are, so no consumer may mutate
+    the flags."""
     lo = max(start, 0)
     span = _kept
     if not 0 <= lo - span[0] < len(span[1]):
-        span = _span(span, lo - lo % SEGMENT_SIZE)
+        span = _span(span, lo - lo % span_width(lo))
     at = lo - span[0]
     while True:
         yield span[0], span[1], at
-        span, at = _span(span, span[0] + SEGMENT_SIZE), 0
+        span, at = _span(span, span[0] + len(span[1])), 0
 
 
 _INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+_ONE = re.compile(b"\x01")
 
 
 class FlagBatch(Sequence):
     """The primes of the flag indices [start, stop) of one span's flags,
     whose index 0 is the integer ``lo``: a read-only sequence of ``size``
-    members.  Its length, first and last members come from the flags;
-    the member list is extracted once, when the view is indexed anywhere
-    else, sliced or iterated."""
+    members, read off the flags.  Member k is found by counting flags, and
+    a slice is a view of the same flags, so a cut through a span costs its
+    members no extraction.  The member list is extracted once, when the
+    view is iterated or sliced with a step."""
 
-    __slots__ = ("flags", "lo", "start", "stop", "size", "_members")
+    __slots__ = ("flags", "lo", "start", "stop", "size", "_members", "_seen")
 
     def __init__(self, flags: bytearray, lo: int, start: int, stop: int, size: int) -> None:
         self.flags, self.lo, self.start, self.stop, self.size = flags, lo, start, stop, size
         self._members: list[int] | None = None
+        # (k, i): flag index i has k members of the view before it
+        self._seen = 0, start
 
     def __len__(self) -> int:
         return self.size
 
     def __getitem__(self, i):
-        if self._members is None and self.size and i in (0, -1, self.size - 1):
-            find = self.flags.find if i == 0 else self.flags.rfind
-            return self.lo + find(1, self.start, self.stop)
-        return self._list()[i]
+        if isinstance(i, slice):
+            first, end, step = i.indices(self.size)
+            if step != 1:
+                return self._list()[i]
+            end = max(first, end)
+            start = self._flag(first) if first < self.size else self.stop
+            stop = self._flag(end) if end < self.size else self.stop
+            return FlagBatch(self.flags, self.lo, start, stop, end - first)
+        k = range(self.size)[i]
+        if self._members is not None:
+            return self._members[k]
+        return self.lo + self._flag(k)
+
+    def _flag(self, k: int) -> int:
+        """Flag index of member k, 0 <= k < size: the first and the last
+        by one search, any other from the last member so found.  Chunks
+        that double step back from it, by ``bytearray.count``, until no
+        more than k members lie before; chunks that double from there
+        find one that holds the member, and its halves one of 64 flags or
+        fewer, in which one search per member finds it.  So a lookup near
+        the last costs a few C calls, and one far away counts a few times
+        the flags between the two."""
+        flags = self.flags
+        if k == 0:
+            return flags.find(1, self.start, self.stop)
+        if k == self.size - 1:
+            return flags.rfind(1, self.start, self.stop)
+        seen, at = self._seen
+        # the first chunk spans the members between at the view's mean gap
+        step = 64 + abs(k - seen) * (self.stop - self.start) // self.size
+        while seen > k:
+            back = max(at - step, self.start)
+            seen, at, step = seen - flags.count(1, back, at), back, 2 * step
+        # Member k is the flag after the first ``left`` from at.  A chunk
+        # holds it once it holds more than ``left`` flags; the flags of
+        # other views lie past it, so they never end the search early.
+        left = k - seen
+        while (n := flags.count(1, at, at + step)) <= left:
+            left, at, step = left - n, at + step, 2 * step
+        while step > 64:
+            step //= 2
+            if (n := flags.count(1, at, at + step)) <= left:
+                left, at = left - n, at + step
+        at = flags.find(1, at)
+        for _ in range(left):
+            at = flags.find(1, at + 1)
+        self._seen = k, at
+        return at
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._list())
 
     def _list(self) -> list[int]:
         if self._members is None:
-            found = re.compile(b"\x01").finditer(self.flags, self.start, self.stop)
+            found = _ONE.finditer(self.flags, self.start, self.stop)
             self._members = [self.lo + m.start() for m in found]
         return self._members
 
     def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
-        """The members below ``value`` and the others, as two views."""
+        """The members below ``value`` and the others, as two views; the
+        flags are counted from the last member found."""
         cut = min(max(value - self.lo, self.start), self.stop)
-        below = self.flags.count(1, self.start, cut)
+        seen, at = self._seen
+        if at <= cut:
+            below = seen + self.flags.count(1, at, cut)
+        else:
+            below = seen - self.flags.count(1, cut, at)
         return (
             FlagBatch(self.flags, self.lo, self.start, cut, below),
             FlagBatch(self.flags, self.lo, cut, self.stop, self.size - below),
@@ -256,11 +332,12 @@ class FlagBatch(Sequence):
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     """Yield the primes >= start in increasing order, without end, as
     views of their sieve flags, one batch per span: the rest of the first
-    span from start, then each later span whole.  A span without a prime
-    yields no batch."""
+    span from start, then each later span whole, so a batch holds up to
+    6 542 primes below 2**16 and more in the wider spans past 2**21.  A
+    span without a prime yields no batch."""
     for lo, flags, at in _segments(max(start, 2)):
         if size := flags.count(1, at):
-            yield FlagBatch(flags, lo, at, SEGMENT_SIZE, size)
+            yield FlagBatch(flags, lo, at, len(flags), size)
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
@@ -276,7 +353,7 @@ def composite_batches(start: int = 4) -> Iterator[list[int]]:
     inverted flags picks them out faster than a search for each one; a
     block is skipped only when it is one integer wide and prime."""
     for lo, flags, at in _segments(max(start, 4)):
-        for block in range(at, SEGMENT_SIZE, MAX_BATCH):
+        for block in range(at, len(flags), MAX_BATCH):
             inverted = flags[block : block + MAX_BATCH].translate(_INVERT)
             if batch := [*compress(range(lo + block, lo + block + MAX_BATCH), inverted)]:
                 yield batch
@@ -298,7 +375,7 @@ def _wheel_phi() -> Sequence[int]:
     y // 30030 * t[-1] + t[y % 30030].  Built on the first count only."""
     from array import array
 
-    return array("H", accumulate(_WHEEL[:_WHEEL_PERIOD]))
+    return array("H", accumulate(_WHEEL))
 
 
 def _cube_root(x: int) -> int:

@@ -50,7 +50,7 @@ class SequenceSpec(ABC):
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
         consecutive nonempty batches of at most MAX_BATCH members, or, for
-        the primes and polynomials over them, of one sieve span's primes.
+        the primes, of one sieve span's primes.
         This is the one enumeration of a spec."""
 
     @abstractmethod
@@ -196,15 +196,17 @@ class Polynomial(SequenceSpec):
         return lo
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """The values at the arguments of each batch of the primes, one
-        sieve span's, or of MAX_BATCH naturals."""
+        """The values at MAX_BATCH arguments at a time: a batch of MAX_BATCH
+        naturals, or a slice of one sieve span's batch of the primes, so
+        a short read evaluates no more values than that."""
         start = self._largest_arg_leq(after) + 1
         if self.argument == "primes":
             args: Iterator[Sequence[int]] = prime_batches(start)
         else:
             args = (range(lo, lo + MAX_BATCH) for lo in itertools.count(start, MAX_BATCH))
         for batch in args:
-            yield list(map(self.value, batch))
+            for i in range(0, len(batch), MAX_BATCH):
+                yield list(map(self.value, batch[i : i + MAX_BATCH]))
 
     def is_member(self, n: int) -> bool:
         if n < 1:

@@ -11,24 +11,26 @@ statistic to infinity instead, which the trajectory measurements make
 visible.
 
 Every prefix count walks one fresh StreamCursor to its stops with a
-counting sink.  A run the cursor crosses whole, every copy of every
-member, is counted without being written out when it is a range of
-consecutive members or a run of primes (``_run_counts``); a run of
-primes holds the primes of one length in one sieve span, so each span
-is counted once per member length.  The rest the cursor hands out as
-pieces of runs, members and copies; each is counted at C speed and
-multiplied by its copy count, so repeated copies are never written
-out.  Counts and positions are Python ints throughout, so the
-scan is as exact as a digit-by-digit walk.
+counting sink.  The members of a run the cursor crosses whole, every
+copy of each, are counted without being written out when they are a
+range of consecutive members or primes read off their flags
+(``_run_counts``); a run of primes holds the primes of one length in
+one sieve span, so each span is counted once per member length and
+stop, and a stop inside it writes out only the member it cuts.  The
+rest the cursor hands out as pieces of runs, members and copies; each
+is counted at C speed and multiplied by its copy count, so repeated
+copies are never written out.  Counts and positions are Python ints
+throughout, so the scan is as exact as a digit-by-digit walk.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import repeat
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -189,13 +191,23 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     that many in every whole cycle and a clamped part of one cycle, the
     difference of two closed forms.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
-    With G = base**low near the square root of the run's width in flags,
-    the low places of a member m are the digits of m mod G: one strided
-    column of the flags per residue counts the members of each.  The high
-    places, m // G, are weighed by the count of each row of G flags: the
-    columns, read as integers with one lane of bytes per row, add up to
-    all those counts at once.  Both are reduced place by place.
+    With G = base**low, the low places of a member m are the digits of
+    m mod G: one strided column of the flags per residue counts the
+    members of each.  The high places, m // G, are weighed by the count
+    of each row of G flags: the columns, read as integers with one lane of
+    bytes per row, add up to all those counts at once.  Both are reduced
+    place by place.  A larger G means more columns and fewer rows; low is
+    the one whose measured cost is least for the run's width, which keeps
+    G = 100 in base 10 from 2**16 to 2**20 flags.
     """
+    # the residues prime to the base, which hold every prime above it
+    coprime = sum(math.gcd(r, base) == 1 for r in range(base))
+
+    @cache
+    def held(size: int, every: bool) -> list[int]:
+        # the residues mod size that hold members: every one for a run
+        # from the base or below, else those prime to the base
+        return [r for r in range(size) if every or math.gcd(r, base) == 1]
 
     def tally(counts: list[int], first: int, weights: list[int], places: int) -> None:
         # the digits at the lowest ``places`` places of first, first + 1,
@@ -211,18 +223,32 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
             first //= base
 
     def flag_counts(run: FlagBatch, length: int) -> list[int]:
+        # imported here, as in prime_count, so that no path that never
+        # counts primes loads the module
+        from array import array
+
         flags, start, stop = run.flags, run.start, run.stop
-        low = 1
-        while low < length and base ** (2 * low + 1) <= stop - start:
-            low += 1
-        size = base**low
         first = run.lo + start  # the integer of flag ``start``
+
+        def cost(low: int) -> int:
+            # in steps of about 5 ns, as measured at widths 2**16 to 2**20:
+            # a column costs about 1 us and 5 ns per byte of its lanes, and
+            # a row of the tally about 0.1 us
+            size = base**low
+            columns = size if first <= base else size // base * coprime
+            rows = (stop - start) // size + 1
+            return columns * (200 + (1 if columns < 256 else 2) * rows) + 20 * rows
+
+        top = 1  # G stays within the run and below 2**16, so two bytes hold a row
+        while top < length and base ** (top + 1) <= min(stop - start, 0xFFFF):
+            top += 1
+        low = min(range(1, top + 1), key=cost)
+        size = base**low
         counts = [0] * base
-        # a prime above the base is prime to it, so only those residues hold one
-        residues = [r for r in range(size) if first <= base or math.gcd(r, base) == 1]
+        residues = held(size, first <= base)
         # a row of size integers from a multiple of size holds at most one
         # flag per residue, so ``lane`` bytes hold its count without carry
-        lane = (len(residues).bit_length() + 7) // 8
+        lane = 1 if len(residues) < 256 else 2
         weights = [0] * size
         total = 0
         for r in residues:
@@ -233,11 +259,12 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
                 column[::lane] = ones
             total += int.from_bytes(column, "little") << (8 * lane if r < first % size else 0)
         tally(counts, 0, weights, low)
-        rows = total.to_bytes(((run.lo + stop - 1) // size - first // size + 1) * lane, "little")
-        blocks = [*rows] if lane == 1 else [
-            int.from_bytes(rows[k : k + lane], "little") for k in range(0, len(rows), lane)
-        ]
-        tally(counts, first // size, blocks, length - low)
+        rows = array("BH"[lane - 1], total.to_bytes(
+            ((run.lo + stop - 1) // size - first // size + 1) * lane, "little"
+        ))
+        if sys.byteorder == "big":
+            rows.byteswap()
+        tally(counts, first // size, rows.tolist(), length - low)
         return counts
 
     def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:

@@ -19,9 +19,10 @@ the digits it crosses to a sink as pieces (digits, length, copies): the
 pieces ``read`` joins once into the encoder's type (bytes whose values
 are the digits up to base 256, a list of ints beyond), counters for the
 prefix scans of ``stats``, nothing for ``skip_to``.  A prefix scan may
-also take a run the cursor crosses whole and count it without writing
-it out.  The cursor serializes to a one-line checkpoint of the exact
-stream state.
+also take the members of a run that a move crosses whole and count them
+without writing them out, so the move writes out only the member it
+cuts at each end.  The cursor serializes to a one-line checkpoint of
+the exact stream state.
 """
 
 from __future__ import annotations
@@ -132,12 +133,17 @@ def parse_number_spec(text: str) -> NumberSpec:
 
 # Largest power of the base that one entry of a chunk table may stand for.
 _CHUNK_TABLE_LIMIT = 1 << 10
+# Fewest members a move hands to ``whole`` to count without writing them
+# out.  A count costs some 20 to 60 us whatever the run's size, which is
+# about what writing out and counting 256 primes costs in bases 2 to 256.
+_MIN_WHOLE = 256
 
 # Takes the digits crossed by a move, as pieces (digits, length, copies):
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
-# Takes a run (members, length, copies) crossed whole, and returns False
-# to have its digits handed to the sink instead.
+# Takes members of a run that a move crosses whole, every copy of each,
+# as (members, length, copies), and returns False to have their digits
+# handed to the sink instead.
 Whole = Callable[[Sequence[int], int, int], bool]
 
 # printf conversions of the bases whose digits the stdlib writes at C
@@ -358,13 +364,17 @@ class StreamCursor:
 
     def _advance(self, n: int, sink: Sink | None = None, whole: Whole | None = None) -> None:
         """The one walker of the stream: go n digits forward, handing the
-        digits crossed to ``sink`` when given.  A run crossed whole, every
-        copy of every member, goes to ``whole`` first when given, and is
-        written out only if that returns False.  Whole copies, members and
-        runs are crossed by arithmetic on ``_at``; only the members a sink
-        needs are written out, and the next run is pulled only for a digit
-        that is needed.  A move inside the copy the last write ended in
-        slices the digits that write kept."""
+        digits crossed to ``sink`` when given.  The members of a run that
+        the move crosses whole, every copy of each, go to ``whole`` when
+        given and at least _MIN_WHOLE of them, as one stretch of the run;
+        only if that returns False are they written out, and otherwise
+        only the partial member at each end of the move is, so a cut
+        through a run of primes costs one member, not all those before it.
+        Whole copies, members and runs are crossed by arithmetic on
+        ``_at``; only the members a sink needs are written out, and the
+        next run is pulled only for a digit that is needed.  A move inside
+        the copy the last write ended in slices the digits that write
+        kept."""
         if self.offset + n <= len(self._block):
             if sink is not None:
                 sink(self._block[self.offset : self.offset + n], n, 1)
@@ -379,17 +389,18 @@ class StreamCursor:
             take = min(n, len(run) * span - self._at)
             if take:
                 stop = self._at + take
-                whole_run = take == len(run) * span
-                if sink is not None and not (whole_run and whole and whole(run, length, copies)):
-                    first, last = self._at // span, (stop - 1) // span
-                    digits = _run_encoder(self.spec.base)(run[first : last + 1], length)
-                    skipped = first * span
-                    _hand_out(sink, digits, length, copies, self._at - skipped, stop - skipped)
-                    self._block = digits[-length:]
+                lo, hi = -(-self._at // span), stop // span  # the members crossed whole
+                if sink is not None and whole and hi - lo >= _MIN_WHOLE:
+                    self._write(self._at, lo * span, sink)
+                    counted = whole(run if hi - lo == len(run) else run[lo:hi], length, copies)
+                    self._write(hi * span if counted else lo * span, stop, sink)
+                elif sink is not None:
+                    self._write(self._at, stop, sink)
                 self._at = stop
                 self.position += take
                 member, used = divmod(stop - 1, span)
-                self.integer = run[member]
+                if not self._block:  # else the last write, which ended here, set it
+                    self.integer = run[member]
                 self.rep, used = divmod(used, length)
                 self.offset = used + 1
                 n -= take
@@ -400,14 +411,34 @@ class StreamCursor:
                     f"stream over {self.spec.canonical} ended at position {self.position}"
                 )
 
+    def _write(self, start: int, stop: int, sink: Sink) -> None:
+        """Write out digits ``start`` to ``stop`` of the current run,
+        counted from its start, hand them to the sink, and keep the last
+        member written, if any, and its digits."""
+        self._block = ()
+        if start < stop:
+            run, length, copies = self._run
+            span = length * copies
+            first, last = start // span, (stop - 1) // span
+            members = run[first : last + 1]
+            digits = _run_encoder(self.spec.base)(members, length)
+            skipped = first * span
+            _hand_out(sink, digits, length, copies, start - skipped, stop - skipped)
+            self.integer, self._block = members[-1], digits[-length:]
+
     def _advance_past(self, m: int, sink: Sink, whole: Whole | None = None) -> None:
         """Go to the end of the last copy of every member <= m, or to the
         end of a finite stream.  A run whose last member is <= m is crossed
-        whole; the run holding m is bisected.  Members already crossed
-        must be <= m."""
+        whole; in the run holding m, the members <= m are counted off its
+        flags, or bisected in a list.  Members already crossed must be <= m."""
         while True:
             run, length, copies = self._run
-            crossed = len(run) if not run or run[-1] <= m else bisect_right(run, m)
+            if type(run) is FlagBatch:
+                crossed = len(run.split(m + 1)[0])
+            elif not run or run[-1] <= m:
+                crossed = len(run)
+            else:
+                crossed = bisect_right(run, m)
             self._advance(crossed * length * copies - self._at, sink, whole)
             if crossed < len(run) or not self._pull():
                 return

@@ -2,11 +2,12 @@
 
 ``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
 sequence over one span's flags from where the walk reads the span,
-whose member list is extracted only when it is indexed inside, sliced
-or iterated.  A batch ends at its span's end.  The scan counts the
-digits of every run it crosses whole off those flags, once per span and
-member length (and a ``range`` run from closed forms), never writing
-them out.  These tests hold the views to a plain extraction, and the
+whose members are found by counting flags and whose slices are views of
+the same flags; its member list is extracted only when it is iterated.
+A batch ends at its span's end, and spans widen with depth.  The scan
+counts the digits of the members it crosses whole off those flags, once
+per span, member length and stop (and a ``range`` run from closed
+forms), never writing them out.  These tests hold the views to a plain extraction, and the
 counts to the literal expansion of ``concat_stream`` over an
 independent sieve.
 """
@@ -17,6 +18,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 
 import pytest
@@ -39,9 +41,10 @@ from cedigits.primes import (
     FlagBatch,
     _segments,
     prime_batches,
+    span_width,
 )
 from cedigits.stats import MIN_STATISTIC_N, _run_counts, prefix_counts_at_boundaries
-from cedigits.stream import _member_runs, _run_encoder
+from cedigits.stream import _MIN_WHOLE, _member_runs, _run_encoder
 
 from conftest import concat_stream, digits_of, plain_sieve
 
@@ -84,18 +87,21 @@ def test_flag_batches_equal_a_plain_extraction(start):
 @given(st.integers(2, 3 * 10**6))
 @example(2)
 @example(10**6)
+@example(2**21 - 10)
+@example(2**23 - 10)
 def test_batches_run_to_span_ends(start):
     """The first batch reads its span from start, each view runs to its
     span's end, and the next starts at 0 of the next span: one batch per
     span, which counts every prime of its stretch."""
     views = list(itertools.islice(prime_batches(start), 20))
     first = views[0].lo + views[0].start
+    width = span_width(start)
     # from start, or from the next span when start's holds no prime past it
-    assert first == start or first == start - start % SEGMENT_SIZE + SEGMENT_SIZE
+    assert first == start or first == start - start % width + width
     for a, b in zip(views, views[1:]):
         assert 0 < len(a) == a.flags.count(1, a.start, a.stop)
-        assert a.stop == len(a.flags) == SEGMENT_SIZE and a.lo % SEGMENT_SIZE == 0
-        assert b.start == 0 and b.lo == a.lo + SEGMENT_SIZE and a[-1] < b[0]
+        assert a.stop == len(a.flags) == span_width(a.lo) and a.lo % len(a.flags) == 0
+        assert b.start == 0 and b.lo == a.lo + len(a.flags) and a[-1] < b[0]
 
 
 def full_view() -> tuple[FlagBatch, list[int]]:
@@ -112,7 +118,8 @@ def test_view_acts_as_a_sequence():
     assert (view[0], view[-1], view[len(view) - 1]) == (members[0], members[-1], members[-1])
     assert view._members is None  # no extraction yet
     assert view[-2] == members[-2] and view[-len(view)] == members[0]
-    assert view[5:9] == members[5:9] and view[::100] == members[::100]
+    assert type(view[5:9]) is FlagBatch and view._members is None  # a slice is a view
+    assert list(view[5:9]) == members[5:9] and list(view[::100]) == members[::100]
     assert list(view) == members and list(reversed(view)) == members[::-1]
     assert members[7] in view and members[7] + 1 not in view
     assert view.index(members[9]) == 9
@@ -138,6 +145,50 @@ def test_view_splits_by_value(cut):
     below = bisect_left(members, value)
     assert (len(low), len(high)) == (below, len(members) - below)
     assert (list(low), list(high)) == (members[:below], members[below:])
+
+
+def wide_view() -> tuple[FlagBatch, list[int]]:
+    """A fresh view of the span at 2**24, 2**18 integers wide, and its
+    members by a plain extraction."""
+    (want,) = plain_batches(2**24, 1)
+    return next(prime_batches(2**24)), want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([full_view, wide_view]),
+    st.lists(st.one_of(st.none(), st.integers(-20_000, 20_000)), min_size=4, max_size=4),
+    st.sampled_from([None, 1, -1, 2, 100]),
+    st.lists(st.integers(-20_000, 20_000), max_size=6),
+)
+@example(full_view, [5, 9, None, None], None, [0, -1, 3])
+@example(wide_view, [100, -100, 7, -7], None, [9000, 10, -1, 12_000, 0])
+@example(wide_view, [20_000, None, None, None], 1, [0])
+def test_view_slices_act_as_list_slices(make, bounds, step, indices):
+    """A slice of a view, and a slice of that slice, against the same
+    slices of its member list, with members looked up in any order before
+    and after.  A slice with no step is a view and extracts nothing."""
+    view, members = make()
+    a, b, c, d = bounds
+
+    def lookups(got, want) -> None:
+        for k in indices:
+            if -len(want) <= k < len(want):
+                assert got[k] == want[k]
+            else:
+                with pytest.raises(IndexError):
+                    got[k]
+
+    lookups(view, members)
+    got, want = view[a:b:step], members[a:b:step]
+    if step in (None, 1):
+        assert type(got) is FlagBatch and len(got) == len(want) and view._members is None
+        lookups(got, want)
+        inner = got[c:d]
+        assert type(inner) is FlagBatch and len(inner) == len(want[c:d])
+        assert list(inner) == want[c:d]
+        assert got._members is None and view._members is None
+    assert list(got) == want
 
 
 BASES = (2, 3, 7, 10, 16, 36, 255, 256, 257)
@@ -258,11 +309,10 @@ def test_run_counts_equal_written_counts(base):
 @pytest.mark.parametrize("base", [10, 36, 40, 256])
 def test_rows_of_a_whole_span_count_without_carry(base):
     """Views over one whole span with a flag on every integer prime to
-    the base, so that every row of the kernel holds one flag per residue:
-    40 in base 10, 432 in base 36 and 640 in base 40, more than one byte
-    holds, and 128 in base 256.  The counts equal those of the digits of
-    the flagged integers, all of one length, for the whole span and for
-    a stretch that starts and ends inside a row."""
+    the base, so that every row of the kernel holds one flag per column
+    it reads, as many as one lane holds.  The counts equal those of the
+    digits of the flagged integers, all of one length, for the whole span
+    and for a stretch that starts and ends inside a row."""
     power = base
     while power < 2 * SEGMENT_SIZE:
         power *= base
@@ -277,6 +327,44 @@ def test_rows_of_a_whole_span_count_without_carry(base):
         view = FlagBatch(flags, lo, start, stop, flags.count(1, start, stop))
         assert len(to_digits(lo + stop - 1, base)) == length
         assert count(view, length, range(base)) == [tally[d] for d in range(base)]
+
+
+@pytest.mark.parametrize("base", [7, 17, 36])
+def test_deep_span_counts_equal_a_plain_sieve(base, monkeypatch):
+    """The primes of the span at 2**28, 2**20 integers wide, counted off
+    their flags, whole and from and to inside a row, against the digits
+    of the primes an independent sieve of that span finds.  At this
+    width base 17 and base 36 take columns enough to need two bytes a row;
+    base 7 keeps one, which costs less there."""
+    import array
+
+    typecodes = []
+    array_type = array.array
+
+    def recorded(code, *rest):
+        typecodes.append(code)
+        return array_type(code, *rest)
+
+    monkeypatch.setattr(array, "array", recorded)
+    lo = 2**28
+    width = span_width(lo)
+    assert width == 2**20
+    flags = bytearray([1]) * width
+    root = math.isqrt(lo + width)
+    for p in itertools.compress(range(root + 1), plain_sieve(root + 1)):
+        flags[-lo % p :: p] = bytes(len(range(-lo % p, width, p)))
+    view = next(prime_batches(lo))
+    assert (view.lo, view.start, view.stop) == (lo, 0, width) and view.flags == flags
+    length = len(digits_of(lo, base))
+    assert len(digits_of(lo + width - 1, base)) == length
+    count = _run_counts(base)
+    for start, stop in ((0, width), (12_345, width - 777)):
+        tally = Counter(chain.from_iterable(
+            digits_of(lo + i, base) for i in range(start, stop) if flags[i]
+        ))
+        run = FlagBatch(view.flags, lo, start, stop, flags.count(1, start, stop))
+        assert count(run, length, range(base)) == [tally[d] for d in range(base)]
+    assert ("H" in typecodes) == (base != 7)
 
 
 def prime_oracle(base: int, c: Fraction, positions: list[int], bounds: list[int]):
@@ -314,6 +402,83 @@ def test_stops_inside_a_joined_span(base, power, c):
     spec = NumberSpec(Primes(), base, c)
     assert prefix_counts_at_boundaries(spec, 1, bounds) == found
     assert [p.count for p in trajectory(spec, 1, positions).points] == want
+
+
+WIDE = 2**21  # where spans widen to 2**17
+
+
+@cache
+def wide_primes() -> list[int]:
+    """The primes through the first two spans of width 2**17, by a plain
+    sieve."""
+    limit = WIDE + 2 * 2**17
+    return [*itertools.compress(range(limit), plain_sieve(limit))]
+
+
+def wide_oracle(base: int, c: Fraction, picks: list[int]):
+    """For each picked prime, in increasing order, the stream's symbol
+    counts at positions from the start of its block to its end, inside
+    its first and last copy, and at its end, each as (position, counts);
+    one prime's block at a time, so the stream is never held whole."""
+    counts, pos, found, ends = [0] * base, 0, [], []
+    for p in wide_primes():
+        if p > picks[-1]:
+            break
+        ds = digits_of(p, base)
+        reps = c.numerator ** len(ds) // c.denominator ** len(ds)
+        if p in picks:
+            block = concat_stream([p], base, c.numerator, c.denominator, len(ds) * reps)
+            offsets = {0, 1, min(len(ds) + 1, len(block)), len(block) // 2, len(block) - 1}
+            for off in sorted(offsets):
+                part = Counter(block[:off])
+                found.append((pos + off, [n + part[s] for s, n in enumerate(counts)]))
+        for d in ds:
+            counts[d] += reps
+        pos += len(ds) * reps
+        if p in picks:
+            ends.append((pos, list(counts)))
+    return found, ends
+
+
+@pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (7, Fraction(1))])
+def test_stops_inside_a_wide_span(base, c, monkeypatch):
+    """Stops and boundaries inside the first span of width 2**17, near
+    its ends and across into the next, see the counts of a literal
+    expansion.  The scan counts the members before and after each cut
+    off the flags, so no batch it counts whole is extracted, and it
+    writes out no more than the two members a stop cuts into, and the
+    members between two stops too few to be worth counting so."""
+    primes = wide_primes()
+    at = [bisect_left(primes, WIDE + d) for d in (0, 100, 40_000, 2**17 - 200, 2**17, 2**17 + 5000)]
+    picks = sorted({primes[i] for i in at} | {primes[at[4] - 1]})  # the span's last prime
+    want, ends = wide_oracle(base, c, picks)
+    counted, extracted = [], []
+    kernel, extract = stats._run_counts, FlagBatch._list
+
+    def recording(base):
+        count = kernel(base)
+
+        def recorded(run, length, symbols):
+            if type(run) is FlagBatch:
+                counted.append(run)
+            return count(run, length, symbols)
+
+        return recorded
+
+    def recorded_list(view):
+        if view._members is None:
+            extracted.append(len(view))
+        return extract(view)
+
+    monkeypatch.setattr(stats, "_run_counts", recording)
+    monkeypatch.setattr(FlagBatch, "_list", recorded_list)
+    spec = NumberSpec(Primes(), base, c)
+    stops = sorted({pos for pos, _ in want})
+    assert [*stats._scan(spec, stops)] == sorted({pos: counts for pos, counts in want}.items())
+    assert [*stats._scan(spec, picks, members=True)] == ends
+    assert all(run._members is None for run in counted)
+    assert any(len(run.flags) == 2**17 and 0 < run.start and run.stop < 2**17 for run in counted)
+    assert 0 < max(extracted) < _MIN_WHOLE + 2
 
 
 def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):

@@ -6,7 +6,7 @@ from functools import cache
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedigits import (
@@ -32,6 +32,7 @@ from cedigits.primes import (
     iter_primes,
     prime_batches,
     prime_count,
+    span_width,
 )
 from cedigits.rational import parse_rational
 from cedigits.sequences import MAX_BATCH, parse_int_list
@@ -123,16 +124,29 @@ class TestPrimesMachinery:
         for x in (0, 1, 2, 3, 10, 100, 1000, 65535, 65536, 65537, 10**5):
             assert prime_count(x) == simple_prime_count(x)
 
-    @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1])
+    def test_span_widths_widen_at_every_second_power_of_two(self):
+        """2**16 below 2**21, then 2**17, 2**18, 2**19 and the cap 2**20,
+        each from an odd power of two; each width divides the power of
+        two where it starts, so every walk keeps to one grid."""
+        want = {0: 2**16, 2**21 - 1: 2**16, 2**21: 2**17, 2**23 - 1: 2**17, 2**23: 2**18,
+                2**25: 2**19, 2**27 - 1: 2**19, 2**27: 2**20, 10**12: 2**20, 2**64: 2**20}
+        assert {n: span_width(n) for n in want} == want
+        for k in range(16, 70):
+            assert 2**k % span_width(2**k) == 0 and span_width(2**k - 1) <= span_width(2**k)
+
+    @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1, 2**21 - 3000])
     def test_walks_cross_growing_segment_edges(self, start):
-        # a walk from ``start`` reads the span on the grid of SEGMENT_SIZE
-        # that holds start from start, and each later span whole; a batch
-        # of primes is the rest of its span, and the composites come in
-        # blocks of MAX_BATCH integers from where the walk reads a span.
-        # The window crosses the block edges 1, 2, 4 and 8 blocks on, and
-        # from 65 000 the span edge at 65 536
+        # a walk from ``start`` reads the span that holds start from start,
+        # and each later span whole; a batch of primes is the rest of its
+        # span, and the composites come in blocks of MAX_BATCH integers
+        # from where the walk reads a span.  The window crosses the block
+        # edges 1, 2, 4 and 8 blocks on, from 65 000 the span edge at
+        # 65 536, and from 2**21 - 3000 the edge where spans widen to 2**17
+        def span(m: int) -> int:
+            return m - m % span_width(m)  # where the span that holds m starts
+
         def block(m: int) -> tuple[int, int]:
-            return m // SEGMENT_SIZE, (m - max(start, m - m % SEGMENT_SIZE)) // MAX_BATCH
+            return span(m), (m - max(start, span(m))) // MAX_BATCH
 
         edges = [start + MAX_BATCH * 2**k for k in range(4)]
         window = range(start, edges[-1] + 40)
@@ -143,13 +157,14 @@ class TestPrimesMachinery:
         for batch in itertools.islice(prime_batches(start), 2):
             end = batch.lo + batch.stop
             read = max(start, batch.lo)  # where the walk reads the batch's span from
-            assert batch.lo + batch.start == read and batch.stop == SEGMENT_SIZE
+            assert batch.lo + batch.start == read
+            assert batch.stop == len(batch.flags) == span_width(batch.lo) and batch.lo == span(read)
             assert batch[-1] < end
         for batch in itertools.islice(composite_batches(start), 9):
             assert len({block(m) for m in batch}) == 1  # one block each
-        # a batch of the primes, or of a polynomial over them, may pass
-        # MAX_BATCH, but holds the arguments of one span only
-        spanned = (Primes(), Polynomial((0, 1), "primes"))
+        # a batch of the primes may pass MAX_BATCH, but holds the primes
+        # of one span only; a polynomial over them maps MAX_BATCH at a time
+        spanned = (Primes(),)
         for spec, want in (
             (Naturals(), list(window)),
             (Primes(), want_primes),
@@ -163,7 +178,7 @@ class TestPrimesMachinery:
             batches = list(itertools.islice(spec.batches(start - 1), 40))
             for b in batches:
                 assert 0 < len(b) <= MAX_BATCH or (
-                    len(b) and spec in spanned and b[0] // SEGMENT_SIZE == b[-1] // SEGMENT_SIZE
+                    len(b) and spec in spanned and span(b[0]) == span(b[-1])
                 )
             got = list(itertools.chain.from_iterable(batches))
             assert got[: len(want)] == want
@@ -177,19 +192,23 @@ class TestPrimesMachinery:
             st.integers(0, 10**10),
         )
     )
+    @example(2**21 - 5)
+    @example(2**23 - 2**17 + 7)
+    @example(2**27 - 1)
     def test_segment_flags_match_point_queries(self, start):
         """The flags at both ends of the first two spans of a walk from
         ``start``, the first read from start, integer by integer: near 0,
         where the wheel is patched, at the ends of the wheel's period,
-        where a base prime's square starts its strikes, and across the
-        span edge, where the walk carries its offsets."""
+        where a base prime's square starts its strikes, across the span
+        edge, where the walk carries its offsets, and where spans widen."""
         lo = start
         for span_lo, flags, at in itertools.islice(primes._segments(start), 2):
-            assert span_lo + at == lo and len(flags) == SEGMENT_SIZE
-            for i in (at, max(SEGMENT_SIZE - 2 * MAX_BATCH, at)):
-                j = min(i + 2 * MAX_BATCH, SEGMENT_SIZE)
+            width = len(flags)
+            assert span_lo + at == lo and width == span_width(span_lo) and span_lo % width == 0
+            for i in (at, max(width - 2 * MAX_BATCH, at)):
+                j = min(i + 2 * MAX_BATCH, width)
                 assert flags[i:j] == bytes(map(is_prime, range(span_lo + i, span_lo + j)))
-            lo = span_lo + SEGMENT_SIZE
+            lo = span_lo + width
 
     @pytest.mark.parametrize("start", [0, 10**6 + 12_345])
     def test_walk_grows_the_base_primes_from_two(self, monkeypatch, start):
@@ -253,21 +272,22 @@ def expected_flags(lo: int, hi: int) -> bytes:
 def walk(start: int, spans: int) -> bytearray:
     """The flags of the first ``spans`` spans of a walk from ``start``,
     from where it reads each, each checked to start where the last one
-    ended."""
+    ended, at a multiple of its width."""
     walked = bytearray()
     for lo, flags, at in itertools.islice(primes._segments(start), spans):
-        assert lo + at == start + len(walked) and len(flags) == SEGMENT_SIZE
+        assert lo + at == start + len(walked)
+        assert len(flags) == span_width(lo) and lo % len(flags) == 0
         walked += flags[at:]
     return walked
 
 
 def check_kept() -> None:
-    """The kept span starts at a multiple of SEGMENT_SIZE and holds exact
+    """The kept span starts at a multiple of its width and holds exact
     flags, every prime from 17 whose square lies below its end, and for
     each the offset of its next multiple past the end, as a fresh walk
     from there takes them."""
     lo, flags, struck, offsets = primes._kept
-    assert lo % SEGMENT_SIZE == 0  # every span lies on one grid
+    assert len(flags) == span_width(lo) and lo % len(flags) == 0  # every span lies on one grid
     end = lo + len(flags)
     assert flags == expected_flags(lo, end)
     root = isqrt(end - 1)
@@ -276,8 +296,8 @@ def check_kept() -> None:
 
 
 class TestKeptSpan:
-    """Every walk hands out whole spans of SEGMENT_SIZE integers, each
-    starting at a multiple of SEGMENT_SIZE, and the last span any walk
+    """Every walk hands out whole spans of span_width integers, each
+    starting at a multiple of its width, and the last span any walk
     sieved is kept for the next: a walk from inside it reads it from
     there, and every span after a walk's first is sieved at the end of
     the walk's own last one, carrying its offsets.  Every walk is checked
@@ -376,29 +396,33 @@ class TestKeptSpan:
     def test_walk_continues_past_the_kept_span(self, start):
         """From inside the kept span a walk reads it and carries its
         offsets into the next two spans; from deep in the stream it sieves
-        a first span of its own, from the multiple of SEGMENT_SIZE at or
-        below its start."""
+        a first span of its own, from the multiple of its span's width at
+        or below its start."""
         walk(self.LO, 1)
         walked = walk(start, 3)
         if start < KEPT_LIMIT:
             assert walked == expected_flags(start, start + len(walked))
         else:  # point queries on the first and the last span
-            for lo in (start, start + len(walked) - SEGMENT_SIZE):
+            for lo in (start, primes._kept[0]):
                 assert walked[lo - start : lo - start + 2000] == expected_flags(lo, lo + 2000)
-        assert primes._kept[0] + SEGMENT_SIZE == start + len(walked)
+        assert primes._kept[0] + len(primes._kept[1]) == start + len(walked)
         check_kept()
 
-    @pytest.mark.parametrize("start", [2, 4, 1000, 65_535, 65_536, 65_537, LO])
+    @pytest.mark.parametrize(
+        "start", [2, 4, 1000, 65_535, 65_536, 65_537, LO, 2**21 - 70_000, 2**23 - 300_000]
+    )
     def test_cuts_depend_on_the_start_alone(self, monkeypatch, start):
         """A walk from one start cuts its prime views and its composite
         batches in the same places whichever span is kept when it begins:
         none, the span at 0 that a count keeps, the span that holds LO but
-        starts before it, or one far past start."""
+        starts before it, or one far past start.  The last two starts walk
+        across the edges where spans widen, at 2**21 and 2**23."""
+        views_taken = 160 if start < 2**21 - SEGMENT_SIZE else 8
 
         def cuts(keep, kept) -> tuple[list, list]:
             keep()  # right before each walk, checked to keep the span described
             assert kept(*primes._kept[:2])
-            views = itertools.islice(prime_batches(start), 160)
+            views = itertools.islice(prime_batches(start), views_taken)
             prime_cuts = [(v.lo + v.start, v.lo + v.stop, len(v)) for v in views]
             keep()
             assert kept(*primes._kept[:2])
@@ -411,7 +435,10 @@ class TestKeptSpan:
         want = cuts(unkept, lambda lo, flags: not flags)
         assert cuts(lambda: prime_count(10**6), lambda lo, flags: lo == 0 and flags) == want
         assert cuts(lambda: walk(10**6, 1), lambda lo, flags: lo < self.LO < lo + len(flags)) == want
-        assert cuts(lambda: walk(5 * 10**6, 1), lambda lo, flags: lo > start) == want
+        far = max(5 * 10**6, 2 * start)
+        assert cuts(lambda: walk(far, 1), lambda lo, flags: lo > start) == want
+        if start > 2**21 - SEGMENT_SIZE:  # the views after the first cross a change of width
+            assert len({stop - lo for lo, stop, _ in want[0][1:]}) == 2
 
     def test_consumers_never_change_the_flags_they_are_given(self, monkeypatch):
         """prime_count, prime_batches, composite_batches and the stream's
@@ -619,6 +646,22 @@ class TestPolynomial:
         assert take(f, 5) == [4, 9, 25, 49, 121]
         assert f.is_member(49)
         assert not f.is_member(36)
+
+    def test_short_read_over_primes_evaluates_one_batch_at_most(self, monkeypatch):
+        """A span of the primes holds up to 6 542 of them; a read of 200
+        digits maps the polynomial over MAX_BATCH of them at most, after
+        the one value at 1 that finds where the batches start."""
+        calls = []
+        value = Polynomial.value
+
+        def counted(self, n):
+            calls.append(n)
+            return value(self, n)
+
+        monkeypatch.setattr(Polynomial, "value", counted)
+        digits = open_stream(NumberSpec(Polynomial((0, 1), "primes"), 10)).read(200)
+        assert digits == open_stream(NumberSpec(Primes(), 10)).read(200)
+        assert calls[0] == 1 and 0 < len(calls) - 1 <= MAX_BATCH
 
     def test_counting_over_primes(self):
         f = Polynomial((0, 0, 1), "primes")
