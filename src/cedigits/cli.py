@@ -6,39 +6,47 @@ stdout, so runs can be diffed.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 resource cap exceeded.
+
+Each command imports the layers it runs on first use, so a cold start
+pays for no other: ``threshold`` loads the sequences and the closed forms
+(``oracle``) but not the stream or the counters, and ``count`` and
+``digits`` load no closed form.  The layer functions the commands call
+(``counter_prefix``, ``trajectory``, ``prefix_counts_at_boundaries``,
+``d_exact``, ``ones_exact_champernowne``, ``hypothesis_report`` and the
+rest of ``_HOMES``) are attributes of this module, resolved on first
+access, and the commands call them through it, so rebinding one, as a
+tracer does, reaches every command.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import IO, Sequence
 
+from . import _loader
 from .errors import CapExceededError, SequenceExhaustedError
-from .oracle import (
-    OracleParams,
-    alpha_threshold,
-    d_exact,
-    hypothesis_report,
-    ones_exact_champernowne,
-)
 from .rational import format_rational, parse_natural, parse_rational
-from .sequences import DEFAULT_COUNTING_CAP, Naturals, parse_int_list, parse_sequence
-from .stats import (
-    counter_prefix,
-    lil_bound,
-    prefix_counts_at_boundaries,
-    trajectory,
-)
-from .stream import (
-    NumberSpec,
-    load_checkpoint,
-    open_stream,
-    save_checkpoint,
-)
+from .sequences import DEFAULT_COUNTING_CAP, Naturals, Record, parse_int_list, parse_sequence
+
+# the layers' names the commands call, by module, imported on first access
+_HOMES = {
+    name: module
+    for module, names in (
+        (
+            "oracle",
+            "OracleParams alpha_threshold d_exact hypothesis_report ones_exact_champernowne",
+        ),
+        ("stats", "counter_prefix lil_bound prefix_counts_at_boundaries trajectory"),
+        ("stream", "NumberSpec load_checkpoint open_stream save_checkpoint"),
+    )
+    for name in names.split()
+}
+__getattr__ = _loader(globals(), _HOMES)
+# this module, through which the commands call the layers
+_layers = sys.modules[__name__]
 
 DIGIT_ALPHABET = "0123456789abcdefghijklmnopqrstuvwxyz"
 
@@ -78,8 +86,8 @@ def _digit_names(base: int) -> list[str]:
     return list(map(str, range(base)))
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(Record):
+    __slots__ = ("base", "c", "k", "d_oracle", "d_stream", "ones_oracle", "ones_stream")
     base: int
     c: Fraction
     k: int
@@ -87,6 +95,12 @@ class VerifyRow:
     d_stream: int
     ones_oracle: int
     ones_stream: int
+
+    def __init__(
+        self, base: int, c: Fraction, k: int,
+        d_oracle: int, d_stream: int, ones_oracle: int, ones_stream: int,
+    ) -> None:
+        self._fill(base, c, k, d_oracle, d_stream, ones_oracle, ones_stream)
 
     @property
     def match(self) -> bool:
@@ -116,18 +130,18 @@ def run_verification(
             ks: list[tuple[int, int]] = []
             k = 1
             while max_k is None or k <= max_k:
-                d = d_exact(OracleParams(base, c, k))
+                d = _layers.d_exact(_layers.OracleParams(base, c, k))
                 if d > max_digits:
                     break
                 ks.append((k, d))
                 k += 1
             if not ks:
                 continue
-            spec = NumberSpec(Naturals(), base, c)
+            spec = _layers.NumberSpec(Naturals(), base, c)
             boundaries = [2 * base ** (k - 1) - 1 for k, _ in ks]
-            scanned = prefix_counts_at_boundaries(spec, 1, boundaries)
+            scanned = _layers.prefix_counts_at_boundaries(spec, 1, boundaries)
             for (k, d), (pos, ones) in zip(ks, scanned):
-                ones_oracle = ones_exact_champernowne(OracleParams(base, c, k))
+                ones_oracle = _layers.ones_exact_champernowne(_layers.OracleParams(base, c, k))
                 if corrupt:
                     d += 1
                     ones_oracle += 1
@@ -164,20 +178,20 @@ def _multiplier(args: argparse.Namespace) -> Fraction:
 def _build_spec(args: argparse.Namespace) -> NumberSpec:
     if args.base >= BASE_CAP:
         raise ValueError(f"base {args.base} is beyond the CLI cap {BASE_CAP}")
-    return NumberSpec(parse_sequence(args.sequence), args.base, _multiplier(args))
+    return _layers.NumberSpec(parse_sequence(args.sequence), args.base, _multiplier(args))
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
     if args.resume is not None:
         if args.sequence is not None or args.base is not None or args.c is not None:
             raise ValueError("--resume replaces --sequence/--base/--c")
-        cursor = load_checkpoint(args.resume)
+        cursor = _layers.load_checkpoint(args.resume)
         if cursor.spec.base >= BASE_CAP:
             raise ValueError(f"base {cursor.spec.base} is beyond the CLI cap {BASE_CAP}")
     else:
         if args.sequence is None or args.base is None:
             raise ValueError("--sequence and --base are required without --resume")
-        cursor = open_stream(_build_spec(args))
+        cursor = _layers.open_stream(_build_spec(args))
     if args.n > args.max_emit:
         raise CapExceededError(
             f"emitting {args.n} digits exceeds the per-run cap {args.max_emit}"
@@ -203,7 +217,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
     else:
         write(sys.stdout)
     if args.save_cursor:
-        save_checkpoint(cursor, args.save_cursor)
+        _layers.save_checkpoint(cursor, args.save_cursor)
     return 0
 
 
@@ -213,7 +227,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise CapExceededError(
             f"counting over {args.n} digits exceeds the per-run cap {args.max_digits}"
         )
-    counter = counter_prefix(spec, args.n)
+    counter = _layers.counter_prefix(spec, args.n)
     for symbol, cnt in enumerate(counter.counts):
         print(f"{symbol} {cnt}")
     print(f"total {counter.total}")
@@ -224,6 +238,8 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     if args.checkpoints is not None:
         cps = parse_int_list(args.checkpoints, "checkpoint")
+        if not cps:  # as in verify, an empty list would pass having checked nothing
+            raise ValueError("--checkpoints lists no checkpoint")
     else:
         lo, sep, hi = args.k_range.partition(":")
         if not sep:
@@ -231,9 +247,9 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
         ks = range(parse_natural(lo), parse_natural(hi) + 1)
         if not ks:  # as in verify, a range with no k would check nothing
             raise ValueError(f"--k-range {args.k_range} selects no k: LO is above HI")
-        cps = [d_exact(OracleParams(spec.base, spec.multiplier, k)) for k in ks]
-    traj = trajectory(spec, args.symbol, cps)
-    print(f"lil bound (base {spec.base}): {lil_bound(spec.base):.6f}")
+        cps = [_layers.d_exact(_layers.OracleParams(spec.base, spec.multiplier, k)) for k in ks]
+    traj = _layers.trajectory(spec, args.symbol, cps)
+    print(f"lil bound (base {spec.base}): {_layers.lil_bound(spec.base):.6f}")
     if args.out:
         traj.write_csv_path(args.out)
         print(f"wrote {len(traj.points)} points to {args.out}")
@@ -266,7 +282,9 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     seq = parse_sequence(args.sequence)
     c = _multiplier(args)
     xs = parse_int_list(args.xs, "sample point")
-    report = hypothesis_report(seq, args.base, c, xs, cap=args.cap)
+    if not xs:  # as in verify, an empty list would pass having checked nothing
+        raise ValueError("--xs lists no sample point")
+    report = _layers.hypothesis_report(seq, args.base, c, xs, cap=args.cap)
     print(f"sequence: {report.sequence}")
     print(
         f"alpha threshold (base {report.base}, "

@@ -11,12 +11,11 @@ functions, never the other way around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .primes import DEFAULT_COUNTING_CAP
 from .rational import floor_power
-from .sequences import SequenceSpec
+from .sequences import Record, SequenceSpec
 
 __all__ = [
     "OracleParams",
@@ -36,21 +35,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleParams:
+class OracleParams(Record):
     """Base b >= 2, exact rational multiplier c >= 1, block length k >= 1."""
 
+    __slots__ = ("base", "multiplier", "k")
     base: int
     multiplier: Fraction
     k: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplier", Fraction(self.multiplier))
-        if self.base < 2:
+    def __init__(self, base: int, multiplier: Fraction | int, k: int) -> None:
+        multiplier = Fraction(multiplier)
+        self._fill(base, multiplier, k)
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.multiplier < 1:
+        if multiplier < 1:
             raise ValueError("multiplier must be at least 1")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("block length k must be at least 1")
 
 
@@ -167,16 +167,18 @@ FINITE_SAMPLE_DISCLAIMER = (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisSample:
+class HypothesisSample(Record):
+    __slots__ = ("x", "count", "ratio", "holds_at_x")
     x: int
     count: int
     ratio: float
     holds_at_x: bool
 
+    def __init__(self, x: int, count: int, ratio: float, holds_at_x: bool) -> None:
+        self._fill(x, count, ratio, holds_at_x)
 
-@dataclass(frozen=True)
-class HypothesisReport:
+
+class HypothesisReport(Record):
     """Diagnostic comparison of a sequence's density against the threshold.
 
     ``holds_at_x`` records whether count(x) * ln(x) / x stays below the
@@ -184,12 +186,24 @@ class HypothesisReport:
     ``disclaimer``.
     """
 
+    __slots__ = ("sequence", "base", "multiplier", "threshold", "samples", "disclaimer")
     sequence: str
     base: int
     multiplier: Fraction
     threshold: float
     samples: tuple[HypothesisSample, ...]
-    disclaimer: str = FINITE_SAMPLE_DISCLAIMER
+    disclaimer: str
+
+    def __init__(
+        self,
+        sequence: str,
+        base: int,
+        multiplier: Fraction,
+        threshold: float,
+        samples: tuple[HypothesisSample, ...],
+        disclaimer: str = FINITE_SAMPLE_DISCLAIMER,
+    ) -> None:
+        self._fill(sequence, base, multiplier, threshold, samples, disclaimer)
 
 
 def hypothesis_report(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import cache
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, islice, repeat
 from math import isqrt, prod
 from operator import mod
 from typing import Iterator, Sequence
@@ -311,8 +311,19 @@ class FlagBatch(Sequence):
     def _list(self) -> list[int]:
         if self._members is None:
             found = _ONE.finditer(self.flags, self.start, self.stop)
-            self._members = [self.lo + m.start() for m in found]
+            # ``size`` of them: a view from ``take`` has the run's stop until read
+            self._members = [self.lo + m.start() for m in islice(found, self.size)]
         return self._members
+
+    def take(self, k: int, n: int) -> FlagBatch:
+        """Members k to k + n - 1, 0 < n <= size - k, as an extracted view.
+        The members are read from the flag of member k on, n of them, so
+        unlike ``self[k : k + n]`` this never searches for member k + n;
+        the last one read is where the next lookup starts."""
+        view = FlagBatch(self.flags, self.lo, self._flag(k), self.stop, n)
+        view.stop = view._list()[-1] - self.lo + 1
+        self._seen = k + n - 1, view.stop - 1
+        return view
 
     def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
         """The members below ``value`` and the others, as two views; the

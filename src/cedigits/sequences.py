@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterator, Sequence
 
@@ -43,8 +42,51 @@ __all__ = [
     "DEFAULT_COUNTING_CAP",
 ]
 
+class Record:
+    """Base of the package's immutable values.  A subclass names its
+    fields in ``__slots__``, in order, and sets them once in its own
+    ``__init__``; this base compares, hashes and shows them as a frozen
+    dataclass would, and refuses any later assignment.  It is written out
+    because importing ``dataclasses`` (with ``inspect``, ``ast`` and
+    ``dis``) and building each class's methods through ``exec`` cost more
+    than the rest of a short command's start."""
+
+    __slots__ = ()
+
+    def _fill(self, *values: object) -> None:
+        """Set the fields, in the order of ``__slots__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key()
+
+
 class SequenceSpec(ABC):
     """Common surface of every sequence spec."""
+
+    __slots__ = ()
 
     @abstractmethod
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
@@ -93,9 +135,10 @@ class SequenceSpec(ABC):
         return self.canonical
 
 
-@dataclass(frozen=True)
-class Naturals(SequenceSpec):
+class Naturals(Record, SequenceSpec):
     """All positive integers."""
+
+    __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         for lo in itertools.count(max(after, 0) + 1, MAX_BATCH):
@@ -112,8 +155,9 @@ class Naturals(SequenceSpec):
         return "naturals"
 
 
-@dataclass(frozen=True)
-class Primes(SequenceSpec):
+class Primes(Record, SequenceSpec):
+    __slots__ = ()
+
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         return prime_batches(max(after + 1, 2))
 
@@ -128,9 +172,10 @@ class Primes(SequenceSpec):
         return "primes"
 
 
-@dataclass(frozen=True)
-class Composites(SequenceSpec):
+class Composites(Record, SequenceSpec):
     """Composite numbers 4, 6, 8, 9, ... The unit 1 is not a member."""
+
+    __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         return composite_batches(max(after + 1, 4))
@@ -148,8 +193,7 @@ class Composites(SequenceSpec):
         return "composites"
 
 
-@dataclass(frozen=True)
-class Polynomial(SequenceSpec):
+class Polynomial(Record, SequenceSpec):
     """Values f(n) of a polynomial over the naturals or over the primes.
 
     Coefficients are in ascending degree order, must be nonnegative with
@@ -157,12 +201,13 @@ class Polynomial(SequenceSpec):
     so that the values strictly increase.
     """
 
+    __slots__ = ("coefficients", "argument")
     coefficients: tuple[int, ...]
-    argument: str = "naturals"
+    argument: str
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients: Sequence[int], argument: str = "naturals") -> None:
+        coeffs = tuple(coefficients)
+        self._fill(coeffs, argument)
         if len(coeffs) < 2:
             raise ValueError("polynomial must be non-constant (degree >= 1)")
         if any(c < 0 for c in coeffs):
@@ -230,15 +275,15 @@ class Polynomial(SequenceSpec):
         return head + ":" + ",".join(map(str, map(Decimal, self.coefficients)))
 
 
-@dataclass(frozen=True)
-class Explicit(SequenceSpec):
+class Explicit(Record, SequenceSpec):
     """A finite, strictly increasing list of positive integers."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Sequence[int]) -> None:
+        vals = tuple(values)
+        self._fill(vals)
         if any(v < 1 for v in vals):
             raise ValueError("explicit members must be positive")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -273,8 +318,7 @@ def _last_gap(spec: SequenceSpec) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class Complement(SequenceSpec):
+class Complement(Record, SequenceSpec):
     """Positive integers that are not members of the inner spec.
 
     Enumeration walks the gaps of the inner member stream.  A double
@@ -287,10 +331,12 @@ class Complement(SequenceSpec):
     Every other inner spec leaves gaps without end.
     """
 
+    __slots__ = ("inner",)
     inner: SequenceSpec
 
-    def __post_init__(self) -> None:
-        if _last_gap(self.inner) == 0:
+    def __init__(self, inner: SequenceSpec) -> None:
+        self._fill(inner)
+        if _last_gap(inner) == 0:
             raise ValueError("complement of the naturals is empty")
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:

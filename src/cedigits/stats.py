@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from itertools import repeat
@@ -36,6 +35,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
 from .primes import FlagBatch
+from .sequences import Record
 from .stream import NumberSpec, StreamCursor
 
 __all__ = [
@@ -379,21 +379,27 @@ def prefix_counts_at_boundaries(
     return [(pos, counts[0]) for pos, counts in _scan(spec, boundaries, symbol, members=True)]
 
 
-@dataclass(frozen=True)
-class LilPoint:
+class LilPoint(Record):
     """One trajectory sample: exact counts plus the float statistic."""
 
+    __slots__ = ("n", "count", "discrepancy", "statistic")
     n: int
     count: int
     discrepancy: Fraction
     statistic: float
 
+    def __init__(self, n: int, count: int, discrepancy: Fraction, statistic: float) -> None:
+        self._fill(n, count, discrepancy, statistic)
 
-@dataclass(frozen=True)
-class Trajectory:
+
+class Trajectory(Record):
+    __slots__ = ("spec", "symbol", "points")
     spec: NumberSpec
     symbol: int
     points: tuple[LilPoint, ...]
+
+    def __init__(self, spec: NumberSpec, symbol: int, points: tuple[LilPoint, ...]) -> None:
+        self._fill(spec, symbol, points)
 
     def write_csv(self, out: IO[str]) -> None:
         """Write the trajectory as CSV with LF line endings."""

@@ -28,7 +28,6 @@ the exact stream state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +38,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import SequenceExhaustedError
 from .primes import FlagBatch
 from .rational import floor_power, format_rational, parse_natural, parse_rational
-from .sequences import SequenceSpec, parse_sequence
+from .sequences import Record, SequenceSpec, parse_sequence
 
 __all__ = [
     "NumberSpec",
@@ -87,19 +86,25 @@ def repetitions(n: int, base: int, c: Fraction) -> int:
     return floor_power(c, digit_length(n, base))
 
 
-@dataclass(frozen=True)
-class NumberSpec:
+class NumberSpec(Record):
     """A concatenation number: sequence, base, and repetition multiplier."""
 
+    __slots__ = ("sequence", "base", "multiplier")
     sequence: SequenceSpec
     base: int
-    multiplier: Fraction = Fraction(1)
+    multiplier: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplier", Fraction(self.multiplier))
-        if self.base < 2:
+    def __init__(
+        self, sequence: SequenceSpec, base: int, multiplier: Fraction | int = Fraction(1)
+    ) -> None:
+        multiplier = Fraction(multiplier)
+        fill = object.__setattr__
+        fill(self, "sequence", sequence)
+        fill(self, "base", base)
+        fill(self, "multiplier", multiplier)
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.multiplier < 1:
+        if multiplier < 1:
             raise ValueError("multiplier must be at least 1")
 
     @property
@@ -309,7 +314,6 @@ def _hand_out(
         start += len(piece[0]) * piece[2]
 
 
-@dataclass
 class StreamCursor:
     """Forward-only cursor over the digits of a NumberSpec.
 
@@ -320,39 +324,54 @@ class StreamCursor:
     block length, meaning the copy is finished and the cursor will move
     on at the next read.  Underneath, the cursor stands ``_at`` digits
     into one run (members, length, copies); a cursor restored from a
-    checkpoint stands in a run of its one member.
+    checkpoint stands in a run of its one member.  Two cursors are equal
+    when their spec and state are; the run they stand in is not compared.
     """
 
-    spec: NumberSpec
-    position: int = 0
-    integer: int = 0
-    rep: int = 0
-    offset: int = 0
-    _run: tuple[Sequence[int], int, int] = field(
-        default=((), 0, 0), init=False, repr=False, compare=False
-    )
-    _at: int = field(default=0, init=False, repr=False, compare=False)
-    _runs: Iterator[tuple[Sequence[int], int, int]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("spec", "position", "integer", "rep", "offset", "_run", "_at", "_runs", "_block")
+    _run: tuple[Sequence[int], int, int]
+    _runs: Iterator[tuple[Sequence[int], int, int]]
     # digits of the current member once written out, else empty
-    _block: Sequence[int] = field(default=(), init=False, repr=False, compare=False)
+    _block: Sequence[int]
 
-    def __post_init__(self) -> None:
-        if self.integer > 0:
-            if not self.spec.sequence.is_member(self.integer):
-                raise ValueError(f"{self.integer} is not a member of {self.spec.sequence}")
-            length = digit_length(self.integer, self.spec.base)
-            copies = floor_power(self.spec.multiplier, length)
-            if not 0 <= self.rep < copies:
+    def __init__(
+        self, spec: NumberSpec, position: int = 0, integer: int = 0, rep: int = 0, offset: int = 0
+    ) -> None:
+        self.spec, self.position, self.integer, self.rep, self.offset = (
+            spec, position, integer, rep, offset
+        )
+        self._run, self._at, self._block = ((), 0, 0), 0, ()
+        if integer > 0:
+            if not spec.sequence.is_member(integer):
+                raise ValueError(f"{integer} is not a member of {spec.sequence}")
+            length = digit_length(integer, spec.base)
+            copies = floor_power(spec.multiplier, length)
+            if not 0 <= rep < copies:
                 raise ValueError("repetition index out of range")
-            if not 0 <= self.offset <= length:
+            if not 0 <= offset <= length:
                 raise ValueError("digit offset out of range")
-            self._run = ((self.integer,), length, copies)
-            self._at = self.rep * length + self.offset
-            if self.position < self._at:
+            self._run = ((integer,), length, copies)
+            self._at = rep * length + offset
+            if position < self._at:
                 raise ValueError("position is before the digits read of its member")
-        elif self.rep or self.offset or self.position:
+        elif rep or offset or position:
             raise ValueError("a cursor before its first member has read nothing")
-        self._runs = _member_runs(self.spec, self.integer)  # runs only when pulled
+        self._runs = _member_runs(spec, integer)  # runs only when pulled
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(spec={self.spec!r}, position={self.position!r}, "
+            f"integer={self.integer!r}, rep={self.rep!r}, offset={self.offset!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.spec, self.position, self.integer, self.rep, self.offset) == (
+                other.spec, other.position, other.integer, other.rep, other.offset
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # a cursor moves as it reads
 
     def _pull(self) -> bool:
         """Stand at the start of the next run; False at the end of the stream."""
@@ -420,7 +439,10 @@ class StreamCursor:
             run, length, copies = self._run
             span = length * copies
             first, last = start // span, (stop - 1) // span
-            members = run[first : last + 1]
+            if type(run) is FlagBatch:
+                members: Sequence[int] = run.take(first, last + 1 - first)
+            else:
+                members = run[first : last + 1]
             digits = _run_encoder(self.spec.base)(members, length)
             skipped = first * span
             _hand_out(sink, digits, length, copies, start - skipped, stop - skipped)

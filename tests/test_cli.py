@@ -400,17 +400,17 @@ class TestTrajectory:
         assert run_cli(*args, "--out", b)[0] == 0
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
-    def test_empty_checkpoint_list(self, tmp_path):
-        path = str(tmp_path / "empty.csv")
+    def test_blank_checkpoint_list_is_usage_error(self, tmp_path):
+        # as in verify, a list with no checkpoint would pass having checked nothing
+        path = tmp_path / "empty.csv"
         for checkpoints in ("", "  "):
-            code, _, _ = run_cli(
+            code, out, err = run_cli(
                 "trajectory", "--sequence", "naturals", "--base", "10",
-                "--checkpoints", checkpoints, "--out", path,
+                "--checkpoints", checkpoints, "--out", str(path),
             )
-            assert code == 0
-            assert Path(path).read_text(encoding="utf-8") == (
-                "n,count,discrepancy_num,discrepancy_den,statistic\n"
-            )
+            assert (code, out) == (2, "")
+            assert "no checkpoint" in err
+            assert not path.exists()
 
     def test_checkpoint_below_16_rejected(self):
         code, _, err = run_cli(
@@ -546,6 +546,15 @@ class TestThreshold:
         )
         assert code == 2
         assert "sample point" in err
+
+    def test_blank_sample_list_is_usage_error(self):
+        # as in verify, a list with no sample point would pass having checked nothing
+        for xs in ("", " "):
+            code, out, err = run_cli(
+                "threshold", "--sequence", "primes", "--base", "10", "--xs", xs,
+            )
+            assert (code, out) == (2, "")
+            assert "no sample point" in err
 
     def test_cap_exceeded_exit_code(self):
         code, _, err = run_cli(
