@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Sequence
+from io import TextIOBase
 
 from . import _loader
 from .errors import CapExceededError, SequenceExhaustedError
@@ -150,7 +151,7 @@ def run_verification(
     return rows
 
 
-def write_verification_csv(rows: Sequence[VerifyRow], out: IO[str]) -> None:
+def write_verification_csv(rows: Sequence[VerifyRow], out: TextIOBase) -> None:
     out.write(VERIFY_CSV_HEADER + "\n")
     for r in rows:
         out.write(
@@ -205,7 +206,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
     # first chunk leaves no output behind
     first = next(chunks, "")
 
-    def write(fh: IO[str]) -> None:
+    def write(fh: TextIOBase) -> None:
         fh.write(first)
         for rendered in chunks:
             fh.write("," + rendered if base > 36 else rendered)

@@ -13,9 +13,10 @@ only when it is iterated; the composites leave them as lists, one block
 of MAX_BATCH integers at a time.  A walk's start alone sets its cuts.
 Each span starts as one wheel period, rotated to the span's start and
 repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
-are already struck; a walk carries each larger base prime's next
+are already struck; a walk carries each larger base prime's next odd
 multiple from one span to the next, and the base primes are sieved by
-the same kernel.  The last span sieved is kept, so
+the same kernel.  A batch is sized by an Adler-32 sum of its span's
+flags, at memory speed.  The last span sieved is kept, so
 a walk that resumes inside it, as a cursor restored from its checkpoint
 does, reads it from there instead of sieving, and sieves on from its end.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
@@ -29,11 +30,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate, chain, compress, islice, repeat
 from math import isqrt, prod
-from operator import mod
-from typing import Iterator, Sequence
 
 from .errors import CapExceededError
 
@@ -124,8 +124,8 @@ _WHEEL = _wheel()
 # wheel primes themselves.  17 is the least prime a walk strikes.
 _SMALL = bytes(n in _WHEEL_PRIMES for n in range(17))
 # Every strike is a slice of these zeros: a prime from 17 up strikes at
-# most this many integers of a span.
-_ZERO = bytes(MAX_SPAN // len(_SMALL) + 1)
+# most this many odd integers of a span.
+_ZERO = bytes(MAX_SPAN // (2 * len(_SMALL)) + 1)
 
 
 def span_width(n: int) -> int:
@@ -144,27 +144,27 @@ def span_width(n: int) -> int:
 def _sieve(lo: int, width: int, primes: list[int], offsets: list[int]) -> bytearray:
     """Prime flags for [lo, lo + width), width <= MAX_SPAN: the sieve
     kernel.  ``primes`` are the primes from 17 up whose square is below
-    lo + width, and ``offsets[i]`` is where the next multiple of
-    ``primes[i]`` to strike lies, counted from lo.  The offsets move on to
-    the stretch that starts at lo + width."""
+    lo + width, and ``offsets[i]`` is where the next odd multiple of
+    ``primes[i]`` to strike lies, counted from lo: the wheel struck the
+    even ones.  The offsets move on to the stretch from lo + width."""
     at = lo % _WHEEL_PERIOD
     flags = (_WHEEL[at:] + _WHEEL[:at]) * -(-width // _WHEEL_PERIOD)
     del flags[width:]
     if lo < len(_SMALL):
         flags[: len(_SMALL) - lo] = _SMALL[lo : lo + width]
     for i, p in enumerate(primes):
-        off = offsets[i]
-        flags[off::p] = _ZERO[: (width - 1 - off) // p + 1]
-        offsets[i] = (off - width) % p
+        off, step = offsets[i], 2 * p
+        flags[off::step] = _ZERO[: (width - 1 - off) // step + 1]
+        offsets[i] = (off - width) % step
     return flags
 
 
 def _offsets(primes: list[int], lo: int) -> list[int]:
     """Where each prime p starts to strike in a walk from lo, counted from
-    lo: at its first multiple from lo on, but not below p * p, so that p
-    itself stays."""
+    lo: at its first odd multiple from lo on, but not below p * p, so that
+    p itself stays."""
     j = bisect_right(primes, isqrt(lo))
-    return [*map(mod, repeat(-lo), primes[:j]), *[p * p - lo for p in primes[j:]]]
+    return [(p - lo) % (2 * p) for p in primes[:j]] + [p * p - lo for p in primes[j:]]
 
 
 # All primes up to some bound, shared by every sieve and grown on demand.
@@ -340,6 +340,19 @@ class FlagBatch(Sequence):
         )
 
 
+def _count_flags(flags: bytearray, start: int, stop: int) -> int:
+    """The number of 1s in flags[start:stop], of 0/1 flags, at memory
+    speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
+    low half, exact for chunks of at most 65 520 such bytes."""
+    from zlib import adler32  # here: a cold start without a walk skips it
+
+    with memoryview(flags) as view:
+        return sum(
+            adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF
+            for at in range(start, stop, 65_520)
+        )
+
+
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     """Yield the primes >= start in increasing order, without end, as
     views of their sieve flags, one batch per span: the rest of the first
@@ -347,7 +360,7 @@ def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
     6 542 primes below 2**16 and more in the wider spans past 2**21.  A
     span without a prime yields no batch."""
     for lo, flags, at in _segments(max(start, 2)):
-        if size := flags.count(1, at):
+        if size := _count_flags(flags, at, len(flags)):
             yield FlagBatch(flags, lo, at, len(flags), size)
 
 

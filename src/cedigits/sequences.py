@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from decimal import Decimal
-from typing import Iterator, Sequence
 
 from .errors import CapExceededError, SequenceExhaustedError
 # iter_primes and iter_composites stay importable here: bench/tracer.py rebinds them

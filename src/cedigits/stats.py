@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
+from io import TextIOBase
 from itertools import repeat
-from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
 from .primes import FlagBatch
@@ -401,7 +402,7 @@ class Trajectory(Record):
     def __init__(self, spec: NumberSpec, symbol: int, points: tuple[LilPoint, ...]) -> None:
         self._fill(spec, symbol, points)
 
-    def write_csv(self, out: IO[str]) -> None:
+    def write_csv(self, out: TextIOBase) -> None:
         """Write the trajectory as CSV with LF line endings."""
         out.write(TRAJECTORY_CSV_HEADER + "\n")
         for p in self.points:

@@ -28,12 +28,12 @@ the exact stream state.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
 from operator import floordiv, mod
-from typing import Callable, Iterator, Sequence
 
 from .errors import SequenceExhaustedError
 from .primes import FlagBatch
@@ -455,10 +455,10 @@ class StreamCursor:
         flags, or bisected in a list.  Members already crossed must be <= m."""
         while True:
             run, length, copies = self._run
-            if type(run) is FlagBatch:
-                crossed = len(run.split(m + 1)[0])
-            elif not run or run[-1] <= m:
+            if not run or run[-1] <= m:
                 crossed = len(run)
+            elif type(run) is FlagBatch:
+                crossed = len(run.split(m + 1)[0])
             else:
                 crossed = bisect_right(run, m)
             self._advance(crossed * length * copies - self._at, sink, whole)

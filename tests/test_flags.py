@@ -37,10 +37,13 @@ from cedigits import (
 from cedigits import stats
 from cedigits.primes import (
     MAX_BATCH,
+    MAX_SPAN,
     SEGMENT_SIZE,
     FlagBatch,
+    _count_flags,
     _segments,
     prime_batches,
+    prime_count,
     span_width,
 )
 from cedigits.stats import MIN_STATISTIC_N, _run_counts, prefix_counts_at_boundaries
@@ -102,6 +105,38 @@ def test_batches_run_to_span_ends(start):
         assert 0 < len(a) == a.flags.count(1, a.start, a.stop)
         assert a.stop == len(a.flags) == span_width(a.lo) and a.lo % len(a.flags) == 0
         assert b.start == 0 and b.lo == a.lo + len(a.flags) and a[-1] < b[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=3 * 65_520).map(lambda b: bytearray(x & 1 for x in b)), st.data())
+def test_flag_count_equals_a_byte_count(flags, data):
+    """Counting flags by Adler-32 sums gives ``bytearray.count`` over any
+    bounds of any buffer of 0/1 flags."""
+    start = data.draw(st.integers(0, len(flags)))
+    stop = data.draw(st.integers(start, len(flags)))
+    assert _count_flags(flags, start, stop) == flags.count(1, start, stop)
+
+
+@pytest.mark.parametrize("size", [65_519, 65_520, 65_521, 131_040, 131_041])
+def test_flag_count_is_exact_where_chunk_sums_peak(size):
+    """A chunk of 65 520 flags all set sums to 65 520, the most Adler-32's
+    low half holds below its modulus 65 521."""
+    ones = bytearray([1]) * size
+    assert _count_flags(ones, 0, size) == size
+    assert _count_flags(ones, 1, size) == size - 1
+
+
+def test_batch_sizes_sum_to_exact_counts_deep():
+    """The batches of four spans of MAX_SPAN integers from 2**27 count
+    the primes that Meissel's formula counts there, from a table that
+    stops near 2.6 * 10**6."""
+    lo = 2**27
+    assert span_width(lo) == MAX_SPAN
+    hi = lo + 4 * MAX_SPAN
+    views = list(itertools.takewhile(lambda v: v.lo < hi, prime_batches(lo)))
+    assert [v.lo for v in views] == list(range(lo, hi, MAX_SPAN))
+    want = prime_count(hi - 1, cap=hi) - prime_count(lo - 1, cap=hi)
+    assert sum(map(len, views)) == want
 
 
 def full_view() -> tuple[FlagBatch, list[int]]:

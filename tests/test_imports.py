@@ -1,7 +1,8 @@
 """What a cold start loads: ``import cedigits`` loads no layer, each
-command loads only the layers it runs, and nothing imports
-``dataclasses`` or ``inspect``.  Each check runs in a fresh interpreter
-without site-packages, as ``python -S -m cedigits.cli`` does."""
+command loads only the layers it runs, nothing imports ``dataclasses``
+or ``inspect``, and neither the import nor ``threshold`` loads
+``typing``.  Each check runs in a fresh interpreter without
+site-packages, as ``python -S -m cedigits.cli`` does."""
 
 import io
 import json
@@ -61,7 +62,7 @@ def command(*argv: str) -> str:
 def test_import_loads_no_layer():
     modules = loaded_after("import cedigits")
     assert package(modules) == {"cedigits"}
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "typing"}
 
 
 def test_threshold_loads_no_stream_and_no_counter():
@@ -72,7 +73,7 @@ def test_threshold_loads_no_stream_and_no_counter():
         "cedigits", "cedigits.cli", "cedigits.errors", "cedigits.rational",
         "cedigits.primes", "cedigits.sequences", "cedigits.oracle",
     }
-    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {"dataclasses", "inspect", "typing"}
 
 
 def test_count_loads_no_closed_form():

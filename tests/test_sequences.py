@@ -213,9 +213,10 @@ class TestPrimesMachinery:
     @pytest.mark.parametrize("start", [0, 10**6 + 12_345])
     def test_walk_grows_the_base_primes_from_two(self, monkeypatch, start):
         """A walk that starts with only the prime 2 known grows the base
-        primes as it goes, and carries each prime's next multiple across
-        four spans, where the primes from 997 up join the walk from
-        10**6 + 12 345, whose first span starts at 983 040."""
+        primes as it goes, first from 3, an odd start, and carries each
+        prime's next odd multiple across four spans, where the primes
+        from 997 up join the walk from 10**6 + 12 345, whose first span
+        starts at 983 040."""
         monkeypatch.setattr(primes, "_base_primes", [2])
         # and no span kept from an earlier walk, which this one would read
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
@@ -232,6 +233,22 @@ class TestPrimesMachinery:
         base = primes._base_primes
         assert base[-1] ** 2 >= stop
         assert base == list(itertools.compress(range(base[-1] + 1), plain_sieve(base[-1] + 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, SEGMENT_SIZE))
+    @example(3, 2)
+    @example(17 * 17, 100)
+    @example(30_031, SEGMENT_SIZE)
+    def test_kernel_from_any_start(self, lo, width):
+        """The kernel from any start, odd or even, with the offsets
+        ``_offsets`` takes there, strikes the odd multiples it should and
+        carries each prime's next odd multiple past the stretch."""
+        hi = lo + width
+        primes._grow(hi)
+        struck = [p for p in primes._base_primes[6:] if p * p < hi]
+        offsets = primes._offsets(struck, lo)
+        assert primes._sieve(lo, width, struck, offsets) == expected_flags(lo, hi)
+        assert offsets == [(p - hi) % (2 * p) for p in struck]
 
     def test_deep_walk_matches_point_queries(self):
         # a walk near 10**12 grows the shared base primes to 10**6 and more
@@ -284,15 +301,15 @@ def walk(start: int, spans: int) -> bytearray:
 def check_kept() -> None:
     """The kept span starts at a multiple of its width and holds exact
     flags, every prime from 17 whose square lies below its end, and for
-    each the offset of its next multiple past the end, as a fresh walk
-    from there takes them."""
+    each the offset of its next odd multiple past the end, as a fresh
+    walk from there takes them."""
     lo, flags, struck, offsets = primes._kept
     assert len(flags) == span_width(lo) and lo % len(flags) == 0  # every span lies on one grid
     end = lo + len(flags)
     assert flags == expected_flags(lo, end)
     root = isqrt(end - 1)
     assert struck == [p for p in range(17, root + 1) if reference_flags()[p]]
-    assert offsets == [-end % p for p in struck]
+    assert offsets == [(p - end) % (2 * p) for p in struck]
 
 
 class TestKeptSpan:
