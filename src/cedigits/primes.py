@@ -41,8 +41,8 @@ from .errors import CapExceededError
 # span_width).
 SEGMENT_SIZE = 1 << 16
 MAX_SPAN = 1 << 20
-# most members in one batch of any sequence but the primes, which come a
-# span at a time; the composites come in blocks of this many integers
+# most members in a batch that is a list: explicit members, polynomial
+# values, gaps, and the composites, in blocks of this many integers
 MAX_BATCH = 1024
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the

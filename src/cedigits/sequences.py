@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import itertools
+import sys
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
@@ -91,8 +92,8 @@ class SequenceSpec(ABC):
     @abstractmethod
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
-        consecutive nonempty batches of at most MAX_BATCH members, or, for
-        the primes, of one sieve span's primes.
+        consecutive nonempty batches: a step-1 ``range`` of any length,
+        1..MAX_BATCH members, or, for the primes, one sieve span's primes.
         This is the one enumeration of a spec."""
 
     @abstractmethod
@@ -141,8 +142,9 @@ class Naturals(Record, SequenceSpec):
     __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        for lo in itertools.count(max(after, 0) + 1, MAX_BATCH):
-            yield range(lo, lo + MAX_BATCH)
+        # the longest ranges whose len() Python takes; the stream cuts them
+        for lo in itertools.count(max(after, 0) + 1, sys.maxsize):
+            yield range(lo, lo + sys.maxsize)
 
     def is_member(self, n: int) -> bool:
         return n >= 1
@@ -241,15 +243,11 @@ class Polynomial(Record, SequenceSpec):
         return lo
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        """The values at MAX_BATCH arguments at a time: a batch of MAX_BATCH
-        naturals, or a slice of one sieve span's batch of the primes, so
-        a short read evaluates no more values than that."""
-        start = self._largest_arg_leq(after) + 1
-        if self.argument == "primes":
-            args: Iterator[Sequence[int]] = prime_batches(start)
-        else:
-            args = (range(lo, lo + MAX_BATCH) for lo in itertools.count(start, MAX_BATCH))
-        for batch in args:
+        """The values at MAX_BATCH arguments at a time, a slice of a batch
+        of the naturals or of the primes, so a short read evaluates no
+        more values than that."""
+        domain = Naturals() if self.argument == "naturals" else Primes()
+        for batch in domain.batches(self._largest_arg_leq(after)):
             for i in range(0, len(batch), MAX_BATCH):
                 yield list(map(self.value, batch[i : i + MAX_BATCH]))
 
@@ -341,8 +339,8 @@ class Complement(Record, SequenceSpec):
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """The gaps of each inner batch, together, in batches of at most
-        MAX_BATCH.  Nothing waits on a later inner batch, which may never
-        bring a gap."""
+        MAX_BATCH; 1..a as ranges when the inner spec ends its gaps at a.
+        Nothing waits on a later inner batch, which may never bring a gap."""
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
             return
@@ -353,9 +351,8 @@ class Complement(Record, SequenceSpec):
             return
         last = _last_gap(self.inner)
         if last is not None:
-            gaps = range(max(after, 0) + 1, last + 1)
-            for i in range(0, len(gaps), MAX_BATCH):
-                yield gaps[i : i + MAX_BATCH]
+            for lo in range(max(after, 0) + 1, last + 1, sys.maxsize):
+                yield range(lo, min(lo + sys.maxsize, last + 1))
             return
         prev = max(after, 0)
         for inner in self.inner.batches(prev):

@@ -184,8 +184,8 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     """Function giving, for each of ``symbols``, its count in one copy of
     every member of a run of ``length``-digit members, without writing
     the run out; None for a run it does not count so, which the scan
-    has written out and counts instead.  Bases above 256 are always
-    written.
+    has written out and counts instead.  Above base 256 only a range
+    is counted so.
 
     A ``range`` run counts digit d at place i, with s = base**i, as the
     members whose remainder mod base * s lies in [d * s, (d + 1) * s):
@@ -269,8 +269,6 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         return counts
 
     def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
-        if base > 256:
-            return None
         if type(run) is range and run.step == 1:
             places = []  # (s, the quotient and remainder of stop, of start, by base * s)
             s = 1
@@ -284,7 +282,7 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
                 )
                 for d in symbols
             ]
-        if type(run) is FlagBatch:
+        if type(run) is FlagBatch and base <= 256:
             counts = flag_counts(run, length)
             return [counts[d] for d in symbols]
         return None

@@ -9,10 +9,10 @@ construction; with the primes it is the Copeland-Erdos construction.
 
 Digit positions are 1-indexed.  The stream is read as runs: the members
 of one batch that share a digit length, written out together.  A run of
-consecutive members, a ``range`` such as every run of the naturals, is
-written column by column, one strided write per digit place; a list of
-members goes through C-speed conversions, one per member.  The block
-view ``iter_blocks`` is cut from the runs.
+consecutive members, a ``range`` such as a length class of the naturals,
+is written column by column, one strided write per digit place; a list
+of at most MAX_BATCH members goes through C-speed conversions.  The
+block view ``iter_blocks`` is cut from the runs, MAX_BATCH at a time.
 StreamCursor is the one walker of the stream.  It stands in one run at a
 time, crosses whole copies, members and runs by arithmetic, and hands
 the digits it crosses to a sink as pieces (digits, length, copies): the
@@ -36,7 +36,7 @@ from itertools import chain, repeat
 from operator import floordiv, mod
 
 from .errors import SequenceExhaustedError
-from .primes import FlagBatch
+from .primes import MAX_BATCH, FlagBatch
 from .rational import floor_power, format_rational, parse_natural, parse_rational
 from .sequences import Record, SequenceSpec, parse_sequence
 
@@ -253,14 +253,14 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
     ``after``, one run at a time.
 
     A run is a stretch of one batch of ``spec.sequence.batches`` whose
-    members all have ``length`` digits, so it holds at most MAX_BATCH
-    members or the primes of one sieve span; the stream writes each of
-    them ``copies`` times before the next.  Runs are cut at powers of the
-    base and at the ends of batches; a batch of sieve flags is cut there
-    by value, so that no member is extracted, and each span of the primes
-    leaves as one run per member length.  Each run's copy count is
-    floor(c**length) in integers, so every digit, copy and position is
-    exact.
+    members all have ``length`` digits: a range within one length class,
+    at most MAX_BATCH members, or the primes of one sieve span; the stream
+    writes each ``copies`` times before the next.  Runs are cut only at
+    powers of the base and at the ends of batches; a batch of sieve flags
+    is cut there by value, so that no member is extracted, and each span
+    of the primes leaves as one run per member length.  Each run's copy
+    count is floor(c**length) in integers, so every digit, copy and
+    position is exact.
     """
     for batch in spec.sequence.batches(after):
         while batch:
@@ -284,10 +284,12 @@ def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[i
     ``copies`` consecutive writes of ``digits``.
     """
     encode = _run_encoder(spec.base)
-    for run, length, copies in _member_runs(spec, after):
-        digits = encode(run, length)
-        for i, m in enumerate(run):
-            yield m, tuple(digits[i * length : (i + 1) * length]), copies
+    for whole, length, copies in _member_runs(spec, after):
+        for k in range(0, len(whole), MAX_BATCH):
+            run = whole[k : k + MAX_BATCH]
+            digits = encode(run, length)
+            for i, m in enumerate(run):
+                yield m, tuple(digits[i * length : (i + 1) * length]), copies
 
 
 def _hand_out(

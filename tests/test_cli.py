@@ -153,6 +153,18 @@ class TestDigits:
         assert past.returncode == 2
         assert "ended at position 3" in past.stderr
 
+    def test_finite_complement_past_the_index_range(self):
+        # n + 10**20 covers every integer past 10**20, so the complement is
+        # 1..10**20: the naturals' stream, though no len() takes its gaps
+        spec = "complement:poly:100000000000000000000,1"
+        code, out, err = run_cli("digits", "--spec", spec, "--base", "10", "-n", "30")
+        assert (code, out, err) == (0, "123456789101112131415161718192\n", "")
+        for base, c in (("10", "1"), ("2", "3/2"), ("257", "1")):
+            args = ("--base", base, "--c", c, "-n", "100000")
+            counted = run_cli("count", "--spec", spec, *args)
+            assert counted[0] == 0
+            assert counted == run_cli("count", "--spec", "naturals", *args)
+
     def test_bad_sequence_is_usage_error(self):
         code, _, err = run_cli(
             "digits", "--sequence", "nope", "--base", "10", "-n", "5"
@@ -379,17 +391,24 @@ class TestTrajectory:
 
     def test_k_range_writes_csv(self, tmp_path):
         path = str(tmp_path / "traj.csv")
-        code, out, _ = run_cli(
-            "trajectory", "--sequence", "naturals", "--base", "2",
-            "--k-range", "3:4", "--out", path,
-        )
-        assert code == 0
-        assert f"wrote 2 points to {path}" in out
-        body = Path(path).read_text(encoding="utf-8")
-        lines = body.strip().split("\n")
-        assert lines[0] == "n,count,discrepancy_num,discrepancy_den,statistic"
-        assert lines[1].startswith("17,12,7,2,")
-        assert lines[2].startswith("49,")
+        for k_range, points, first, last in (
+            ("3:4", 2, "17,12,7,2,", "49,"),
+            # k = 60 ends past 2**65, after the 2**(j - 1) members of j bits
+            # for j <= 60, each with a leading one and (j - 1) / 2 ones below
+            # on average: sum (j + 1) * 2**(j - 2) = 30 * 2**60 ones
+            ("10:60", 51, "9217,", f"{59 * 2**60 + 1},{30 * 2**60},"),
+        ):
+            code, out, _ = run_cli(
+                "trajectory", "--sequence", "naturals", "--base", "2",
+                "--k-range", k_range, "--out", path,
+            )
+            assert code == 0
+            assert f"wrote {points} points to {path}" in out
+            body = Path(path).read_text(encoding="utf-8")
+            lines = body.strip().split("\n")
+            assert lines[0] == "n,count,discrepancy_num,discrepancy_den,statistic"
+            assert lines[1].startswith(first)
+            assert lines[-1].startswith(last)
 
     def test_deterministic_bytes(self, tmp_path):
         a = str(tmp_path / "a.csv")
@@ -500,6 +519,13 @@ class TestVerify:
         assert code == 2
         assert "beyond the CLI cap" in err
         assert out == ""
+
+    def test_deep_grid_matches_the_closed_forms(self):
+        # whole length classes of the naturals are counted as single runs,
+        # so the scan reaches 10**20 digits: k = 60 in base 2
+        rows = run_verification((2, 10, 257), (Fraction(1), Fraction(3, 2)), 10**20)
+        assert rows and all(r.match for r in rows)
+        assert max(r.k for r in rows if r.base == 2) == 60
 
     def test_rows_are_canonically_ordered(self):
         rows = run_verification((10, 2), (Fraction(2), Fraction(1)), 5000)

@@ -279,13 +279,14 @@ def test_range_runs_reuse_and_regrow_the_cycle_tiles(base, runs):
 
 
 @given(
-    st.sampled_from(COLUMN_BASES),
+    st.sampled_from(COLUMN_BASES + (1000, 65535)),
     st.sampled_from((Fraction(1), Fraction(3, 2), Fraction(2))),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
 def test_naturals_scans_and_reads_match_oracle(base, c, data):
-    """Over the naturals, whose runs are written column by column,
+    """Over the naturals, whose runs are written column by column up to
+    base 256 and counted by their closed form in every base,
     counter_prefix and piecewise reads against the literal expansion, at
     stops inside copies, on run edges and at powers of the base."""
     limit = 40000
@@ -299,8 +300,23 @@ def test_naturals_scans_and_reads_match_oracle(base, c, data):
     for n in stops:
         tally = Counter(stream[:n])
         assert counter_prefix(number, n).counts == [tally[s] for s in range(base)]
-        assert cursor.read(n - done) == bytes(stream[done:n])
+        assert cursor.read(n - done) == (bytes if base <= 256 else list)(stream[done:n])
         done = n
+
+
+@pytest.mark.parametrize("after", [10**6, 10**18])
+def test_blocks_of_a_length_class_are_written_a_batch_at_a_time(after):
+    """The naturals past 10**k leave as one run of 9 * 10**k members, the
+    whole class; its first block is written with at most MAX_BATCH of
+    them, not the 63 MB of the class at k = 6."""
+    tracemalloc.start()
+    try:
+        block = next(iter_blocks(NumberSpec(Naturals(), 10), after))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block == (after + 1, to_digits(after + 1, 10), 1)
+    assert peak < 256 * 1024
 
 
 @pytest.mark.parametrize("base", (8, 10, 16))

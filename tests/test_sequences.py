@@ -162,8 +162,9 @@ class TestPrimesMachinery:
             assert batch[-1] < end
         for batch in itertools.islice(composite_batches(start), 9):
             assert len({block(m) for m in batch}) == 1  # one block each
-        # a batch of the primes may pass MAX_BATCH, but holds the primes
-        # of one span only; a polynomial over them maps MAX_BATCH at a time
+        # a batch is a step-1 range of any length, or 1..MAX_BATCH members,
+        # or the primes of one span; a polynomial over the primes maps
+        # MAX_BATCH of them at a time
         spanned = (Primes(),)
         for spec, want in (
             (Naturals(), list(window)),
@@ -177,11 +178,13 @@ class TestPrimesMachinery:
         ):
             batches = list(itertools.islice(spec.batches(start - 1), 40))
             for b in batches:
-                assert 0 < len(b) <= MAX_BATCH or (
-                    len(b) and spec in spanned and span(b[0]) == span(b[-1])
+                assert len(b) and (
+                    type(b) is range and b.step == 1
+                    or len(b) <= MAX_BATCH
+                    or spec in spanned and span(b[0]) == span(b[-1])
                 )
-            got = list(itertools.chain.from_iterable(batches))
-            assert got[: len(want)] == want
+            got = list(itertools.islice(itertools.chain.from_iterable(batches), len(want)))
+            assert got == want
 
     @settings(max_examples=80, deadline=None)
     @given(
