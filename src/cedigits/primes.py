@@ -13,12 +13,14 @@ only when it is iterated; the composites leave them as lists, one block
 of MAX_BATCH integers at a time.  A walk's start alone sets its cuts.
 Each span starts as one wheel period, rotated to the span's start and
 repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
-are already struck; a walk carries each larger base prime's next odd
-multiple from one span to the next, and the base primes are sieved by
-the same kernel.  A batch is sized by an Adler-32 sum of its span's
-flags, at memory speed.  The last span sieved is kept, so
-a walk that resumes inside it, as a cursor restored from its checkpoint
-does, reads it from there instead of sieving, and sieves on from its end.
+are already struck; each larger base prime strikes its odd multiples
+with one copy of shared zeros, a walk carries its next odd multiple from
+one span to the next, and the base primes are sieved by the same kernel.
+Flags are counted by Adler-32 sums at memory speed: a span's to size its
+batch, and, for the digit counts, each residue column's.  The last span
+sieved is kept, so a walk that resumes inside it, as a cursor restored
+from its checkpoint does, reads it from there instead of sieving, and
+sieves on from its end.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
 kernel, and takes pi(x) from Meissel's formula over that table and the
 primes it holds up to sqrt(x), exact and in integers throughout.
@@ -124,8 +126,9 @@ _WHEEL = _wheel()
 # wheel primes themselves.  17 is the least prime a walk strikes.
 _SMALL = bytes(n in _WHEEL_PRIMES for n in range(17))
 # Every strike is a slice of these zeros: a prime from 17 up strikes at
-# most this many odd integers of a span.
-_ZERO = bytes(MAX_SPAN // (2 * len(_SMALL)) + 1)
+# most this many odd integers of a span.  A bytearray, because slice
+# assignment copies any other value into one first; never written to.
+_ZERO = bytearray(MAX_SPAN // (2 * len(_SMALL)) + 1)
 
 
 def span_width(n: int) -> int:
@@ -343,12 +346,15 @@ class FlagBatch(Sequence):
 def _count_flags(flags: bytearray, start: int, stop: int) -> int:
     """The number of 1s in flags[start:stop], of 0/1 flags, at memory
     speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
-    low half, exact for chunks of at most 65 520 such bytes."""
-    from zlib import adler32  # here: a cold start without a walk skips it
+    low half, exact for chunks of at most 65 520 such bytes.  A whole
+    buffer of one chunk, as a residue column of a span, takes one call."""
+    import zlib  # here: a cold start without a walk skips it
 
+    if start == 0 and stop == len(flags) <= 65_520:
+        return zlib.adler32(flags, 0) & 0xFFFF
     with memoryview(flags) as view:
         return sum(
-            adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF
+            zlib.adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF
             for at in range(start, stop, 65_520)
         )
 

@@ -35,7 +35,7 @@ from io import TextIOBase
 from itertools import repeat
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
-from .primes import FlagBatch
+from .primes import FlagBatch, _count_flags
 from .sequences import Record
 from .stream import NumberSpec, StreamCursor
 
@@ -193,13 +193,14 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     difference of two closed forms.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low, the low places of a member m are the digits of
-    m mod G: one strided column of the flags per residue counts the
-    members of each.  The high places, m // G, are weighed by the count
-    of each row of G flags: the columns, read as integers with one lane of
-    bytes per row, add up to all those counts at once.  Both are reduced
-    place by place.  A larger G means more columns and fewer rows; low is
-    the one whose measured cost is least for the run's width, which keeps
-    G = 100 in base 10 from 2**16 to 2**20 flags.
+    m mod G: one strided column of the flags per residue, counted by
+    ``primes._count_flags``, gives the members of each.  The high places,
+    m // G, are weighed by the count of each row of G flags: the columns,
+    read as integers with one lane of bytes per row, add up to all those
+    counts at once.  Both are reduced place by place.  A larger G means
+    more columns and fewer rows; low is the one whose measured cost is
+    least for the run's width, which keeps G = 100 in base 10 from 2**16
+    to 2**20 flags.
     """
     # the residues prime to the base, which hold every prime above it
     coprime = sum(math.gcd(r, base) == 1 for r in range(base))
@@ -254,7 +255,7 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         total = 0
         for r in residues:
             column = flags[start + (r - first) % size : stop : size]
-            weights[r] = column.count(1)
+            weights[r] = _count_flags(column, 0, len(column))
             if lane > 1:
                 column, ones = bytearray(len(column) * lane), column
                 column[::lane] = ones

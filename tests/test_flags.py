@@ -111,16 +111,19 @@ def test_batches_run_to_span_ends(start):
 @given(st.binary(max_size=3 * 65_520).map(lambda b: bytearray(x & 1 for x in b)), st.data())
 def test_flag_count_equals_a_byte_count(flags, data):
     """Counting flags by Adler-32 sums gives ``bytearray.count`` over any
-    bounds of any buffer of 0/1 flags."""
+    bounds of any buffer of 0/1 flags, and over the whole buffer, the
+    form in which the kernel counts each residue column."""
     start = data.draw(st.integers(0, len(flags)))
     stop = data.draw(st.integers(start, len(flags)))
     assert _count_flags(flags, start, stop) == flags.count(1, start, stop)
+    assert _count_flags(flags, 0, len(flags)) == flags.count(1)
 
 
 @pytest.mark.parametrize("size", [65_519, 65_520, 65_521, 131_040, 131_041])
 def test_flag_count_is_exact_where_chunk_sums_peak(size):
     """A chunk of 65 520 flags all set sums to 65 520, the most Adler-32's
-    low half holds below its modulus 65 521."""
+    low half holds below its modulus 65 521: whole buffers up to that
+    take one sum, longer ones and any stretch are counted by chunks."""
     ones = bytearray([1]) * size
     assert _count_flags(ones, 0, size) == size
     assert _count_flags(ones, 1, size) == size - 1

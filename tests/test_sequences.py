@@ -253,6 +253,15 @@ class TestPrimesMachinery:
         assert primes._sieve(lo, width, struck, offsets) == expected_flags(lo, hi)
         assert offsets == [(p - hi) % (2 * p) for p in struck]
 
+    def test_strikes_leave_the_shared_zeros_zero(self):
+        """Every strike is a slice of the one writable ``_ZERO``: after a
+        walk across spans at 2**24, a growth of the base primes and a
+        count, each of its bytes is still zero and its length unchanged."""
+        list(itertools.islice(prime_batches(2**24), 4))
+        primes._grow(primes._base_primes[-1] ** 2 + 1)
+        assert prime_count(10**8) == 5_761_455
+        assert primes._ZERO.count(0) == len(primes._ZERO) == primes.MAX_SPAN // 34 + 1
+
     def test_deep_walk_matches_point_queries(self):
         # a walk near 10**12 grows the shared base primes to 10**6 and more
         start = 10**12 - 2000
