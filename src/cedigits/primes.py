@@ -9,8 +9,11 @@ base prime in Python, so a wider one shares that loop among more
 integers.  A walk hands out whole spans.  The primes leave them one
 batch per span, a ``FlagBatch`` view of the span's flags from where the
 walk reads it, whose members are found by counting flags and extracted
-only when it is iterated; the composites leave them as lists, one block
-of MAX_BATCH integers at a time.  A walk's start alone sets its cuts.
+only when it is iterated; the composites leave them as views of the
+same flags read with the opposite sense, a ``CompositeBatch`` per block
+of MAX_BATCH integers, each sized by one count of its block's primes,
+whose members are picked out only for the stretch a read writes.  A
+walk's start alone sets its cuts.
 Each span starts as one wheel period, rotated to the span's start and
 repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
 are already struck; each larger base prime strikes its odd multiples
@@ -43,8 +46,9 @@ from .errors import CapExceededError
 # span_width).
 SEGMENT_SIZE = 1 << 16
 MAX_SPAN = 1 << 20
-# most members in a batch that is a list: explicit members, polynomial
-# values, gaps, and the composites, in blocks of this many integers
+# most members in a batch that is a list (explicit members, polynomial
+# values, gaps), and the integers of one block of a span that a view of
+# the composites covers
 MAX_BATCH = 1024
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
@@ -235,7 +239,6 @@ def _segments(start: int) -> Iterator[tuple[int, bytearray, int]]:
         span, at = _span(span, span[0] + len(span[1])), 0
 
 
-_INVERT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 _ONE = re.compile(b"\x01")
 
 
@@ -266,11 +269,15 @@ class FlagBatch(Sequence):
             end = max(first, end)
             start = self._flag(first) if first < self.size else self.stop
             stop = self._flag(end) if end < self.size else self.stop
-            return FlagBatch(self.flags, self.lo, start, stop, end - first)
+            return type(self)(self.flags, self.lo, start, stop, end - first)
         k = range(self.size)[i]
         if self._members is not None:
             return self._members[k]
         return self.lo + self._flag(k)
+
+    def _count(self, start: int, stop: int) -> int:
+        """The members among flag indices [start, stop)."""
+        return self.flags.count(1, start, stop)
 
     def _flag(self, k: int) -> int:
         """Flag index of member k, 0 <= k < size: the first and the last
@@ -314,33 +321,91 @@ class FlagBatch(Sequence):
     def _list(self) -> list[int]:
         if self._members is None:
             found = _ONE.finditer(self.flags, self.start, self.stop)
-            # ``size`` of them: a view from ``take`` has the run's stop until read
+            # ``size`` of them: the view ``take`` reads has the run's stop
             self._members = [self.lo + m.start() for m in islice(found, self.size)]
         return self._members
 
-    def take(self, k: int, n: int) -> FlagBatch:
-        """Members k to k + n - 1, 0 < n <= size - k, as an extracted view.
-        The members are read from the flag of member k on, n of them, so
-        unlike ``self[k : k + n]`` this never searches for member k + n;
-        the last one read is where the next lookup starts."""
-        view = FlagBatch(self.flags, self.lo, self._flag(k), self.stop, n)
-        view.stop = view._list()[-1] - self.lo + 1
-        self._seen = k + n - 1, view.stop - 1
-        return view
+    def take(self, k: int, n: int) -> list[int]:
+        """Members k to k + n - 1, 0 < n <= size - k, as a list.  They are
+        read from the flag of member k on, n of them, so unlike
+        ``self[k : k + n]`` this never searches for member k + n; the last
+        one read is where the next lookup starts."""
+        members = FlagBatch(self.flags, self.lo, self._flag(k), self.stop, n)._list()
+        self._seen = k + n - 1, members[-1] - self.lo
+        return members
 
     def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
         """The members below ``value`` and the others, as two views; the
         flags are counted from the last member found."""
         cut = min(max(value - self.lo, self.start), self.stop)
         seen, at = self._seen
-        if at <= cut:
-            below = seen + self.flags.count(1, at, cut)
-        else:
-            below = seen - self.flags.count(1, cut, at)
+        below = seen + self._count(at, cut) if at <= cut else seen - self._count(cut, at)
         return (
-            FlagBatch(self.flags, self.lo, self.start, cut, below),
-            FlagBatch(self.flags, self.lo, cut, self.stop, self.size - below),
+            type(self)(self.flags, self.lo, self.start, cut, below),
+            type(self)(self.flags, self.lo, cut, self.stop, self.size - below),
         )
+
+
+class CompositeBatch(FlagBatch):
+    """The composites of the flag indices [start, stop) of one span's
+    flags: the same view read with the opposite sense, whose members are
+    the flags that are 0.  Composites are dense, so member k lies k flags
+    on plus one for each prime flag crossed, found by counting the primes
+    a few times over a stretch of about k flags; only ``take`` and
+    iteration pick out members, by ``compress`` over the inverted flags
+    of the stretch they read."""
+
+    __slots__ = ()
+    _INVERTED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+    def _count(self, start: int, stop: int) -> int:
+        return stop - start - self.flags.count(1, start, stop)
+
+    def _flag(self, k: int) -> int:
+        """Flag index of member k, 0 <= k < size: the first and the last
+        by one search, any other counted on from the last one found, or
+        from the view's start for one before it."""
+        flags = self.flags
+        if k == 0:
+            return flags.find(0, self.start, self.stop)
+        if k == self.size - 1:
+            return flags.rfind(0, self.start, self.stop)
+        seen, at = self._seen
+        if seen > k:
+            seen, at = 0, self.start
+        at = self._zero(at, k - seen)
+        self._seen = k, at
+        return at
+
+    def _zero(self, at: int, left: int) -> int:
+        """The index of the 0 flag with ``left`` 0s in [at, it): the least
+        fixed point of i = at + left + (the 1s of flags[at : i + 1]),
+        reached from i = at + left by counting only the flags each step
+        adds, so a lookup k members on counts about k flags."""
+        i = at + left
+        ones = self.flags.count(1, at, i + 1)
+        while ones:
+            i, ones = i + ones, self.flags.count(1, i + 1, i + ones + 1)
+        return i
+
+    def _list(self) -> list[int]:
+        if self._members is None:
+            self._members = self._between(self.start, self.stop)
+        return self._members
+
+    def _between(self, start: int, stop: int) -> list[int]:
+        """The members of flag indices [start, stop)."""
+        inverted = self.flags[start:stop].translate(self._INVERTED)
+        return [*compress(range(self.lo + start, self.lo + stop), inverted)]
+
+    def take(self, k: int, n: int) -> list[int]:
+        """Members k to k + n - 1, 0 < n <= size - k, as a list, picked out
+        of the flags from member k to member k + n - 1 alone; the last of
+        them is where the next lookup starts."""
+        first = self._flag(k)
+        last = self._zero(first, n - 1)
+        self._seen = k + n - 1, last
+        return self._between(first, last + 1)
 
 
 def _count_flags(flags: bytearray, start: int, stop: int) -> int:
@@ -375,18 +440,19 @@ def iter_primes(start: int = 2) -> Iterator[int]:
     return chain.from_iterable(prime_batches(start))
 
 
-def composite_batches(start: int = 4) -> Iterator[list[int]]:
-    """Yield the composites >= start in increasing order, without end,
-    one block of MAX_BATCH integers of a span at a time, counted from
-    where the walk reads the span, so a walk inverts and picks out only
-    the flags it reads.  Composites are dense, so ``compress`` over the
-    inverted flags picks them out faster than a search for each one; a
-    block is skipped only when it is one integer wide and prime."""
+def composite_batches(start: int = 4) -> Iterator[CompositeBatch]:
+    """Yield the composites >= start in increasing order, without end, as
+    views of their sieve flags read with the opposite sense, one block of
+    MAX_BATCH integers of a span at a time, counted from where the walk
+    reads the span.  A view is sized by one count of the primes of its
+    block, so a walk picks out only the members it reads; a block is
+    skipped only when it is one integer wide and prime."""
     for lo, flags, at in _segments(max(start, 4)):
-        for block in range(at, len(flags), MAX_BATCH):
-            inverted = flags[block : block + MAX_BATCH].translate(_INVERT)
-            if batch := [*compress(range(lo + block, lo + block + MAX_BATCH), inverted)]:
-                yield batch
+        width = len(flags)
+        for block in range(at, width, MAX_BATCH):
+            end = min(block + MAX_BATCH, width)
+            if size := end - block - flags.count(1, block, end):
+                yield CompositeBatch(flags, lo, block, end, size)
 
 
 def iter_composites(start: int = 4) -> Iterator[int]:

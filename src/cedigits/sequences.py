@@ -93,7 +93,9 @@ class SequenceSpec(ABC):
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
         consecutive nonempty batches: a step-1 ``range`` of any length,
-        1..MAX_BATCH members, or, for the primes, one sieve span's primes.
+        1..MAX_BATCH members (for the composites, a view of the sieve
+        flags of a block of MAX_BATCH integers), or, for the primes, one
+        sieve span's primes.
         This is the one enumeration of a spec."""
 
     @abstractmethod
@@ -322,7 +324,7 @@ class Complement(Record, SequenceSpec):
     Enumeration walks the gaps of the inner member stream.  A double
     complement is unnested: its members are the original spec's members.
     The complement of the primes is 1 and then the composites, which the
-    sieve hands out from its inverted flags.
+    sieve hands out as views of its flags read with the opposite sense.
     Of the other inner specs, only n + a over the naturals covers every
     integer from some point on, so its complement is 1..a and then ends;
     with a = 0 it is the naturals, whose complement is refused as empty.

@@ -13,14 +13,15 @@ visible.
 Every prefix count walks one fresh StreamCursor to its stops with a
 counting sink.  The members of a run the cursor crosses whole, every
 copy of each, are counted without being written out when they are a
-range of consecutive members or primes read off their flags
-(``_run_counts``); a run of primes holds the primes of one length in
-one sieve span, so each span is counted once per member length and
-stop, and a stop inside it writes out only the member it cuts.  The
-rest the cursor hands out as pieces of runs, members and copies; each
-is counted at C speed and multiplied by its copy count, so repeated
-copies are never written out.  Counts and positions are Python ints
-throughout, so the scan is as exact as a digit-by-digit walk.
+range of consecutive members, or primes or composites read off their
+sieve flags (``_run_counts``); a run of primes holds the primes of one
+length in one sieve span, so each span is counted once per member
+length and stop, and a stop inside it writes out only the member it
+cuts.  The rest the cursor hands out as pieces of runs, members and
+copies; each is counted at C speed and multiplied by its copy count, so
+repeated copies are never written out.  Counts and positions are
+Python ints throughout, so the scan is as exact as a digit-by-digit
+walk.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from io import TextIOBase
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import sub
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
 from .primes import FlagBatch, _count_flags
@@ -190,7 +192,8 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     A ``range`` run counts digit d at place i, with s = base**i, as the
     members whose remainder mod base * s lies in [d * s, (d + 1) * s):
     that many in every whole cycle and a clamped part of one cycle, the
-    difference of two closed forms.
+    difference of two closed forms; each place moves three steps of one
+    running sum over the digits, so every digit is counted at once.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low, the low places of a member m are the digits of
     m mod G: one strided column of the flags per residue, counted by
@@ -201,6 +204,12 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     more columns and fewer rows; low is the one whose measured cost is
     least for the run's width, which keeps G = 100 in base 10 from 2**16
     to 2**20 flags.
+    A run of composites, a ``CompositeBatch``, reads the same flags with
+    the opposite sense: its counts are those of every integer its flags
+    stand for, by the closed form, less those of the primes among them,
+    counted off the flags as above.  The two cover the same integers to
+    the same ``length`` places, so the difference is exact, also where
+    the run's first flags are primes one digit shorter than its members.
     """
     # the residues prime to the base, which hold every prime above it
     coprime = sum(math.gcd(r, base) == 1 for r in range(base))
@@ -269,24 +278,36 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         tally(counts, first // size, rows.tolist(), length - low)
         return counts
 
+    def spread(start: int, stop: int, length: int) -> list[int]:
+        # every digit's count at the lowest ``length`` places of the
+        # integers of [start, stop).  At place i, with s = base**i, the
+        # integers of [0, end) hold q * s + s of each digit below d,
+        # q * s + part of d and q * s of each digit above, where q, d and
+        # part come from end = (q * base + d) * s + part; steps[d] is what
+        # every digit from d on holds more than the one before it
+        steps = [0] * (base + 1)
+        s = 1
+        for _ in range(length):
+            for end, sign in ((stop, 1), (start, -1)):
+                q, r = divmod(end, s * base)
+                d, part = divmod(r, s)
+                steps[0] += sign * (q * s + s)
+                steps[d] -= sign * (s - part)
+                steps[d + 1] -= sign * part
+            s *= base
+        return [*accumulate(steps[:base])]
+
     def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
         if type(run) is range and run.step == 1:
-            places = []  # (s, the quotient and remainder of stop, of start, by base * s)
-            s = 1
-            for _ in range(length):
-                places.append((s, *divmod(run.stop, s * base), *divmod(run.start, s * base)))
-                s *= base
-            return [
-                sum(
-                    (q1 - q0) * s + min(max(r1 - d * s, 0), s) - min(max(r0 - d * s, 0), s)
-                    for s, q1, r1, q0, r0 in places
-                )
-                for d in symbols
-            ]
-        if type(run) is FlagBatch and base <= 256:
+            counts = spread(run.start, run.stop, length)
+        elif base > 256 or not isinstance(run, FlagBatch):
+            return None
+        elif type(run) is FlagBatch:
             counts = flag_counts(run, length)
-            return [counts[d] for d in symbols]
-        return None
+        else:  # composites: every integer of their flags less the primes
+            every = spread(run.lo + run.start, run.lo + run.stop, length)
+            counts = [*map(sub, every, flag_counts(run, length))]
+        return [counts[d] for d in symbols]
 
     return count
 

@@ -27,6 +27,7 @@ the exact stream state.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Iterator, Sequence
 from decimal import Decimal
@@ -268,7 +269,7 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
             top = spec.base**length
             if batch[-1] < top:
                 run, batch = batch, ()
-            elif type(batch) is FlagBatch:
+            elif isinstance(batch, FlagBatch):
                 run, batch = batch.split(top)
             else:
                 stop = bisect_left(batch, top)
@@ -441,7 +442,7 @@ class StreamCursor:
             run, length, copies = self._run
             span = length * copies
             first, last = start // span, (stop - 1) // span
-            if type(run) is FlagBatch:
+            if isinstance(run, FlagBatch):
                 members: Sequence[int] = run.take(first, last + 1 - first)
             else:
                 members = run[first : last + 1]
@@ -459,7 +460,7 @@ class StreamCursor:
             run, length, copies = self._run
             if not run or run[-1] <= m:
                 crossed = len(run)
-            elif type(run) is FlagBatch:
+            elif isinstance(run, FlagBatch):
                 crossed = len(run.split(m + 1)[0])
             else:
                 crossed = bisect_right(run, m)
@@ -510,30 +511,33 @@ class StreamCursor:
 
     def checkpoint(self) -> str:
         """One-line serialization of the cursor state.  The integers are
-        written through Decimal, which has no limit on their digits."""
-        position, integer, rep, offset = (
-            Decimal(v) for v in (self.position, self.integer, self.rep, self.offset)
-        )
-        return (
-            f"position={position} integer={integer} "
-            f"rep={rep} offset={offset} spec={self.spec.canonical}"
-        )
+        written through Decimal only past the limit on the decimal digits
+        of an int, which Decimal lacks."""
+        state = self.position, self.integer, self.rep, self.offset, self.spec.canonical
+        try:
+            return _CHECKPOINT_FORMAT % state
+        except ValueError:
+            return _CHECKPOINT_FORMAT.replace("%d", "%s") % (*map(Decimal, state[:4]), state[4])
 
     @classmethod
     def from_checkpoint(cls, line: str) -> "StreamCursor":
-        fields = line.strip().split(" ")
-        keys = ("position", "integer", "rep", "offset", "spec")
-        if len(fields) != 5 or any(
-            not f.startswith(k + "=") for f, k in zip(fields, keys)
-        ):
+        fields = _CHECKPOINT_LINE.fullmatch(line.strip())
+        if fields is None:
             raise ValueError(f"malformed checkpoint line: {line!r}")
-        values = [f.split("=", 1)[1] for f in fields]
-        spec = parse_number_spec(values[4])
+        spec = parse_number_spec(fields[5])
         try:
-            position, integer, rep, offset = map(parse_natural, values[:4])
+            position, integer, rep, offset = map(parse_natural, fields.group(1, 2, 3, 4))
         except ValueError as exc:
             raise ValueError(f"malformed checkpoint line: {line!r}") from exc
         return cls(spec, position, integer, rep, offset)
+
+
+_CHECKPOINT_FORMAT = "position=%d integer=%d rep=%d offset=%d spec=%s"
+# the fields of a checkpoint line, in order, one space apart; each value
+# is checked as it is parsed
+_CHECKPOINT_LINE = re.compile(
+    "position=([^ ]*) integer=([^ ]*) rep=([^ ]*) offset=([^ ]*) spec=([^ ]*)"
+)
 
 
 def open_stream(spec: NumberSpec) -> StreamCursor:

@@ -4,6 +4,8 @@
 sequence over one span's flags from where the walk reads the span,
 whose members are found by counting flags and whose slices are views of
 the same flags; its member list is extracted only when it is iterated.
+``composite_batches`` hands out the same flags read with the opposite
+sense, a ``CompositeBatch`` per block of MAX_BATCH integers.
 A batch ends at its span's end, and spans widen with depth.  The scan
 counts the digits of the members it crosses whole off those flags, once
 per span, member length and stop (and a ``range`` run from closed
@@ -26,6 +28,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedigits import (
+    Composites,
     NumberSpec,
     Primes,
     StreamCursor,
@@ -39,9 +42,12 @@ from cedigits.primes import (
     MAX_BATCH,
     MAX_SPAN,
     SEGMENT_SIZE,
+    CompositeBatch,
     FlagBatch,
     _count_flags,
     _segments,
+    composite_batches,
+    is_prime,
     prime_batches,
     prime_count,
     span_width,
@@ -229,6 +235,71 @@ def test_view_slices_act_as_list_slices(make, bounds, step, indices):
     assert list(got) == want
 
 
+
+@st.composite
+def composite_starts(draw) -> int:
+    """A walk's start: inside the span a walk just read, and so kept; at
+    or beside a block edge of a span, its last block included; or a few
+    blocks before a span edge where spans widen, at 2**21 and 2**23, or
+    at 2**16, the first edge of all."""
+    kind = draw(st.sampled_from(["kept", "block", "edge"]))
+    if kind == "kept":
+        anchor = draw(st.integers(4, 3 * 10**6))
+        next(composite_batches(anchor))  # keeps the span that holds anchor
+        lo = anchor - anchor % span_width(anchor)
+        return draw(st.integers(max(anchor, 4), lo + span_width(anchor) - 1))
+    if kind == "block":
+        lo = draw(st.sampled_from([0, SEGMENT_SIZE, 2**21, 2**23]))
+        width = span_width(lo)
+        block = draw(st.sampled_from([0, 1, 7, width // MAX_BATCH - 1, width // MAX_BATCH]))
+        return max(lo + block * MAX_BATCH + draw(st.integers(-1, 1)), 4)
+    edge = draw(st.sampled_from([2**16, 2**21, 2**23]))
+    return edge - draw(st.integers(1, 3 * MAX_BATCH))
+
+
+@settings(max_examples=80, deadline=None)
+@given(composite_starts(), st.data())
+@example(4, None)
+@example(2**21 - 1, None)
+def test_composite_views_equal_the_composites(start, data):
+    """The first views of a walk of the composites, each a block of
+    MAX_BATCH integers of a span read with the opposite sense, against
+    the integers that are not prime: their length, members looked up in
+    any order, ``take``, ``split`` and slices, each on a view that earlier
+    lookups have left counting from anywhere."""
+    views = list(itertools.islice(composite_batches(start), 3))
+    assert all(type(v) is CompositeBatch for v in views)
+    members = []
+    for view in views:
+        want = [n for n in range(view.lo + view.start, view.lo + view.stop) if not is_prime(n)]
+        assert (len(view), view[-1]) == (len(want), want[-1])
+        assert all(n >= 4 for n in want) and view._members is None
+        members += want
+
+        def draw_index(size: int = len(want)) -> int:
+            return data.draw(st.integers(0, size - 1)) if data else size // 2
+
+        for _ in range(4 if data else 1):
+            k = draw_index()
+            assert view[k] == want[k]
+            n = draw_index(len(want) - k) + 1
+            assert view.take(k, n) == want[k : k + n]
+            value = want[draw_index()] + (data.draw(st.integers(-2, 2)) if data else 0)
+            low, high = view.split(value)
+            below = bisect_left(want, value)
+            assert (len(low), len(high)) == (below, len(want) - below)
+            assert (list(low), list(high)) == (want[:below], want[below:])
+            a, b = sorted((draw_index(), draw_index() + 1))
+            inner = view[a:b]
+            assert type(inner) is CompositeBatch and len(inner) == b - a
+            if b > a:
+                assert (inner[0], inner[-1], inner[(b - a) // 2]) == (want[a], want[b - 1], want[a + (b - a) // 2])
+            assert list(inner) == want[a:b] and view._members is None
+        assert list(view[::7]) == want[::7] and list(view) == want
+    # the views hold every composite from start on, in order, once
+    first = max(start, 4)
+    assert members == [n for n in range(first, members[-1] + 1) if not is_prime(n)]
+
 BASES = (2, 3, 7, 10, 16, 36, 255, 256, 257)
 MULTIPLIERS = (Fraction(1), Fraction(3, 2), Fraction(2))
 LIMIT = 150_000
@@ -326,15 +397,22 @@ def test_prime_scans_match_oracle(base, c, data):
     assert prefix_counts_at_boundaries(spec, symbol, bounds) == want
 
 
-@pytest.mark.parametrize("base", [b for b in BASES if b <= 256])
+@pytest.mark.parametrize("base", [b for b in BASES if b <= 256] + [8])
 def test_run_counts_equal_written_counts(base):
-    """The counter on flag views and on ranges, run by run, against the
-    digits the encoder writes for the same run."""
+    """The counter on flag views of either sense and on ranges, run by
+    run, against the digits the encoder writes for the same run.  A view
+    of the composites is counted as all its integers less its primes;
+    one from a prime below a power of the base (7 in base 8, 8191 in
+    base 2) holds that prime, one digit shorter than its members."""
     count = _run_counts(base)
     spec = NumberSpec(Primes(), base)
     # the first runs hold the primes that divide the base
     runs = list(itertools.islice(_member_runs(spec), 3))
     runs += itertools.islice(_member_runs(spec, 10**6 - 3), 8)
+    composites = NumberSpec(Composites(), base)
+    for after in (0, base - 2, base**2 - 2, 2**13 - 2, 10**6 - 3):
+        runs += itertools.islice(_member_runs(composites, after), 3)
+    assert any(type(run) is CompositeBatch and len(run) >= _MIN_WHOLE for run, _, _ in runs)
     for a, n in ((base**4 - 4, 4), (10**6 + 3, MAX_BATCH)):
         runs.append((range(a, a + n), len(digits_of(a, base)), 1))
     for run, length, _ in runs:

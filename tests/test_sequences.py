@@ -401,7 +401,7 @@ class TestKeptSpan:
         ends = [b for b in batches if b[0] <= last]
         whole = (SEGMENT_SIZE - 3 * MAX_BATCH) // MAX_BATCH  # the blocks before the last integer
         assert len(ends) == whole + (not is_prime(last))
-        assert (ends[-1] == [last]) == (not is_prime(last))
+        assert (list(ends[-1]) == [last]) == (not is_prime(last))
 
     def test_walk_from_the_kept_end_carries_its_offsets(self, monkeypatch):
         walk(self.LO, 1)

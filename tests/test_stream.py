@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -357,6 +358,88 @@ class TestCheckpoints:
             else:
                 with pytest.raises(ValueError):
                     StreamCursor.from_checkpoint(line)
+
+    @pytest.mark.parametrize(
+        "digits", [4300, 4301, 5000], ids=["at-the-limit", "past-the-limit", "far-past"]
+    )
+    def test_long_fields_are_written_and_read_back_byte_identically(self, digits, tmp_path):
+        # an int of more than 4300 decimal digits is past str()'s and the
+        # %d format's limit, which Decimal lacks: the line is the same
+        # either way, with every field written in full
+        integer = 10 ** (digits - 1) + 7
+        position = 3 * integer
+        cursor = StreamCursor(NumberSpec(Naturals(), 10, HALF3), position, integer, 2, 5)
+        line = cursor.checkpoint()
+        assert line == (
+            f"position={Decimal(position)} integer={Decimal(integer)} rep=2 offset=5"
+            " spec=naturals|b=10|c=3/2"
+        )
+        path = tmp_path / "state.txt"
+        save_checkpoint(cursor, str(path))
+        assert path.read_bytes() == line.encode("ascii") + b"\n"
+        resumed = load_checkpoint(str(path))
+        assert resumed == cursor
+        save_checkpoint(resumed, str(tmp_path / "again.txt"))
+        assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([
+            NumberSpec(Composites(), 10, HALF3),
+            NumberSpec(Primes(), 2),
+            NumberSpec(Naturals(), 257, Fraction(2)),
+            NumberSpec(Explicit((2, 5, 9, 1000)), 10, HALF3),
+        ]),
+        st.integers(0, 3000),
+        st.sampled_from(["position", "integer", "rep", "offset", "spec"]),
+        st.data(),
+    )
+    def test_one_field_mutations_are_refused_or_round_trip(self, spec, n, key, data):
+        """A valid line with one field's value replaced: by another number,
+        that number with a leading zero, a near edit of the old text, any
+        text, or, for the spec part, another spec.  The line is refused
+        with ValueError, or it names one state, whose line reads back to
+        that state; where the new value is written as the writer writes
+        it, that line is the mutated line itself.  A position that the
+        state alone cannot disprove is accepted as it stands."""
+        cursor = open_stream(spec)
+        try:
+            cursor.read(n)
+        except SequenceExhaustedError:
+            pass
+        fields = dict(field.split("=", 1) for field in cursor.checkpoint().split(" "))
+        old = fields[key]
+        edits = st.builds(
+            lambda i, text: old[:i] + text + old[i + 1 :],
+            st.integers(0, len(old)),
+            st.text(max_size=2),
+        )
+        numbers = st.integers(0, 10**25).map(str)
+        specs = st.sampled_from([
+            "primes|b=10|c=1/1", "composites|b=2|c=3/2", "naturals|b=257|c=2/1",
+            "explicit:2,5,9|b=10|c=1/1", "complement:primes|b=10|c=3/2",
+        ])
+        value = data.draw(st.one_of(
+            specs if key == "spec" else numbers,
+            numbers.map("0{}".format),
+            edits,
+            st.text(max_size=12),
+        ))
+        fields[key] = value
+        line = " ".join(f"{k}={v}" for k, v in fields.items())
+        try:
+            resumed = StreamCursor.from_checkpoint(line)
+        except ValueError:
+            return
+        written = resumed.checkpoint()
+        assert StreamCursor.from_checkpoint(written) == resumed
+        assert StreamCursor.from_checkpoint(written).checkpoint() == written
+        if key == "spec":
+            canonical = parse_number_spec(value).canonical == value
+        else:
+            canonical = value == str(int(value))
+        if canonical:
+            assert written == line.strip()
 
     def test_malformed_lines_rejected(self):
         for line in (
