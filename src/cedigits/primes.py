@@ -8,12 +8,12 @@ span per walk and the one the process keeps.  A span loops over every
 base prime in Python, so a wider one shares that loop among more
 integers.  A walk hands out whole spans.  The primes leave them one
 batch per span, a ``FlagBatch`` view of the span's flags from where the
-walk reads it, whose members are found by counting flags and extracted
-only when it is iterated; the composites leave them as views of the
-same flags read with the opposite sense, a ``CompositeBatch`` per block
-of MAX_BATCH integers, each sized by one count of its block's primes,
-whose members are picked out only for the stretch a read writes.  A
-walk's start alone sets its cuts.
+walk reads it; the composites leave them as ``CompositeBatch`` views of
+the same flags read with the opposite sense, one per block of MAX_BATCH
+integers, each sized by one count of its block's primes.  A view finds
+its members by counting flags and slices into views, and picks members
+out only when iterated, so a read extracts only the stretch it writes.
+A walk's start alone sets its cuts.
 Each span starts as one wheel period, rotated to the span's start and
 repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
 are already struck; each larger base prime strikes its odd multiples
@@ -37,7 +37,7 @@ import re
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import isqrt, prod
 
 from .errors import CapExceededError
@@ -245,16 +245,18 @@ _ONE = re.compile(b"\x01")
 class FlagBatch(Sequence):
     """The primes of the flag indices [start, stop) of one span's flags,
     whose index 0 is the integer ``lo``: a read-only sequence of ``size``
-    members, read off the flags.  Member k is found by counting flags, and
-    a slice is a view of the same flags, so a cut through a span costs its
-    members no extraction.  The member list is extracted once, when the
-    view is iterated or sliced with a step."""
+    members, the flags equal to ``_SENSE``.  Member k is found by counting
+    flags, and a slice with no step is a view of the same flags, so a cut
+    through a span costs its members no extraction.  Members are picked
+    out, by ``_between``, only when a view is iterated, afresh each time:
+    a reader slices the stretch it writes and iterates that.  The view of
+    the other sense overrides only ``_count``, ``_between`` and ``_next``."""
 
-    __slots__ = ("flags", "lo", "start", "stop", "size", "_members", "_seen")
+    __slots__ = ("flags", "lo", "start", "stop", "size", "_seen")
+    _SENSE = 1
 
     def __init__(self, flags: bytearray, lo: int, start: int, stop: int, size: int) -> None:
         self.flags, self.lo, self.start, self.stop, self.size = flags, lo, start, stop, size
-        self._members: list[int] | None = None
         # (k, i): flag index i has k members of the view before it
         self._seen = 0, start
 
@@ -265,44 +267,52 @@ class FlagBatch(Sequence):
         if isinstance(i, slice):
             first, end, step = i.indices(self.size)
             if step != 1:
-                return self._list()[i]
+                return list(self)[i]
             end = max(first, end)
             start = self._flag(first) if first < self.size else self.stop
             stop = self._flag(end) if end < self.size else self.stop
             return type(self)(self.flags, self.lo, start, stop, end - first)
-        k = range(self.size)[i]
-        if self._members is not None:
-            return self._members[k]
-        return self.lo + self._flag(k)
+        return self.lo + self._flag(range(self.size)[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._between(self.start, self.stop))
 
     def _count(self, start: int, stop: int) -> int:
         """The members among flag indices [start, stop)."""
         return self.flags.count(1, start, stop)
 
+    def _between(self, start: int, stop: int) -> list[int]:
+        """The members of flag indices [start, stop)."""
+        return [self.lo + m.start() for m in _ONE.finditer(self.flags, start, stop)]
+
     def _flag(self, k: int) -> int:
         """Flag index of member k, 0 <= k < size: the first and the last
         by one search, any other from the last member so found.  Chunks
-        that double step back from it, by ``bytearray.count``, until no
-        more than k members lie before; chunks that double from there
-        find one that holds the member, and its halves one of 64 flags or
-        fewer, in which one search per member finds it.  So a lookup near
-        the last costs a few C calls, and one far away counts a few times
-        the flags between the two."""
-        flags = self.flags
+        that double step back from it, counted by ``_count``, until no
+        more than k members lie before; ``_next`` goes on from there."""
         if k == 0:
-            return flags.find(1, self.start, self.stop)
+            return self.flags.find(self._SENSE, self.start, self.stop)
         if k == self.size - 1:
-            return flags.rfind(1, self.start, self.stop)
+            return self.flags.rfind(self._SENSE, self.start, self.stop)
         seen, at = self._seen
         # the first chunk spans the members between at the view's mean gap
         step = 64 + abs(k - seen) * (self.stop - self.start) // self.size
         while seen > k:
             back = max(at - step, self.start)
-            seen, at, step = seen - flags.count(1, back, at), back, 2 * step
-        # Member k is the flag after the first ``left`` from at.  A chunk
-        # holds it once it holds more than ``left`` flags; the flags of
-        # other views lie past it, so they never end the search early.
-        left = k - seen
+            seen, at, step = seen - self._count(back, at), back, 2 * step
+        at = self._next(at, k - seen, step)
+        self._seen = k, at
+        return at
+
+    def _next(self, at: int, left: int, step: int) -> int:
+        """Flag index of the member with ``left`` members from flag index
+        at before it.  Chunks that double from ``step`` flags find one
+        that holds the member, and its halves one of 64 flags or fewer, in
+        which one search per member finds it.  So a lookup near the last
+        costs a few C calls, and one far away counts a few times the flags
+        between the two.  The flags of other views lie past the member, so
+        they never end the search early."""
+        flags = self.flags
         while (n := flags.count(1, at, at + step)) <= left:
             left, at, step = left - n, at + step, 2 * step
         while step > 64:
@@ -312,27 +322,7 @@ class FlagBatch(Sequence):
         at = flags.find(1, at)
         for _ in range(left):
             at = flags.find(1, at + 1)
-        self._seen = k, at
         return at
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._list())
-
-    def _list(self) -> list[int]:
-        if self._members is None:
-            found = _ONE.finditer(self.flags, self.start, self.stop)
-            # ``size`` of them: the view ``take`` reads has the run's stop
-            self._members = [self.lo + m.start() for m in islice(found, self.size)]
-        return self._members
-
-    def take(self, k: int, n: int) -> list[int]:
-        """Members k to k + n - 1, 0 < n <= size - k, as a list.  They are
-        read from the flag of member k on, n of them, so unlike
-        ``self[k : k + n]`` this never searches for member k + n; the last
-        one read is where the next lookup starts."""
-        members = FlagBatch(self.flags, self.lo, self._flag(k), self.stop, n)._list()
-        self._seen = k + n - 1, members[-1] - self.lo
-        return members
 
     def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
         """The members below ``value`` and the others, as two views; the
@@ -350,62 +340,33 @@ class CompositeBatch(FlagBatch):
     """The composites of the flag indices [start, stop) of one span's
     flags: the same view read with the opposite sense, whose members are
     the flags that are 0.  Composites are dense, so member k lies k flags
-    on plus one for each prime flag crossed, found by counting the primes
-    a few times over a stretch of about k flags; only ``take`` and
-    iteration pick out members, by ``compress`` over the inverted flags
-    of the stretch they read."""
+    on plus one for each prime flag crossed: ``_next`` finds it by
+    counting the primes a few times over a stretch of about k flags, where
+    the sparse primes search by halving chunks, and ``_between`` picks
+    members out by ``compress`` over the inverted flags, where the primes
+    match them one by one."""
 
     __slots__ = ()
+    _SENSE = 0
     _INVERTED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
     def _count(self, start: int, stop: int) -> int:
         return stop - start - self.flags.count(1, start, stop)
 
-    def _flag(self, k: int) -> int:
-        """Flag index of member k, 0 <= k < size: the first and the last
-        by one search, any other counted on from the last one found, or
-        from the view's start for one before it."""
-        flags = self.flags
-        if k == 0:
-            return flags.find(0, self.start, self.stop)
-        if k == self.size - 1:
-            return flags.rfind(0, self.start, self.stop)
-        seen, at = self._seen
-        if seen > k:
-            seen, at = 0, self.start
-        at = self._zero(at, k - seen)
-        self._seen = k, at
-        return at
+    def _between(self, start: int, stop: int) -> list[int]:
+        inverted = self.flags[start:stop].translate(self._INVERTED)
+        return [*compress(range(self.lo + start, self.lo + stop), inverted)]
 
-    def _zero(self, at: int, left: int) -> int:
-        """The index of the 0 flag with ``left`` 0s in [at, it): the least
-        fixed point of i = at + left + (the 1s of flags[at : i + 1]),
-        reached from i = at + left by counting only the flags each step
-        adds, so a lookup k members on counts about k flags."""
+    def _next(self, at: int, left: int, step: int) -> int:
+        """The least fixed point of i = at + left + (the 1s of flags[at :
+        i + 1]), reached from i = at + left by counting only the flags each
+        step adds, so a lookup ``left`` members on counts about that many
+        flags."""
         i = at + left
         ones = self.flags.count(1, at, i + 1)
         while ones:
             i, ones = i + ones, self.flags.count(1, i + 1, i + ones + 1)
         return i
-
-    def _list(self) -> list[int]:
-        if self._members is None:
-            self._members = self._between(self.start, self.stop)
-        return self._members
-
-    def _between(self, start: int, stop: int) -> list[int]:
-        """The members of flag indices [start, stop)."""
-        inverted = self.flags[start:stop].translate(self._INVERTED)
-        return [*compress(range(self.lo + start, self.lo + stop), inverted)]
-
-    def take(self, k: int, n: int) -> list[int]:
-        """Members k to k + n - 1, 0 < n <= size - k, as a list, picked out
-        of the flags from member k to member k + n - 1 alone; the last of
-        them is where the next lookup starts."""
-        first = self._flag(k)
-        last = self._zero(first, n - 1)
-        self._seen = k + n - 1, last
-        return self._between(first, last + 1)
 
 
 def _count_flags(flags: bytearray, start: int, stop: int) -> int:

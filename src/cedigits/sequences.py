@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_COUNTING_CAP",
 ]
 
+
 class Record:
     """Base of the package's immutable values.  A subclass names its
     fields in ``__slots__``, in order, and sets them once in its own
@@ -323,8 +324,9 @@ class Complement(Record, SequenceSpec):
 
     Enumeration walks the gaps of the inner member stream.  A double
     complement is unnested: its members are the original spec's members.
-    The complement of the primes is 1 and then the composites, which the
-    sieve hands out as views of its flags read with the opposite sense.
+    The complement of the primes is 1 and then the composites, and that
+    of the composites is 1 and then the primes: each hands out the
+    sieve's views of the other and walks no gap.
     Of the other inner specs, only n + a over the naturals covers every
     integer from some point on, so its complement is 1..a and then ends;
     with a = 0 it is the naturals, whose complement is refused as empty.
@@ -346,10 +348,11 @@ class Complement(Record, SequenceSpec):
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
             return
-        if isinstance(self.inner, Primes):
+        other = {Primes: Composites, Composites: Primes}.get(type(self.inner))
+        if other is not None:
             if after < 1:
                 yield [1]
-            yield from Composites().batches(after)
+            yield from other().batches(after)
             return
         last = _last_gap(self.inner)
         if last is not None:

@@ -98,14 +98,10 @@ class NumberSpec(Record):
     def __init__(
         self, sequence: SequenceSpec, base: int, multiplier: Fraction | int = Fraction(1)
     ) -> None:
-        multiplier = Fraction(multiplier)
-        fill = object.__setattr__
-        fill(self, "sequence", sequence)
-        fill(self, "base", base)
-        fill(self, "multiplier", multiplier)
+        self._fill(sequence, base, Fraction(multiplier))
         if base < 2:
             raise ValueError("base must be at least 2")
-        if multiplier < 1:
+        if self.multiplier < 1:
             raise ValueError("multiplier must be at least 1")
 
     @property
@@ -211,7 +207,7 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
         def write(members: Sequence[int], length: int) -> bytes:
             lower, lead = divmod(length - 1, width)
             columns = []
-            rest = members
+            rest = list(members)  # read twice below, and a flag view extracts on each read
             for _ in range(lower):
                 columns.append(map(tables[width].__getitem__, map(mod, rest, repeat(chunk))))
                 rest = list(map(floordiv, rest, repeat(chunk)))
@@ -442,10 +438,7 @@ class StreamCursor:
             run, length, copies = self._run
             span = length * copies
             first, last = start // span, (stop - 1) // span
-            if isinstance(run, FlagBatch):
-                members: Sequence[int] = run.take(first, last + 1 - first)
-            else:
-                members = run[first : last + 1]
+            members = run[first : last + 1]
             digits = _run_encoder(self.spec.base)(members, length)
             skipped = first * span
             _hand_out(sink, digits, length, copies, start - skipped, stop - skipped)

@@ -3,7 +3,8 @@
 ``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
 sequence over one span's flags from where the walk reads the span,
 whose members are found by counting flags and whose slices are views of
-the same flags; its member list is extracted only when it is iterated.
+the same flags; its members are extracted, by ``_between``, only when
+it is iterated.
 ``composite_batches`` hands out the same flags read with the opposite
 sense, a ``CompositeBatch`` per block of MAX_BATCH integers.
 A batch ends at its span's end, and spans widen with depth.  The scan
@@ -19,6 +20,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -68,6 +70,24 @@ STARTS = sorted(
 ONE = re.compile(b"\x01")
 
 
+@contextmanager
+def extractions(cls: type = FlagBatch):
+    """Record, while the block runs, each extraction of members from a
+    view of exactly ``cls`` as (view, members): ``_between`` is the one
+    place members are picked out of the flags."""
+    found = []
+    between = cls._between
+
+    def recorded(view, start, stop):
+        members = between(view, start, stop)
+        found.append((view, members))
+        return members
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cls, "_between", recorded)
+        yield found
+
+
 def plain_batches(start: int, spans: int) -> list[list[int]]:
     """The primes of the first ``spans`` spans of a walk from ``start``,
     one list per span that holds one, found by ``re.finditer`` from where
@@ -83,8 +103,9 @@ def test_flag_batches_equal_a_plain_extraction(start):
     want = plain_batches(start, spans)
     views = list(itertools.islice(prime_batches(start), len(want)))
     # length, first and last member come from the flags alone
-    assert [(len(v), v[0], v[-1]) for v in views] == [(len(b), b[0], b[-1]) for b in want]
-    assert all(v._members is None for v in views)
+    with extractions() as found:
+        assert [(len(v), v[0], v[-1]) for v in views] == [(len(b), b[0], b[-1]) for b in want]
+    assert not found
     assert [list(v) for v in views] == want
     # an independent sieve holds the same primes
     members = [m for b in want for m in b]
@@ -158,11 +179,12 @@ def full_view() -> tuple[FlagBatch, list[int]]:
 
 def test_view_acts_as_a_sequence():
     view, members = full_view()
-    assert len(view) == len(members) > 600 and bool(view)
-    assert (view[0], view[-1], view[len(view) - 1]) == (members[0], members[-1], members[-1])
-    assert view._members is None  # no extraction yet
-    assert view[-2] == members[-2] and view[-len(view)] == members[0]
-    assert type(view[5:9]) is FlagBatch and view._members is None  # a slice is a view
+    with extractions() as found:
+        assert len(view) == len(members) > 600 and bool(view)
+        assert (view[0], view[-1], view[len(view) - 1]) == (members[0], members[-1], members[-1])
+        assert not found  # no extraction yet
+        assert view[-2] == members[-2] and view[-len(view)] == members[0]
+        assert type(view[5:9]) is FlagBatch and not found  # a slice is a view
     assert list(view[5:9]) == members[5:9] and list(view[::100]) == members[::100]
     assert list(view) == members and list(reversed(view)) == members[::-1]
     assert members[7] in view and members[7] + 1 not in view
@@ -184,8 +206,9 @@ def test_view_splits_by_value(cut):
         "last": members[-1],
         "above": members[-1] + 5,
     }[cut]
-    low, high = view.split(value)
-    assert view._members is None and low._members is None
+    with extractions() as found:
+        low, high = view.split(value)
+    assert not found
     below = bisect_left(members, value)
     assert (len(low), len(high)) == (below, len(members) - below)
     assert (list(low), list(high)) == (members[:below], members[below:])
@@ -226,12 +249,13 @@ def test_view_slices_act_as_list_slices(make, bounds, step, indices):
     lookups(view, members)
     got, want = view[a:b:step], members[a:b:step]
     if step in (None, 1):
-        assert type(got) is FlagBatch and len(got) == len(want) and view._members is None
-        lookups(got, want)
-        inner = got[c:d]
-        assert type(inner) is FlagBatch and len(inner) == len(want[c:d])
-        assert list(inner) == want[c:d]
-        assert got._members is None and view._members is None
+        with extractions() as found:
+            assert type(got) is FlagBatch and len(got) == len(want) and not found
+            lookups(got, want)
+            inner = got[c:d]
+            assert type(inner) is FlagBatch and len(inner) == len(want[c:d])
+            assert list(inner) == want[c:d]
+        assert all(v is inner for v, _ in found)  # neither got nor view is extracted
     assert list(got) == want
 
 
@@ -265,36 +289,40 @@ def test_composite_views_equal_the_composites(start, data):
     """The first views of a walk of the composites, each a block of
     MAX_BATCH integers of a span read with the opposite sense, against
     the integers that are not prime: their length, members looked up in
-    any order, ``take``, ``split`` and slices, each on a view that earlier
-    lookups have left counting from anywhere."""
+    any order, ``split`` and slices, each on a view that earlier lookups
+    have left counting from anywhere.  Only iteration extracts members:
+    a view whose slices and halves are iterated is not."""
     views = list(itertools.islice(composite_batches(start), 3))
     assert all(type(v) is CompositeBatch for v in views)
     members = []
     for view in views:
         want = [n for n in range(view.lo + view.start, view.lo + view.stop) if not is_prime(n)]
-        assert (len(view), view[-1]) == (len(want), want[-1])
-        assert all(n >= 4 for n in want) and view._members is None
+        with extractions(CompositeBatch) as found:
+            assert (len(view), view[-1]) == (len(want), want[-1])
+        assert all(n >= 4 for n in want) and not found
         members += want
 
         def draw_index(size: int = len(want)) -> int:
             return data.draw(st.integers(0, size - 1)) if data else size // 2
 
-        for _ in range(4 if data else 1):
-            k = draw_index()
-            assert view[k] == want[k]
-            n = draw_index(len(want) - k) + 1
-            assert view.take(k, n) == want[k : k + n]
-            value = want[draw_index()] + (data.draw(st.integers(-2, 2)) if data else 0)
-            low, high = view.split(value)
-            below = bisect_left(want, value)
-            assert (len(low), len(high)) == (below, len(want) - below)
-            assert (list(low), list(high)) == (want[:below], want[below:])
-            a, b = sorted((draw_index(), draw_index() + 1))
-            inner = view[a:b]
-            assert type(inner) is CompositeBatch and len(inner) == b - a
-            if b > a:
-                assert (inner[0], inner[-1], inner[(b - a) // 2]) == (want[a], want[b - 1], want[a + (b - a) // 2])
-            assert list(inner) == want[a:b] and view._members is None
+        with extractions(CompositeBatch) as found:
+            for _ in range(4 if data else 1):
+                k = draw_index()
+                assert view[k] == want[k]
+                n = draw_index(len(want) - k) + 1
+                assert list(view[k : k + n]) == want[k : k + n]
+                value = want[draw_index()] + (data.draw(st.integers(-2, 2)) if data else 0)
+                low, high = view.split(value)
+                below = bisect_left(want, value)
+                assert (len(low), len(high)) == (below, len(want) - below)
+                assert (list(low), list(high)) == (want[:below], want[below:])
+                a, b = sorted((draw_index(), draw_index() + 1))
+                inner = view[a:b]
+                assert type(inner) is CompositeBatch and len(inner) == b - a
+                if b > a:
+                    assert (inner[0], inner[-1], inner[(b - a) // 2]) == (want[a], want[b - 1], want[a + (b - a) // 2])
+                assert list(inner) == want[a:b]
+        assert all(v is not view for v, _ in found)
         assert list(view[::7]) == want[::7] and list(view) == want
     # the views hold every composite from start on, in order, once
     first = max(start, 4)
@@ -568,8 +596,8 @@ def test_stops_inside_a_wide_span(base, c, monkeypatch):
     at = [bisect_left(primes, WIDE + d) for d in (0, 100, 40_000, 2**17 - 200, 2**17, 2**17 + 5000)]
     picks = sorted({primes[i] for i in at} | {primes[at[4] - 1]})  # the span's last prime
     want, ends = wide_oracle(base, c, picks)
-    counted, extracted = [], []
-    kernel, extract = stats._run_counts, FlagBatch._list
+    counted = []
+    kernel = stats._run_counts
 
     def recording(base):
         count = kernel(base)
@@ -581,20 +609,16 @@ def test_stops_inside_a_wide_span(base, c, monkeypatch):
 
         return recorded
 
-    def recorded_list(view):
-        if view._members is None:
-            extracted.append(len(view))
-        return extract(view)
-
     monkeypatch.setattr(stats, "_run_counts", recording)
-    monkeypatch.setattr(FlagBatch, "_list", recorded_list)
     spec = NumberSpec(Primes(), base, c)
     stops = sorted({pos for pos, _ in want})
-    assert [*stats._scan(spec, stops)] == sorted({pos: counts for pos, counts in want}.items())
-    assert [*stats._scan(spec, picks, members=True)] == ends
-    assert all(run._members is None for run in counted)
+    with extractions() as found:
+        assert [*stats._scan(spec, stops)] == sorted({pos: counts for pos, counts in want}.items())
+        assert [*stats._scan(spec, picks, members=True)] == ends
+    extracted = [view for view, _ in found]
+    assert not any(run is view for run in counted for view in extracted)
     assert any(len(run.flags) == 2**17 and 0 < run.start and run.stop < 2**17 for run in counted)
-    assert 0 < max(extracted) < _MIN_WHOLE + 2
+    assert 0 < max(len(members) for _, members in found) < _MIN_WHOLE + 2
 
 
 def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):
@@ -627,20 +651,12 @@ def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):
 
 
 @pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (257, Fraction(1))])
-def test_skip_across_flag_views_then_read_and_resume(base, c, monkeypatch):
+def test_skip_across_flag_views_then_read_and_resume(base, c):
     spec = NumberSpec(Primes(), base, c)
-    extracted = []
-    extract = FlagBatch._list
-
-    def counted(view):
-        if view._members is None:
-            extracted.append(view[0])
-        return extract(view)
-
-    monkeypatch.setattr(FlagBatch, "_list", counted)
     n = 400_000
     cursor = StreamCursor(spec)
-    cursor.skip_to(n)
+    with extractions() as extracted:
+        cursor.skip_to(n)
     assert len(extracted) <= 1  # at most the run the cursor stands in
     digits = cursor.read(5000)
     line = cursor.checkpoint()

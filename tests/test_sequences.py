@@ -718,6 +718,16 @@ class TestComplement:
     def test_members_walk_gaps(self):
         assert take(Complement(Primes()), 8) == [1, 4, 6, 8, 9, 10, 12, 14]
 
+    @pytest.mark.parametrize("inner", [Primes(), Composites()])
+    def test_complements_of_the_sieve_streams_after_small_members(self, inner):
+        """The complement of the primes is 1 and then the composites, that
+        of the composites 1 and then the primes: the members after each of
+        0..11, across the small ones, against ``is_member``."""
+        spec = Complement(inner)
+        for after in range(12):
+            want = [n for n in range(after + 1, 200) if spec.is_member(n)][:20]
+            assert take(spec, 20, after) == want
+
     def test_complement_of_finite_list_is_cofinite(self):
         spec = Complement(Explicit((2, 3, 7)))
         assert take(spec, 8) == [1, 4, 5, 6, 8, 9, 10, 11]

@@ -502,6 +502,21 @@ class TestNumberSpec:
             cursor.next_digit()
 
 
+@pytest.mark.parametrize("inner", ["primes", "composites"])
+def test_complements_of_the_sieve_streams_resume_early(inner):
+    """A cursor over the complement of the primes or of the composites,
+    restored from its checkpoint at each of positions 1..29 in base 10,
+    where it stands on or just past the small members taken before the
+    other stream, reads on as one straight read does."""
+    spec = NumberSpec(parse_sequence(f"complement:{inner}"), 10)
+    straight = open_stream(spec).read(60)
+    for n in range(1, 30):
+        cursor = open_stream(spec)
+        assert cursor.read(n) == straight[:n]
+        resumed = StreamCursor.from_checkpoint(cursor.checkpoint())
+        assert resumed.read(30) == straight[n : n + 30]
+
+
 # Every spec kind; the explicit list is finite and ends inside the budget.
 RESUME_SPECS = (
     "naturals",
