@@ -233,7 +233,7 @@ def hypothesis_report(
         if x < 2:
             raise ValueError("sample points must be at least 2")
         cnt = seq.count(x, cap=cap)
-        ratio = cnt * math.log(x) / x
+        ratio = cnt / x * math.log(x)  # int / int rounds once at any size
         samples.append(HypothesisSample(x, cnt, ratio, ratio < threshold))
     return HypothesisReport(
         seq.canonical, base, c, threshold, tuple(samples)

@@ -6,21 +6,20 @@ from 2**27 (``span_width``), each from a multiple of its width, so that
 streaming the primes (or the composites) never materializes more than a
 span per walk and the one the process keeps.  A span loops over every
 base prime in Python, so a wider one shares that loop among more
-integers.  A walk hands out whole spans.  The primes leave them one
-batch per span, a ``FlagBatch`` view of the span's flags from where the
-walk reads it; the composites leave them as ``CompositeBatch`` views of
-the same flags read with the opposite sense, one per block of MAX_BATCH
-integers, each sized by one count of its block's primes.  A view finds
-its members by counting flags and slices into views, and picks members
-out only when iterated, so a read extracts only the stretch it writes.
+integers.  A walk leaves the spans as views of their flags, cut alike
+for the primes, a ``FlagBatch``, and the composites, a ``CompositeBatch``
+of the opposite sense: at most MAX_BATCH integers from its start, the
+rest of that span, then each span whole (``_views``).  A view finds its
+members by counting flags and slices into views, and picks members out
+only when iterated, so a read extracts only the stretch it writes.
 A walk's start alone sets its cuts.
 Each span starts as one wheel period, rotated to the span's start and
 repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
 are already struck; each larger base prime strikes its odd multiples
 with one copy of shared zeros, a walk carries its next odd multiple from
 one span to the next, and the base primes are sieved by the same kernel.
-Flags are counted by Adler-32 sums at memory speed: a span's to size its
-batch, and, for the digit counts, each residue column's.  The last span
+Flags are counted by Adler-32 sums at memory speed: a view's to size it,
+and, for the digit counts, each residue column's.  The last span
 sieved is kept, so a walk that resumes inside it, as a cursor restored
 from its checkpoint does, reads it from there instead of sieving, and
 sieves on from its end.
@@ -47,8 +46,7 @@ from .errors import CapExceededError
 SEGMENT_SIZE = 1 << 16
 MAX_SPAN = 1 << 20
 # most members in a batch that is a list (explicit members, polynomial
-# values, gaps), and the integers of one block of a span that a view of
-# the composites covers
+# values, gaps), and the integers that a walk's first flag view covers
 MAX_BATCH = 1024
 
 # Deterministic witness tiers.  Each entry is (limit, witnesses): the
@@ -372,12 +370,13 @@ class CompositeBatch(FlagBatch):
 def _count_flags(flags: bytearray, start: int, stop: int) -> int:
     """The number of 1s in flags[start:stop], of 0/1 flags, at memory
     speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
-    low half, exact for chunks of at most 65 520 such bytes.  A whole
-    buffer of one chunk, as a residue column of a span, takes one call."""
+    low half, exact for chunks of at most 65 520 such bytes.  A stretch
+    of one chunk, as a residue column of a span or a walk's first view,
+    takes one call, on the buffer itself when the stretch is all of it."""
     import zlib  # here: a cold start without a walk skips it
 
-    if start == 0 and stop == len(flags) <= 65_520:
-        return zlib.adler32(flags, 0) & 0xFFFF
+    if stop - start <= 65_520:
+        return zlib.adler32(flags if stop - start == len(flags) else flags[start:stop], 0) & 0xFFFF
     with memoryview(flags) as view:
         return sum(
             zlib.adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF
@@ -385,15 +384,26 @@ def _count_flags(flags: bytearray, start: int, stop: int) -> int:
         )
 
 
+def _views(view_cls: type[FlagBatch], start: int) -> Iterator[FlagBatch]:
+    """The members >= start of the sense of ``view_cls``, in order,
+    without end, as views of their sieve flags: the first covers at
+    most MAX_BATCH integers from start, so a restored cursor counts no
+    more before it reads, the next the rest of start's span, and each
+    later one a span whole.  Each is sized by one count of its
+    stretch's 1s; a stretch without a member yields no view."""
+    head = MAX_BATCH
+    for lo, flags, at in _segments(start):
+        for stop in min(at + head, len(flags)), len(flags):
+            ones = _count_flags(flags, at, stop)
+            if size := ones if view_cls._SENSE else stop - at - ones:
+                yield view_cls(flags, lo, at, stop, size)
+            at = stop
+        head = 0
+
+
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:
-    """Yield the primes >= start in increasing order, without end, as
-    views of their sieve flags, one batch per span: the rest of the first
-    span from start, then each later span whole, so a batch holds up to
-    6 542 primes below 2**16 and more in the wider spans past 2**21.  A
-    span without a prime yields no batch."""
-    for lo, flags, at in _segments(max(start, 2)):
-        if size := _count_flags(flags, at, len(flags)):
-            yield FlagBatch(flags, lo, at, len(flags), size)
+    """Yield the primes >= start in increasing order, as ``_views``."""
+    return _views(FlagBatch, max(start, 2))
 
 
 def iter_primes(start: int = 2) -> Iterator[int]:
@@ -402,18 +412,8 @@ def iter_primes(start: int = 2) -> Iterator[int]:
 
 
 def composite_batches(start: int = 4) -> Iterator[CompositeBatch]:
-    """Yield the composites >= start in increasing order, without end, as
-    views of their sieve flags read with the opposite sense, one block of
-    MAX_BATCH integers of a span at a time, counted from where the walk
-    reads the span.  A view is sized by one count of the primes of its
-    block, so a walk picks out only the members it reads; a block is
-    skipped only when it is one integer wide and prime."""
-    for lo, flags, at in _segments(max(start, 4)):
-        width = len(flags)
-        for block in range(at, width, MAX_BATCH):
-            end = min(block + MAX_BATCH, width)
-            if size := end - block - flags.count(1, block, end):
-                yield CompositeBatch(flags, lo, block, end, size)
+    """Yield the composites >= start in increasing order, as ``_views``."""
+    return _views(CompositeBatch, max(start, 4))
 
 
 def iter_composites(start: int = 4) -> Iterator[int]:

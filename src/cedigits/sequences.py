@@ -94,9 +94,8 @@ class SequenceSpec(ABC):
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """Members strictly greater than ``after``, in order, as
         consecutive nonempty batches: a step-1 ``range`` of any length,
-        1..MAX_BATCH members (for the composites, a view of the sieve
-        flags of a block of MAX_BATCH integers), or, for the primes, one
-        sieve span's primes.
+        a list of 1..MAX_BATCH members, or, for the primes and the
+        composites, a view of a stretch of one sieve span's flags.
         This is the one enumeration of a spec."""
 
     @abstractmethod

@@ -14,14 +14,14 @@ Every prefix count walks one fresh StreamCursor to its stops with a
 counting sink.  The members of a run the cursor crosses whole, every
 copy of each, are counted without being written out when they are a
 range of consecutive members, or primes or composites read off their
-sieve flags (``_run_counts``); a run of primes holds the primes of one
-length in one sieve span, so each span is counted once per member
-length and stop, and a stop inside it writes out only the member it
-cuts.  The rest the cursor hands out as pieces of runs, members and
-copies; each is counted at C speed and multiplied by its copy count, so
-repeated copies are never written out.  Counts and positions are
-Python ints throughout, so the scan is as exact as a digit-by-digit
-walk.
+sieve flags (``_run_counts``); a run of either holds the members of one
+length in one view of a sieve span, whole past a walk's first, so each
+view is counted once per member length and stop, and a stop inside it
+writes out only the member it cuts.  The rest the cursor hands out as
+pieces of runs, members and copies; each is counted at C speed and
+multiplied by its copy count, so repeated copies are never written out.
+Counts and positions are Python ints throughout, so the scan is as
+exact as a digit-by-digit walk.
 """
 
 from __future__ import annotations

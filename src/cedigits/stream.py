@@ -8,10 +8,12 @@ With c = 1 and the naturals this is the classical Champernowne
 construction; with the primes it is the Copeland-Erdos construction.
 
 Digit positions are 1-indexed.  The stream is read as runs: the members
-of one batch that share a digit length, written out together.  A run of
-consecutive members, a ``range`` such as a length class of the naturals,
-is written column by column, one strided write per digit place; a list
-of at most MAX_BATCH members goes through C-speed conversions.  The
+of one batch that share a digit length, written out together.  A batch
+of primes or composites is a view of the sieve flags, cut by value and
+sliced without picking its members out.  A run of consecutive members,
+a ``range`` such as a length class of the naturals, is written column
+by column, one strided write per digit place; lists, and the stretch
+of a view that a read writes, go through C-speed conversions.  The
 block view ``iter_blocks`` is cut from the runs, MAX_BATCH at a time.
 StreamCursor is the one walker of the stream.  It stands in one run at a
 time, crosses whole copies, members and runs by arithmetic, and hands
@@ -28,7 +30,7 @@ the exact stream state.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
 from decimal import Decimal
 from fractions import Fraction
@@ -251,26 +253,30 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
 
     A run is a stretch of one batch of ``spec.sequence.batches`` whose
     members all have ``length`` digits: a range within one length class,
-    at most MAX_BATCH members, or the primes of one sieve span; the stream
-    writes each ``copies`` times before the next.  Runs are cut only at
-    powers of the base and at the ends of batches; a batch of sieve flags
-    is cut there by value, so that no member is extracted, and each span
-    of the primes leaves as one run per member length.  Each run's copy
-    count is floor(c**length) in integers, so every digit, copy and
-    position is exact.
+    at most MAX_BATCH members of a list, or a view of sieve flags; the
+    stream writes each ``copies`` times before the next.  Runs are cut
+    only at powers of the base and at the ends of batches, by ``_split``,
+    so that no member of a view is extracted and each view leaves as one
+    run per member length.  Each run's copy count is floor(c**length) in
+    integers, so every digit, copy and position is exact.
     """
     for batch in spec.sequence.batches(after):
         while batch:
             length = digit_length(batch[0], spec.base)
-            top = spec.base**length
-            if batch[-1] < top:
-                run, batch = batch, ()
-            elif isinstance(batch, FlagBatch):
-                run, batch = batch.split(top)
-            else:
-                stop = bisect_left(batch, top)
-                run, batch = batch[:stop], batch[stop:]
+            run, batch = _split(batch, spec.base**length)
             yield run, length, floor_power(spec.multiplier, length)
+
+
+def _split(batch: Sequence[int], value: int) -> tuple[Sequence[int], Sequence[int]]:
+    """The members of a batch below ``value`` and the rest: the batch
+    itself when all are below, else a view of sieve flags split by
+    counting its flags, or a range or list bisected and sliced."""
+    if not batch or batch[-1] < value:
+        return batch, ()
+    if isinstance(batch, FlagBatch):
+        return batch.split(value)
+    stop = bisect_left(batch, value)
+    return batch[:stop], batch[stop:]
 
 
 def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[int, ...], int]]:
@@ -446,17 +452,11 @@ class StreamCursor:
 
     def _advance_past(self, m: int, sink: Sink, whole: Whole | None = None) -> None:
         """Go to the end of the last copy of every member <= m, or to the
-        end of a finite stream.  A run whose last member is <= m is crossed
-        whole; in the run holding m, the members <= m are counted off its
-        flags, or bisected in a list.  Members already crossed must be <= m."""
+        end of a finite stream.  Each run crosses its members <= m, as
+        ``_split`` cuts them.  Members already crossed must be <= m."""
         while True:
             run, length, copies = self._run
-            if not run or run[-1] <= m:
-                crossed = len(run)
-            elif isinstance(run, FlagBatch):
-                crossed = len(run.split(m + 1)[0])
-            else:
-                crossed = bisect_right(run, m)
+            crossed = len(_split(run, m + 1)[0])
             self._advance(crossed * length * copies - self._at, sink, whole)
             if crossed < len(run) or not self._pull():
                 return

@@ -558,6 +558,19 @@ class TestThreshold:
         assert "note: " in out
         assert "cannot decide" in out
 
+    def test_counts_past_the_float_range(self):
+        # 10**400 naturals and 10**350 squares: the counts, not only x,
+        # pass the largest float
+        for spec, x, count, ratio, holds in (
+            ("naturals", 10**400, 10**400, f"{400 * math.log(10):.6f}", "no"),
+            ("poly:0,0,1", 10**700, 10**350, "0.000000", "yes"),
+        ):
+            code, out, err = run_cli(
+                "threshold", "--spec", spec, "--base", "10", "--xs", str(x),
+            )
+            assert (code, err) == (0, "")
+            assert f"\n{x} {count} {ratio} {holds}\n" in out
+
     def test_empty_sequence_always_holds(self):
         code, out, _ = run_cli(
             "threshold", "--sequence", "explicit:", "--base", "10",

@@ -1,18 +1,17 @@
 """Prime batches as views of the sieve flags, and the counts read off them.
 
 ``prime_batches`` hands out each batch as a ``FlagBatch``: a read-only
-sequence over one span's flags from where the walk reads the span,
-whose members are found by counting flags and whose slices are views of
-the same flags; its members are extracted, by ``_between``, only when
-it is iterated.
+sequence over a stretch of one span's flags, whose members are found by
+counting flags and whose slices are views of the same flags; its
+members are extracted, by ``_between``, only when it is iterated.
 ``composite_batches`` hands out the same flags read with the opposite
-sense, a ``CompositeBatch`` per block of MAX_BATCH integers.
-A batch ends at its span's end, and spans widen with depth.  The scan
-counts the digits of the members it crosses whole off those flags, once
-per span, member length and stop (and a ``range`` run from closed
-forms), never writing them out.  These tests hold the views to a plain extraction, and the
-counts to the literal expansion of ``concat_stream`` over an
-independent sieve.
+sense, as ``CompositeBatch`` views.  Both cut a walk alike: its first
+MAX_BATCH integers, the rest of their span, then each span whole; spans
+widen with depth.  The scan counts the digits of the members it crosses
+whole off those flags, once per view, member length and stop (and a
+``range`` run from closed forms), never writing them out.  These tests
+hold the views to a plain extraction, and the counts to the literal
+expansion of ``concat_stream`` over an independent sieve.
 """
 
 import itertools
@@ -30,8 +29,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cedigits import (
+    Complement,
     Composites,
+    Naturals,
     NumberSpec,
+    Polynomial,
     Primes,
     StreamCursor,
     count_symbol_prefix,
@@ -49,7 +51,6 @@ from cedigits.primes import (
     _count_flags,
     _segments,
     composite_batches,
-    is_prime,
     prime_batches,
     prime_count,
     span_width,
@@ -90,10 +91,16 @@ def extractions(cls: type = FlagBatch):
 
 def plain_batches(start: int, spans: int) -> list[list[int]]:
     """The primes of the first ``spans`` spans of a walk from ``start``,
-    one list per span that holds one, found by ``re.finditer`` from where
-    the walk reads each span."""
-    walk = itertools.islice(_segments(max(start, 2)), spans)
-    found = ([lo + m.start() for m in ONE.finditer(flags, at)] for lo, flags, at in walk)
+    found by ``re.finditer`` from where the walk reads each span, and cut
+    as a walk cuts them: those below start + MAX_BATCH, then the rest of
+    the first span, then each later span whole, one list per stretch that
+    holds a prime."""
+    start = max(start, 2)
+    found = []
+    for i, (lo, flags, at) in enumerate(itertools.islice(_segments(start), spans)):
+        members = [lo + m.start() for m in ONE.finditer(flags, at)]
+        head = bisect_left(members, start + MAX_BATCH) if i == 0 else 0
+        found += [members[:head], members[head:]]
     return [batch for batch in found if batch]
 
 
@@ -120,18 +127,24 @@ def test_flag_batches_equal_a_plain_extraction(start):
 @example(2**21 - 10)
 @example(2**23 - 10)
 def test_batches_run_to_span_ends(start):
-    """The first batch reads its span from start, each view runs to its
-    span's end, and the next starts at 0 of the next span: one batch per
-    span, which counts every prime of its stretch."""
+    """The first batch reads its span from start, at most MAX_BATCH
+    integers of it, the next the rest of that span, and each later one a
+    span whole, from 0 to its end.  Each counts every prime of its
+    stretch, and each starts where the one before it ended."""
     views = list(itertools.islice(prime_batches(start), 20))
     first = views[0].lo + views[0].start
     width = span_width(start)
+    end = start - start % width + width  # of start's span
     # from start, or from the next span when start's holds no prime past it
-    assert first == start or first == start - start % width + width
+    assert first == start or first == end
+    head = min(start + MAX_BATCH, end) if first == start else end + span_width(end)
+    assert views[0].lo + views[0].stop == head
+    for v in views:
+        assert 0 < len(v) == v.flags.count(1, v.start, v.stop)
+        assert len(v.flags) == span_width(v.lo) and v.lo % len(v.flags) == 0
     for a, b in zip(views, views[1:]):
-        assert 0 < len(a) == a.flags.count(1, a.start, a.stop)
-        assert a.stop == len(a.flags) == span_width(a.lo) and a.lo % len(a.flags) == 0
-        assert b.start == 0 and b.lo == a.lo + len(a.flags) and a[-1] < b[0]
+        assert b.stop == len(b.flags) and b.lo + b.start == a.lo + a.stop and a[-1] < b[0]
+        assert b.start == 0 or b.lo == views[0].lo
 
 
 @settings(max_examples=60, deadline=None)
@@ -164,14 +177,19 @@ def test_batch_sizes_sum_to_exact_counts_deep():
     assert span_width(lo) == MAX_SPAN
     hi = lo + 4 * MAX_SPAN
     views = list(itertools.takewhile(lambda v: v.lo < hi, prime_batches(lo)))
-    assert [v.lo for v in views] == list(range(lo, hi, MAX_SPAN))
+    # the walk's first MAX_BATCH integers, the rest of their span, then spans whole
+    assert [(v.lo, v.start, v.stop) for v in views] == [
+        (lo, 0, MAX_BATCH), (lo, MAX_BATCH, MAX_SPAN),
+        *((at, 0, MAX_SPAN) for at in range(lo + MAX_SPAN, hi, MAX_SPAN)),
+    ]
     want = prime_count(hi - 1, cap=hi) - prime_count(lo - 1, cap=hi)
     assert sum(map(len, views)) == want
 
 
 def full_view() -> tuple[FlagBatch, list[int]]:
-    """A fresh view of the larger of the first two batches of primes
-    past 10**6, one per span, and its members by a plain extraction."""
+    """A fresh view of the largest of the first batches of primes past
+    10**6 (the walk's first MAX_BATCH integers, the rest of their span,
+    the next span), and its members by a plain extraction."""
     want = plain_batches(10**6, 2)
     i = max(range(len(want)), key=lambda i: len(want[i]))
     return next(itertools.islice(prime_batches(10**6), i, None)), want[i]
@@ -216,9 +234,10 @@ def test_view_splits_by_value(cut):
 
 def wide_view() -> tuple[FlagBatch, list[int]]:
     """A fresh view of the span at 2**24, 2**18 integers wide, and its
-    members by a plain extraction."""
-    (want,) = plain_batches(2**24, 1)
-    return next(prime_batches(2**24)), want
+    members by a plain extraction.  The walk starts at 2**24 - 1, which
+    is not prime, so its first view is that span whole."""
+    (want,) = plain_batches(2**24 - 1, 2)
+    return next(prime_batches(2**24 - 1)), want
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,9 +282,9 @@ def test_view_slices_act_as_list_slices(make, bounds, step, indices):
 @st.composite
 def composite_starts(draw) -> int:
     """A walk's start: inside the span a walk just read, and so kept; at
-    or beside a block edge of a span, its last block included; or a few
-    blocks before a span edge where spans widen, at 2**21 and 2**23, or
-    at 2**16, the first edge of all."""
+    or beside a multiple of MAX_BATCH in a span, within MAX_BATCH of its
+    end included; or a few times MAX_BATCH before a span edge where
+    spans widen, at 2**21 and 2**23, or at 2**16, the first edge of all."""
     kind = draw(st.sampled_from(["kept", "block", "edge"]))
     if kind == "kept":
         anchor = draw(st.integers(4, 3 * 10**6))
@@ -281,25 +300,34 @@ def composite_starts(draw) -> int:
     return edge - draw(st.integers(1, 3 * MAX_BATCH))
 
 
+@cache
+def plain_flags() -> bytearray:
+    """Prime flags by a plain sieve, past the first three views of every
+    walk that ``composite_starts`` draws."""
+    return plain_sieve(2**23 + 2**20)
+
+
 @settings(max_examples=80, deadline=None)
 @given(composite_starts(), st.data())
 @example(4, None)
 @example(2**21 - 1, None)
 def test_composite_views_equal_the_composites(start, data):
-    """The first views of a walk of the composites, each a block of
-    MAX_BATCH integers of a span read with the opposite sense, against
-    the integers that are not prime: their length, members looked up in
-    any order, ``split`` and slices, each on a view that earlier lookups
-    have left counting from anywhere.  Only iteration extracts members:
-    a view whose slices and halves are iterated is not."""
+    """The first views of a walk of the composites, the flags of its
+    first MAX_BATCH integers, of the rest of their span and of the next
+    span read with the opposite sense, against the integers that a plain
+    sieve finds not prime: their length, members looked up in any order,
+    ``split`` and slices, each on a view that earlier lookups have left
+    counting from anywhere.  Only iteration extracts members: a view
+    whose slices and halves are iterated is not."""
     views = list(itertools.islice(composite_batches(start), 3))
     assert all(type(v) is CompositeBatch for v in views)
+    prime = plain_flags()
     members = []
     for view in views:
-        want = [n for n in range(view.lo + view.start, view.lo + view.stop) if not is_prime(n)]
+        want = [n for n in range(view.lo + view.start, view.lo + view.stop) if not prime[n]]
         with extractions(CompositeBatch) as found:
             assert (len(view), view[-1]) == (len(want), want[-1])
-        assert all(n >= 4 for n in want) and not found
+        assert want[0] >= 4 and not found  # want is increasing
         members += want
 
         def draw_index(size: int = len(want)) -> int:
@@ -326,7 +354,35 @@ def test_composite_views_equal_the_composites(start, data):
         assert list(view[::7]) == want[::7] and list(view) == want
     # the views hold every composite from start on, in order, once
     first = max(start, 4)
-    assert members == [n for n in range(first, members[-1] + 1) if not is_prime(n)]
+    assert members == [n for n in range(first, members[-1] + 1) if not prime[n]]
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3, 2)])
+@pytest.mark.parametrize(
+    "base,stops", [(10, [10**k - 1 for k in range(1, 8)]), (2, [2**k - 1 for k in range(1, 24)])]
+)
+def test_composites_at_class_edges_are_the_naturals_less_the_primes(base, stops, c):
+    """The naturals are 1, the primes and the composites.  So at each
+    class edge, up to 10**7 - 1 and 2**23 - 1, past the edges where spans
+    widen (2**21, 2**23) and beyond a brute force, the composites'
+    position and count of every symbol, scanned off the sieve flags a
+    view at a time, are the naturals' (closed forms) less the primes'
+    (written out as lists) less the block of 1; those of
+    ``complement:primes``, which holds 1, less no block."""
+    def scan(seq, symbol: int) -> list[tuple[int, int]]:
+        return prefix_counts_at_boundaries(NumberSpec(seq, base, c), symbol, stops)
+
+    # every symbol at once, as the scan kernel counts them
+    listed = [*stats._scan(NumberSpec(Polynomial((0, 1), "primes"), base, c), stops, members=True)]
+    one = c.numerator // c.denominator  # copies of the one-digit block of 1
+    for symbol in range(base):
+        naturals = scan(Naturals(), symbol)
+        for seq, head in ((Composites(), one), (Complement(Primes()), 0)):
+            want = [
+                (n_pos - p_pos - head, n_count - p_counts[symbol] - head * (symbol == 1))
+                for (n_pos, n_count), (p_pos, p_counts) in zip(naturals, listed)
+            ]
+            assert scan(seq, symbol) == want
 
 BASES = (2, 3, 7, 10, 16, 36, 255, 256, 257)
 MULTIPLIERS = (Fraction(1), Fraction(3, 2), Fraction(2))
@@ -338,10 +394,11 @@ _streams: dict = {}
 
 
 def batch_starts() -> set[int]:
-    """The first prime of every batch of a walk from 2, one per span, from
-    the oracle's primes: the walk reads the span at 0 from 2, and each
-    later span, at a multiple of SEGMENT_SIZE, whole."""
-    los = range(0, ORACLE_PRIMES[-1], SEGMENT_SIZE)
+    """The first prime of every batch of a walk from 2, from the oracle's
+    primes: the walk reads the span at 0 from 2, its first MAX_BATCH
+    integers and then the rest, and each later span, at a multiple of
+    SEGMENT_SIZE, whole."""
+    los = [2 + MAX_BATCH, *range(0, ORACLE_PRIMES[-1], SEGMENT_SIZE)]
     return {ORACLE_PRIMES[bisect_left(ORACLE_PRIMES, lo)] for lo in los}
 
 
@@ -497,8 +554,9 @@ def test_deep_span_counts_equal_a_plain_sieve(base, monkeypatch):
     root = math.isqrt(lo + width)
     for p in itertools.compress(range(root + 1), plain_sieve(root + 1)):
         flags[-lo % p :: p] = bytes(len(range(-lo % p, width, p)))
-    view = next(prime_batches(lo))
-    assert (view.lo, view.start, view.stop) == (lo, 0, width) and view.flags == flags
+    head, view = itertools.islice(prime_batches(lo), 2)
+    assert (head.lo, head.start, head.stop) == (lo, 0, MAX_BATCH) and head.flags == flags
+    assert (view.lo, view.start, view.stop) == (lo, MAX_BATCH, width) and view.flags == flags
     length = len(digits_of(lo, base))
     assert len(digits_of(lo + width - 1, base)) == length
     count = _run_counts(base)

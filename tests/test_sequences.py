@@ -1,6 +1,7 @@
 import itertools
 import sys
 from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from math import isqrt
@@ -26,6 +27,7 @@ from cedigits import (
 from cedigits import primes
 from cedigits.primes import (
     SEGMENT_SIZE,
+    CompositeBatch,
     composite_batches,
     is_prime,
     iter_composites,
@@ -137,16 +139,22 @@ class TestPrimesMachinery:
     @pytest.mark.parametrize("start", [4, 1000, 65_000, 10**6 + 1, 2**21 - 3000])
     def test_walks_cross_growing_segment_edges(self, start):
         # a walk from ``start`` reads the span that holds start from start,
-        # and each later span whole; a batch of primes is the rest of its
-        # span, and the composites come in blocks of MAX_BATCH integers
-        # from where the walk reads a span.  The window crosses the block
-        # edges 1, 2, 4 and 8 blocks on, from 65 000 the span edge at
-        # 65 536, and from 2**21 - 3000 the edge where spans widen to 2**17
+        # and each later span whole; both senses cut it alike, into the
+        # walk's first MAX_BATCH integers, the rest of their span and each
+        # later span whole.  The window runs 1, 2, 4 and 8 times MAX_BATCH
+        # on, from 65 000 across the span edge at 65 536, and from
+        # 2**21 - 3000 across the edge where spans widen to 2**17
         def span(m: int) -> int:
             return m - m % span_width(m)  # where the span that holds m starts
 
-        def block(m: int) -> tuple[int, int]:
-            return span(m), (m - max(start, span(m))) // MAX_BATCH
+        def stretches() -> Iterator[tuple[int, int]]:
+            end = span(start) + span_width(start)
+            yield start, min(start + MAX_BATCH, end)
+            if start + MAX_BATCH < end:
+                yield start + MAX_BATCH, end
+            while True:
+                yield end, end + span_width(end)
+                end += span_width(end)
 
         edges = [start + MAX_BATCH * 2**k for k in range(4)]
         window = range(start, edges[-1] + 40)
@@ -154,18 +162,18 @@ class TestPrimesMachinery:
         want_composites = [n for n in window if n >= 4 and not trial_division_is_prime(n)]
         assert list(itertools.islice(iter_primes(start), len(want_primes))) == want_primes
         assert list(itertools.islice(iter_composites(start), len(want_composites))) == want_composites
-        for batch in itertools.islice(prime_batches(start), 2):
-            end = batch.lo + batch.stop
-            read = max(start, batch.lo)  # where the walk reads the batch's span from
-            assert batch.lo + batch.start == read
-            assert batch.stop == len(batch.flags) == span_width(batch.lo) and batch.lo == span(read)
-            assert batch[-1] < end
-        for batch in itertools.islice(composite_batches(start), 9):
-            assert len({block(m) for m in batch}) == 1  # one block each
+        for walk in prime_batches(start), composite_batches(start):
+            views = list(itertools.islice(walk, 3))
+            assert [(v.lo + v.start, v.lo + v.stop) for v in views] == [
+                *itertools.islice(stretches(), 3)
+            ]
+            for view in views:
+                assert view.stop <= len(view.flags) == span_width(view.lo)
+                assert view.lo == span(view.lo + view.start) and view[-1] < view.lo + view.stop
         # a batch is a step-1 range of any length, or 1..MAX_BATCH members,
-        # or the primes of one span; a polynomial over the primes maps
-        # MAX_BATCH of them at a time
-        spanned = (Primes(),)
+        # or a stretch of one span read off the sieve flags; a polynomial
+        # over the primes maps MAX_BATCH of them at a time
+        spanned = (Primes(), Composites(), Complement(Primes()))
         for spec, want in (
             (Naturals(), list(window)),
             (Primes(), want_primes),
@@ -380,28 +388,28 @@ class TestKeptSpan:
         check_kept()
 
     @pytest.mark.parametrize("last", [2**17 - 1, 2**20 - 1])
-    def test_composite_batches_hold_one_block_each(self, monkeypatch, last):
-        """A walk from inside the kept span, 1023 flags past a block edge
-        of the span, counts blocks of MAX_BATCH integers from its start,
-        so the span's last block is one integer wide: a prime there
-        (2**17 - 1) makes no batch, and a composite (2**20 - 1) a batch of
-        one.  Every batch holds the composites of one block, and the next
-        span's blocks start at its start."""
+    def test_composite_batches_cut_a_head_then_whole_spans(self, monkeypatch, last):
+        """A walk from inside the kept span, 3 * MAX_BATCH - 1 flags past
+        its start, yields the composites of its first MAX_BATCH integers,
+        then those of the rest of the span, to ``last``, then each next
+        span whole.  A walk from ``last`` itself has a head one integer
+        wide: a prime there (2**17 - 1) makes no batch, and a composite
+        (2**20 - 1) a batch of one."""
         lo = last + 1 - SEGMENT_SIZE
         monkeypatch.setattr(primes, "_kept", (0, bytearray(), [], []))
         walk(lo, 1)
         start = lo + 3 * MAX_BATCH - 1
-        batches = list(itertools.islice(composite_batches(start), 70))
-        assert all(0 < len(b) <= MAX_BATCH for b in batches)
+        batches = list(itertools.islice(composite_batches(start), 3))
+        assert 0 < len(batches[0]) <= MAX_BATCH
         members = [m for b in batches for m in b]
         assert members == [n for n in range(start, members[-1] + 1) if not reference_flags()[n]]
-        firsts = [start if b[0] <= last else last + 1 for b in batches]
-        blocks = [{(m - first) // MAX_BATCH for m in b} for b, first in zip(batches, firsts)]
-        assert all(len(block) == 1 for block in blocks)
-        ends = [b for b in batches if b[0] <= last]
-        whole = (SEGMENT_SIZE - 3 * MAX_BATCH) // MAX_BATCH  # the blocks before the last integer
-        assert len(ends) == whole + (not is_prime(last))
-        assert (list(ends[-1]) == [last]) == (not is_prime(last))
+        end = last + 1 + span_width(last + 1)
+        assert [(b.lo + b.start, b.lo + b.stop) for b in batches] == [
+            (start, start + MAX_BATCH), (start + MAX_BATCH, last + 1), (last + 1, end)
+        ]
+        head = next(composite_batches(last))
+        assert (list(head) == [last]) == (not is_prime(last))
+        assert head.lo + head.start == (last if list(head) == [last] else last + 1)
 
     def test_walk_from_the_kept_end_carries_its_offsets(self, monkeypatch):
         walk(self.LO, 1)
@@ -442,7 +450,7 @@ class TestKeptSpan:
     )
     def test_cuts_depend_on_the_start_alone(self, monkeypatch, start):
         """A walk from one start cuts its prime views and its composite
-        batches in the same places whichever span is kept when it begins:
+        views in the same places whichever span is kept when it begins:
         none, the span at 0 that a count keeps, the span that holds LO but
         starts before it, or one far past start.  The last two starts walk
         across the edges where spans widen, at 2**21 and 2**23."""
@@ -455,7 +463,7 @@ class TestKeptSpan:
             prime_cuts = [(v.lo + v.start, v.lo + v.stop, len(v)) for v in views]
             keep()
             assert kept(*primes._kept[:2])
-            batches = itertools.islice(composite_batches(start), 200)
+            batches = itertools.islice(composite_batches(start), views_taken)
             return prime_cuts, [(b[0], b[-1], len(b)) for b in batches]
 
         def unkept() -> None:
@@ -466,8 +474,8 @@ class TestKeptSpan:
         assert cuts(lambda: walk(10**6, 1), lambda lo, flags: lo < self.LO < lo + len(flags)) == want
         far = max(5 * 10**6, 2 * start)
         assert cuts(lambda: walk(far, 1), lambda lo, flags: lo > start) == want
-        if start > 2**21 - SEGMENT_SIZE:  # the views after the first cross a change of width
-            assert len({stop - lo for lo, stop, _ in want[0][1:]}) == 2
+        if start > 2**21 - SEGMENT_SIZE:  # the whole spans after the first cross a change of width
+            assert len({stop - lo for lo, stop, _ in want[0][2:]}) == 2
 
     def test_consumers_never_change_the_flags_they_are_given(self, monkeypatch):
         """prime_count, prime_batches, composite_batches and the stream's
@@ -485,7 +493,7 @@ class TestKeptSpan:
         consumers = (
             lambda start: prime_count(2 * 10**7),  # sieves [0, 73 800]: two spans
             lambda start: [list(b.split(start + 700)[1]) for b in itertools.islice(prime_batches(start), 30)],
-            lambda start: list(itertools.islice(composite_batches(start), 200)),
+            lambda start: list(itertools.islice(composite_batches(start), 4)),  # three spans
             lambda start: counter_prefix(NumberSpec(Primes(), 10), 10**6),
             lambda start: open_stream(NumberSpec(Composites(), 16, Fraction(3, 2))).read(10**6),
         )
@@ -765,11 +773,15 @@ class TestComplement:
 
     @pytest.mark.parametrize("inner", [Polynomial((0, 0, 1)), Primes()])
     def test_batches_are_bounded_and_never_empty(self, inner):
-        # sparse inner specs leave long gaps, dense ones short gaps: both
-        # are cut and joined into batches of 1..MAX_BATCH members
+        # sparse inner specs leave long gaps, cut and joined into batches
+        # of 1..MAX_BATCH members; the primes leave the composites, views
+        # of the sieve flags that each lie in one span
         after = 10**6
         batches = list(itertools.islice(Complement(inner).batches(after), 20))
-        assert all(0 < len(b) <= MAX_BATCH for b in batches)
+        for b in batches:
+            assert 0 < len(b) <= MAX_BATCH or (
+                type(b) is CompositeBatch and b.stop <= len(b.flags) == span_width(b.lo)
+            )
         got = list(itertools.chain.from_iterable(batches))
         want = [n for n in range(after + 1, got[-1] + 1) if not inner.is_member(n)]
         assert got == want

@@ -601,15 +601,18 @@ class TestResumedCursors:
 
     @pytest.mark.parametrize("base", [3, 10])
     def test_windows_on_max_run_edges(self, base):
-        # a batch of primes ends with its sieve span, so the primes reach
-        # the longest run they make, one that the span edge at SEGMENT_SIZE
-        # cuts at no power of base 3 or 10; in base 3 it lies past
-        # RESUME_BUDGET digits
+        # a walk of the primes from 2 cuts its first batch after MAX_BATCH
+        # integers, and its second at the end of the sieve span, so the
+        # primes reach the longest run they make, one that the span edge
+        # at SEGMENT_SIZE cuts at no power of base 3 or 10; in base 3 it
+        # lies past RESUME_BUDGET digits
         spec = NumberSpec(Primes(), base)
         edges = stream_edges(spec, 2 * RESUME_BUDGET)
-        edge = edges["batch_end"][0]
+        head, edge = edges["batch_end"][:2]
         below = [p for p, prime in enumerate(plain_sieve(SEGMENT_SIZE)) if prime]
+        assert head == sum(len(to_digits(p, base)) for p in below if p < 2 + MAX_BATCH)
         assert edge == sum(len(to_digits(p, base)) for p in below)
+        self.run_session(spec, [head - 7, head, head + 3, head + 50])
         self.run_session(spec, [edge - 7, edge, edge + 3, edge + 50])
         self.run_session(spec, [edge - 60, edge - 1, edge, edge + 1])
 
