@@ -244,12 +244,16 @@ class Polynomial(Record, SequenceSpec):
                 hi = mid
         return lo
 
+    @property
+    def domain(self) -> SequenceSpec:
+        """The spec of the arguments: the naturals or the primes."""
+        return Naturals() if self.argument == "naturals" else Primes()
+
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """The values at MAX_BATCH arguments at a time, a slice of a batch
         of the naturals or of the primes, so a short read evaluates no
         more values than that."""
-        domain = Naturals() if self.argument == "naturals" else Primes()
-        for batch in domain.batches(self._largest_arg_leq(after)):
+        for batch in self.domain.batches(self._largest_arg_leq(after)):
             for i in range(0, len(batch), MAX_BATCH):
                 yield list(map(self.value, batch[i : i + MAX_BATCH]))
 
@@ -257,17 +261,10 @@ class Polynomial(Record, SequenceSpec):
         if n < 1:
             return False
         arg = self._largest_arg_leq(n)
-        if arg < 1 or self.value(arg) != n:
-            return False
-        if self.argument == "primes":
-            return is_prime(arg)
-        return True
+        return arg >= 1 and self.value(arg) == n and self.domain.is_member(arg)
 
     def count(self, x: int, *, cap: int = DEFAULT_COUNTING_CAP) -> int:
-        arg = self._largest_arg_leq(x)
-        if self.argument == "primes":
-            return prime_count(arg, cap)
-        return arg
+        return self.domain.count(self._largest_arg_leq(x), cap=cap)
 
     @property
     def canonical(self) -> str:

@@ -27,7 +27,6 @@ exact as a digit-by-digit walk.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -199,11 +198,13 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     m mod G: one strided column of the flags per residue, counted by
     ``primes._count_flags``, gives the members of each.  The high places,
     m // G, are weighed by the count of each row of G flags: the columns,
-    read as integers with one lane of bytes per row, add up to all those
-    counts at once.  Both are reduced place by place.  A larger G means
-    more columns and fewer rows; low is the one whose measured cost is
-    least for the run's width, which keeps G = 100 in base 10 from 2**16
-    to 2**20 flags.
+    read as integers with one byte per row, add up to all those counts at
+    once.  Both are reduced place by place.  G is the largest power of
+    the base within the run's width and 256, and never below the base.
+    A row of G integers then holds fewer than 256 primes: at most one per
+    residue prime to the base in a run above the base, and at most 129
+    (2 and the odd integers) in any 256 consecutive integers, so one byte
+    holds its count without carry.
     A run of composites, a ``CompositeBatch``, reads the same flags with
     the opposite sense: its counts are those of every integer its flags
     stand for, by the closed form, less those of the primes among them,
@@ -211,9 +212,6 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     the same ``length`` places, so the difference is exact, also where
     the run's first flags are primes one digit shorter than its members.
     """
-    # the residues prime to the base, which hold every prime above it
-    coprime = sum(math.gcd(r, base) == 1 for r in range(base))
-
     @cache
     def held(size: int, every: bool) -> list[int]:
         # the residues mod size that hold members: every one for a run
@@ -224,58 +222,29 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         # the digits at the lowest ``places`` places of first, first + 1,
         # ..., first + len(weights) - 1, each counted ``weights[k]`` times
         for _ in range(places):
-            if len(weights) == 1:
-                counts[first % base] += weights[0]
-            else:
-                for k in range(min(base, len(weights))):
-                    counts[(first + k) % base] += sum(weights[k::base])
-                aligned = [0] * (first % base) + weights + [0] * (base - 1)
-                weights = [*map(sum, zip(*[iter(aligned)] * base))]
+            for k in range(min(base, len(weights))):
+                counts[(first + k) % base] += sum(weights[k::base])
+            aligned = [0] * (first % base) + weights + [0] * (base - 1)
+            weights = [*map(sum, zip(*[iter(aligned)] * base))]
             first //= base
 
     def flag_counts(run: FlagBatch, length: int) -> list[int]:
-        # imported here, as in prime_count, so that no path that never
-        # counts primes loads the module
-        from array import array
-
         flags, start, stop = run.flags, run.start, run.stop
         first = run.lo + start  # the integer of flag ``start``
-
-        def cost(low: int) -> int:
-            # in steps of about 5 ns, as measured at widths 2**16 to 2**20:
-            # a column costs about 1 us and 5 ns per byte of its lanes, and
-            # a row of the tally about 0.1 us
-            size = base**low
-            columns = size if first <= base else size // base * coprime
-            rows = (stop - start) // size + 1
-            return columns * (200 + (1 if columns < 256 else 2) * rows) + 20 * rows
-
-        top = 1  # G stays within the run and below 2**16, so two bytes hold a row
-        while top < length and base ** (top + 1) <= min(stop - start, 0xFFFF):
-            top += 1
-        low = min(range(1, top + 1), key=cost)
+        low = 1  # G = base**low, the largest power within the run and 256, at least the base
+        while low < length and base ** (low + 1) <= min(stop - start, 256):
+            low += 1
         size = base**low
         counts = [0] * base
-        residues = held(size, first <= base)
-        # a row of size integers from a multiple of size holds at most one
-        # flag per residue, so ``lane`` bytes hold its count without carry
-        lane = 1 if len(residues) < 256 else 2
         weights = [0] * size
         total = 0
-        for r in residues:
+        for r in held(size, first <= base):
             column = flags[start + (r - first) % size : stop : size]
             weights[r] = _count_flags(column, 0, len(column))
-            if lane > 1:
-                column, ones = bytearray(len(column) * lane), column
-                column[::lane] = ones
-            total += int.from_bytes(column, "little") << (8 * lane if r < first % size else 0)
+            total += int.from_bytes(column, "little") << (8 if r < first % size else 0)
         tally(counts, 0, weights, low)
-        rows = array("BH"[lane - 1], total.to_bytes(
-            ((run.lo + stop - 1) // size - first // size + 1) * lane, "little"
-        ))
-        if sys.byteorder == "big":
-            rows.byteswap()
-        tally(counts, first // size, rows.tolist(), length - low)
+        rows = (run.lo + stop - 1) // size - first // size + 1
+        tally(counts, first // size, list(total.to_bytes(rows, "little")), length - low)
         return counts
 
     def spread(start: int, stop: int, length: int) -> list[int]:
