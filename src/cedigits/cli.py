@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 Each command imports the layers it runs on first use, so a cold start
 pays for no other: ``threshold`` loads the sequences and the closed forms
 (``oracle``) but not the stream or the counters, and ``count`` and
-``digits`` load no closed form.  The layer functions the commands call
-(``counter_prefix``, ``trajectory``, ``prefix_counts_at_boundaries``,
-``d_exact``, ``ones_exact_champernowne``, ``hypothesis_report`` and the
-rest of ``_HOMES``) are attributes of this module, resolved on first
-access, and the commands call them through it, so rebinding one, as a
-tracer does, reaches every command.
+``digits`` load no closed form.  The layer names the commands use are
+attributes of this module, resolved on first access: those ``_HOMES``
+takes from the package's own table, the public names of ``oracle``,
+``stats`` and ``stream``, and ``prefix_counts_at_boundaries``, which
+the package does not export.  The commands call the layers through this
+module, so rebinding one, as a tracer does, reaches every command.
 """
 
 from __future__ import annotations
@@ -27,24 +27,16 @@ from fractions import Fraction
 from functools import lru_cache
 from io import TextIOBase
 
-from . import _loader
+from . import _HOMES as _PACKAGE_HOMES, _loader
 from .errors import CapExceededError, SequenceExhaustedError
 from .rational import format_rational, parse_natural, parse_rational
 from .sequences import DEFAULT_COUNTING_CAP, Naturals, Record, parse_int_list, parse_sequence
 
 # the layers' names the commands call, by module, imported on first access
 _HOMES = {
-    name: module
-    for module, names in (
-        (
-            "oracle",
-            "OracleParams alpha_threshold d_exact hypothesis_report ones_exact_champernowne",
-        ),
-        ("stats", "counter_prefix lil_bound prefix_counts_at_boundaries trajectory"),
-        ("stream", "NumberSpec load_checkpoint open_stream save_checkpoint"),
-    )
-    for name in names.split()
+    name: home for name, home in _PACKAGE_HOMES.items() if home in ("oracle", "stats", "stream")
 }
+_HOMES["prefix_counts_at_boundaries"] = "stats"
 __getattr__ = _loader(globals(), _HOMES)
 # this module, through which the commands call the layers
 _layers = sys.modules[__name__]
@@ -176,10 +168,15 @@ def _multiplier(args: argparse.Namespace) -> Fraction:
     return parse_rational("1" if args.c is None else args.c)
 
 
+def _capped(base: int) -> int:
+    """``base``, refused at or above BASE_CAP, as every command does."""
+    if base >= BASE_CAP:
+        raise ValueError(f"base {base} is beyond the CLI cap {BASE_CAP}")
+    return base
+
+
 def _build_spec(args: argparse.Namespace) -> NumberSpec:
-    if args.base >= BASE_CAP:
-        raise ValueError(f"base {args.base} is beyond the CLI cap {BASE_CAP}")
-    return _layers.NumberSpec(parse_sequence(args.sequence), args.base, _multiplier(args))
+    return _layers.NumberSpec(parse_sequence(args.sequence), _capped(args.base), _multiplier(args))
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
@@ -187,8 +184,7 @@ def _cmd_digits(args: argparse.Namespace) -> int:
         if args.sequence is not None or args.base is not None or args.c is not None:
             raise ValueError("--resume replaces --sequence/--base/--c")
         cursor = _layers.load_checkpoint(args.resume)
-        if cursor.spec.base >= BASE_CAP:
-            raise ValueError(f"base {cursor.spec.base} is beyond the CLI cap {BASE_CAP}")
+        _capped(cursor.spec.base)
     else:
         if args.sequence is None or args.base is None:
             raise ValueError("--sequence and --base are required without --resume")
@@ -260,10 +256,7 @@ def _cmd_trajectory(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    bases = parse_int_list(args.bases, "base")
-    for base in bases:
-        if base >= BASE_CAP:
-            raise ValueError(f"base {base} is beyond the CLI cap {BASE_CAP}")
+    bases = [*map(_capped, parse_int_list(args.bases, "base"))]
     cs = [parse_rational(part) for part in args.cs.split(",")]
     rows = run_verification(
         bases, cs, args.max_digits, args.max_k, corrupt=args.selftest_corrupt
@@ -285,7 +278,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     xs = parse_int_list(args.xs, "sample point")
     if not xs:  # as in verify, an empty list would pass having checked nothing
         raise ValueError("--xs lists no sample point")
-    report = _layers.hypothesis_report(seq, args.base, c, xs, cap=args.cap)
+    report = _layers.hypothesis_report(seq, _capped(args.base), c, xs, cap=args.cap)
     print(f"sequence: {report.sequence}")
     print(
         f"alpha threshold (base {report.base}, "

@@ -248,13 +248,17 @@ class FlagBatch(Sequence):
     through a span costs its members no extraction.  Members are picked
     out, by ``_between``, only when a view is iterated, afresh each time:
     a reader slices the stretch it writes and iterates that.  The view of
-    the other sense overrides only ``_count``, ``_between`` and ``_next``."""
+    the other sense overrides only ``_between`` and ``_next``; a view
+    built without its size counts it."""
 
     __slots__ = ("flags", "lo", "start", "stop", "size", "_seen")
     _SENSE = 1
 
-    def __init__(self, flags: bytearray, lo: int, start: int, stop: int, size: int) -> None:
-        self.flags, self.lo, self.start, self.stop, self.size = flags, lo, start, stop, size
+    def __init__(
+        self, flags: bytearray, lo: int, start: int, stop: int, size: int | None = None
+    ) -> None:
+        self.flags, self.lo, self.start, self.stop = flags, lo, start, stop
+        self.size = self._count(start, stop) if size is None else size
         # (k, i): flag index i has k members of the view before it
         self._seen = 0, start
 
@@ -276,8 +280,9 @@ class FlagBatch(Sequence):
         return iter(self._between(self.start, self.stop))
 
     def _count(self, start: int, stop: int) -> int:
-        """The members among flag indices [start, stop)."""
-        return self.flags.count(1, start, stop)
+        """The members among flag indices [start, stop), of the view's sense."""
+        ones = _count_flags(self.flags, start, stop)
+        return ones if self._SENSE else stop - start - ones
 
     def _between(self, start: int, stop: int) -> list[int]:
         """The members of flag indices [start, stop)."""
@@ -348,9 +353,6 @@ class CompositeBatch(FlagBatch):
     _SENSE = 0
     _INVERTED = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
-    def _count(self, start: int, stop: int) -> int:
-        return stop - start - self.flags.count(1, start, stop)
-
     def _between(self, start: int, stop: int) -> list[int]:
         inverted = self.flags[start:stop].translate(self._INVERTED)
         return [*compress(range(self.lo + start, self.lo + stop), inverted)]
@@ -389,14 +391,13 @@ def _views(view_cls: type[FlagBatch], start: int) -> Iterator[FlagBatch]:
     without end, as views of their sieve flags: the first covers at
     most MAX_BATCH integers from start, so a restored cursor counts no
     more before it reads, the next the rest of start's span, and each
-    later one a span whole.  Each is sized by one count of its
-    stretch's 1s; a stretch without a member yields no view."""
+    later one a span whole.  Each is sized by ``_count``; a stretch
+    without a member yields no view."""
     head = MAX_BATCH
     for lo, flags, at in _segments(start):
         for stop in min(at + head, len(flags)), len(flags):
-            ones = _count_flags(flags, at, stop)
-            if size := ones if view_cls._SENSE else stop - at - ones:
-                yield view_cls(flags, lo, at, stop, size)
+            if (view := view_cls(flags, lo, at, stop)).size:
+                yield view
             at = stop
         head = 0
 

@@ -163,7 +163,7 @@ class Primes(Record, SequenceSpec):
     __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        return prime_batches(max(after + 1, 2))
+        return prime_batches(after + 1)
 
     def is_member(self, n: int) -> bool:
         return n >= 2 and is_prime(n)
@@ -182,15 +182,13 @@ class Composites(Record, SequenceSpec):
     __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        return composite_batches(max(after + 1, 4))
+        return composite_batches(after + 1)
 
     def is_member(self, n: int) -> bool:
         return n >= 4 and not is_prime(n)
 
     def count(self, x: int, *, cap: int = DEFAULT_COUNTING_CAP) -> int:
-        if x < 4:
-            return 0
-        return x - prime_count(x, cap) - 1
+        return max(x - prime_count(x, cap) - 1, 0)
 
     @property
     def canonical(self) -> str:

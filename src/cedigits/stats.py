@@ -123,10 +123,7 @@ class DigitCounter:
 
     def add(self, digit: int) -> None:
         """Record one occurrence of a symbol."""
-        if not 0 <= digit < self.base:
-            raise ValueError(f"digit {digit} out of range for base {self.base}")
-        self.counts[digit] += 1
-        self.total += 1
+        self.add_block((digit,))
 
     def add_block(self, digits: Iterable[int], copies: int = 1) -> None:
         """Record every digit of a block, ``copies`` times over."""

@@ -292,6 +292,18 @@ class TestDigits:
         assert out == ""
         assert "error" in err
 
+    def test_resume_with_a_base_beyond_the_cap_is_usage_error(self, tmp_path):
+        state = tmp_path / "cursor.txt"
+        state.write_text("position=0 integer=0 rep=0 offset=0 spec=naturals|b=70000|c=1\n")
+        code, out, err = run_cli("digits", "--resume", str(state), "-n", "5")
+        assert (code, out) == (2, "")
+        assert "beyond the CLI cap" in err
+
+    def test_neither_spec_nor_resume_is_usage_error(self):
+        code, out, err = run_cli("digits", "-n", "3")
+        assert (code, out) == (2, "")
+        assert "required without --resume" in err
+
     def test_resume_conflicts_with_spec_flags(self, tmp_path):
         state = str(tmp_path / "cursor.txt")
         run_cli("digits", "--sequence", "naturals", "--base", "10", "-n", "3",
@@ -447,6 +459,13 @@ class TestTrajectory:
         assert (code, out) == (2, "")
         assert "selects no k" in err
 
+    def test_k_range_without_a_colon_is_usage_error(self):
+        code, out, err = run_cli(
+            "trajectory", "--spec", "naturals", "--base", "2", "--k-range", "10"
+        )
+        assert (code, out) == (2, "")
+        assert "LO:HI" in err
+
     def test_statistic_past_the_float_range(self):
         # with c = 10**400, k = 1 ends after the c copies of member 1, at
         # n = c, past the float range; the counts stay exact, and the
@@ -594,6 +613,12 @@ class TestThreshold:
             )
             assert (code, out) == (2, "")
             assert "no sample point" in err
+
+    def test_base_beyond_cap_is_usage_error(self):
+        # as every other command, threshold refuses a base at or above 2**16
+        code, out, err = run_cli("threshold", "--spec", "primes", "--base", "70000", "--xs", "100")
+        assert (code, out) == (2, "")
+        assert "beyond the CLI cap" in err
 
     def test_cap_exceeded_exit_code(self):
         code, _, err = run_cli(

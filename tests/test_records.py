@@ -14,6 +14,7 @@ import pytest
 from cedigits import (
     Complement,
     Composites,
+    DigitCounter,
     Explicit,
     HypothesisReport,
     HypothesisSample,
@@ -25,15 +26,25 @@ from cedigits import (
     Primes,
     StreamCursor,
     Trajectory,
+    count_symbol_prefix,
+    counter_prefix,
+    digit_length,
+    discrepancy,
+    floor_power,
     hypothesis_report,
+    lil_bound,
     open_stream,
     parse_number_spec,
+    to_digits,
     trajectory,
 )
 from cedigits.cli import VerifyRow
 from cedigits.oracle import FINITE_SAMPLE_DISCLAIMER
+from cedigits.primes import is_prime
+from cedigits.stats import prefix_counts_at_boundaries
 
 HALF3 = Fraction(3, 2)
+DECIMAL = NumberSpec(Naturals(), 10)
 POINT = LilPoint(16, 3, Fraction(-1, 2), 0.25)
 SAMPLE = HypothesisSample(100, 25, 1.25, False)
 
@@ -215,6 +226,28 @@ VALIDATION = [
         lambda: StreamCursor(NumberSpec(Primes(), 10), 5),
         "a cursor before its first member has read nothing",
     ),
+    (lambda: is_prime(-1), "primality is defined for nonnegative integers"),
+    (lambda: floor_power(HALF3, -1), "exponent must be nonnegative"),
+    (lambda: lil_bound(1), "base must be at least 2"),
+    (lambda: discrepancy(0, 0, 1), "base must be at least 2"),
+    (lambda: discrepancy(-1, 0, 10), "counts must be nonnegative"),
+    (lambda: DigitCounter(1), "base must be at least 2"),
+    (lambda: DigitCounter(10, [0] * 9), "counts must be one nonnegative entry per symbol"),
+    (lambda: DigitCounter(10, [-1] + [0] * 9), "counts must be one nonnegative entry per symbol"),
+    (lambda: DigitCounter(10).add_block((1,), copies=-1), "copies must be nonnegative"),
+    (lambda: DigitCounter(10).add_block((1, 10)), "digit 10 out of range for base 10"),
+    (lambda: DigitCounter(10).add(10), "digit 10 out of range for base 10"),
+    (lambda: count_symbol_prefix(DECIMAL, 10, 5), "symbol 10 out of range for base 10"),
+    (lambda: count_symbol_prefix(DECIMAL, 1, -1), "prefix length must be nonnegative"),
+    (lambda: counter_prefix(DECIMAL, -1), "prefix length must be nonnegative"),
+    (
+        lambda: prefix_counts_at_boundaries(DECIMAL, 1, [5, 5]),
+        "boundary members must be strictly increasing",
+    ),
+    (lambda: to_digits(5, 1), "base must be at least 2"),
+    (lambda: digit_length(5, 1), "base must be at least 2"),
+    (lambda: digit_length(0, 10), "digit length is defined for positive integers"),
+    (lambda: open_stream(DECIMAL).read(-1), "cannot read a negative number of digits"),
 ]
 
 
@@ -223,6 +256,15 @@ def test_validation_messages(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+def test_values_at_the_edges():
+    # below 4 the composites' closed form x - pi(x) - 1 is clamped to 0
+    assert [Composites().count(x) for x in (-5, 0, 1, 2, 3, 4)] == [0, 0, 0, 0, 0, 1]
+    assert not Polynomial((0, 1)).is_member(0)
+    assert (DigitCounter(10) == 5) is False
+    assert repr(DigitCounter(2, [3, 1])) == "DigitCounter(base=2, counts=[3, 1])"
+    assert str(NumberSpec(Primes(), 16, HALF3)) == "primes|b=16|c=3/2"
 
 
 class TestStreamCursor:
