@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from io import TextIOBase
@@ -286,7 +287,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     )
     print("x count ratio holds")
     for s in report.samples:
-        print(f"{s.x} {s.count} {s.ratio:.6f} {'yes' if s.holds_at_x else 'no'}")
+        # through Decimal, which has no limit on the digits of an int
+        print(f"{Decimal(s.x)} {Decimal(s.count)} {s.ratio:.6f} {'yes' if s.holds_at_x else 'no'}")
     print(f"note: {report.disclaimer}")
     return 0
 

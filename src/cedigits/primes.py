@@ -49,17 +49,16 @@ MAX_SPAN = 1 << 20
 # values, gaps), and the integers that a walk's first flag view covers
 MAX_BATCH = 1024
 
-# Deterministic witness tiers.  Each entry is (limit, witnesses): the
-# witness list is a proven deterministic test for all n < limit.
-_MR_TIERS = (
-    (1_373_653, (2, 3)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
-
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic witness tiers.  Each entry is (limit, k): the first k
+# small primes are a proven deterministic witness set for all n < limit.
+_MR_TIERS = (
+    (1_373_653, 2),
+    (3_215_031_751, 4),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (1 << 64, 12),
+)
 
 
 def is_prime(n: int) -> bool:
@@ -86,11 +85,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    witnesses: tuple[int, ...] = _MR_TIERS[-1][1]
-    for limit, ws in _MR_TIERS:
-        if n < limit:
-            witnesses = ws
-            break
+    witnesses = _SMALL_PRIMES[: next(k for limit, k in _MR_TIERS if n < limit)]
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -112,7 +107,7 @@ def is_prime(n: int) -> bool:
 # Every span starts as one wheel period, on which the multiples of the
 # wheel primes are already struck, rotated to the span's start and
 # repeated to its width, so a walk strikes only the primes from 17 up.
-_WHEEL_PRIMES = (2, 3, 5, 7, 11, 13)
+_WHEEL_PRIMES = _SMALL_PRIMES[:6]
 _WHEEL_PERIOD = prod(_WHEEL_PRIMES)  # 30030
 
 

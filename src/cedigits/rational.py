@@ -49,11 +49,7 @@ def floor_power(c: Fraction, n: int) -> int:
     """Return floor(c**n) for a rational c >= 1 and integer n >= 0."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    num = c.numerator
-    den = c.denominator
-    if den == 1:
-        return num**n
-    return num**n // den**n
+    return c.numerator**n // c.denominator**n
 
 
 def format_rational(c: Fraction) -> str:

@@ -11,7 +11,6 @@ exactly.
 from __future__ import annotations
 
 import itertools
-import sys
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
@@ -85,6 +84,11 @@ class Record:
         return type(self), self._key()
 
 
+def _size(batch: Sequence[int]) -> int:
+    """Members in a batch; ``len()`` refuses a range wider than a machine word."""
+    return batch.stop - batch.start if isinstance(batch, range) else len(batch)
+
+
 class SequenceSpec(ABC):
     """Common surface of every sequence spec."""
 
@@ -95,8 +99,8 @@ class SequenceSpec(ABC):
         """Members strictly greater than ``after``, in order, as
         consecutive nonempty batches: a step-1 ``range`` of any length,
         a list of 1..MAX_BATCH members, or, for the primes and the
-        composites, a view of a stretch of one sieve span's flags.
-        This is the one enumeration of a spec."""
+        composites, a view of a stretch of one sieve span's flags, each
+        sized by ``_size``.  This is the one enumeration of a spec."""
 
     @abstractmethod
     def is_member(self, n: int) -> bool:
@@ -144,9 +148,12 @@ class Naturals(Record, SequenceSpec):
     __slots__ = ()
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
-        # the longest ranges whose len() Python takes; the stream cuts them
-        for lo in itertools.count(max(after, 0) + 1, sys.maxsize):
-            yield range(lo, lo + sys.maxsize)
+        # ranges 2**64 times as wide at each step, so a length class in
+        # any base below 2**64 crosses at most one end; the stream cuts them
+        lo = max(after, 0) + 1
+        while True:
+            yield range(lo, lo << 64)
+            lo <<= 64
 
     def is_member(self, n: int) -> bool:
         return n >= 1
@@ -252,12 +259,10 @@ class Polynomial(Record, SequenceSpec):
         of the naturals or of the primes, so a short read evaluates no
         more values than that."""
         for batch in self.domain.batches(self._largest_arg_leq(after)):
-            for i in range(0, len(batch), MAX_BATCH):
+            for i in range(0, _size(batch), MAX_BATCH):
                 yield list(map(self.value, batch[i : i + MAX_BATCH]))
 
     def is_member(self, n: int) -> bool:
-        if n < 1:
-            return False
         arg = self._largest_arg_leq(n)
         return arg >= 1 and self.value(arg) == n and self.domain.is_member(arg)
 
@@ -337,7 +342,7 @@ class Complement(Record, SequenceSpec):
 
     def batches(self, after: int = 0) -> Iterator[Sequence[int]]:
         """The gaps of each inner batch, together, in batches of at most
-        MAX_BATCH; 1..a as ranges when the inner spec ends its gaps at a.
+        MAX_BATCH; 1..a as one range when the inner spec ends its gaps at a.
         Nothing waits on a later inner batch, which may never bring a gap."""
         if isinstance(self.inner, Complement):
             yield from self.inner.inner.batches(after)
@@ -350,8 +355,8 @@ class Complement(Record, SequenceSpec):
             return
         last = _last_gap(self.inner)
         if last is not None:
-            for lo in range(max(after, 0) + 1, last + 1, sys.maxsize):
-                yield range(lo, min(lo + sys.maxsize, last + 1))
+            if after < last:
+                yield range(max(after, 0) + 1, last + 1)
             return
         prev = max(after, 0)
         for inner in self.inner.batches(prev):
@@ -368,9 +373,7 @@ class Complement(Record, SequenceSpec):
         return n >= 1 and not self.inner.is_member(n)
 
     def count(self, x: int, *, cap: int = DEFAULT_COUNTING_CAP) -> int:
-        if x < 1:
-            return 0
-        return x - self.inner.count(x, cap=cap)
+        return max(x - self.inner.count(x, cap=cap), 0)
 
     @property
     def canonical(self) -> str:

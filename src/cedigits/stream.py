@@ -41,7 +41,7 @@ from operator import floordiv, mod
 from .errors import SequenceExhaustedError
 from .primes import MAX_BATCH, FlagBatch
 from .rational import floor_power, format_rational, parse_natural, parse_rational
-from .sequences import Record, SequenceSpec, parse_sequence
+from .sequences import Record, SequenceSpec, _size, parse_sequence
 
 __all__ = [
     "NumberSpec",
@@ -270,12 +270,13 @@ def _member_runs(spec: NumberSpec, after: int = 0) -> Iterator[tuple[Sequence[in
 def _split(batch: Sequence[int], value: int) -> tuple[Sequence[int], Sequence[int]]:
     """The members of a batch below ``value`` and the rest: the batch
     itself when all are below, else a view of sieve flags split by
-    counting its flags, or a range or list bisected and sliced."""
+    counting its flags, or a range cut by arithmetic (bisect would take
+    its len()) or a list bisected, and sliced."""
     if not batch or batch[-1] < value:
         return batch, ()
     if isinstance(batch, FlagBatch):
         return batch.split(value)
-    stop = bisect_left(batch, value)
+    stop = max(value - batch.start, 0) if isinstance(batch, range) else bisect_left(batch, value)
     return batch[:stop], batch[stop:]
 
 
@@ -288,7 +289,7 @@ def iter_blocks(spec: NumberSpec, after: int = 0) -> Iterator[tuple[int, tuple[i
     """
     encode = _run_encoder(spec.base)
     for whole, length, copies in _member_runs(spec, after):
-        for k in range(0, len(whole), MAX_BATCH):
+        for k in range(0, _size(whole), MAX_BATCH):
             run = whole[k : k + MAX_BATCH]
             digits = encode(run, length)
             for i, m in enumerate(run):
@@ -410,13 +411,13 @@ class StreamCursor:
         while True:
             run, length, copies = self._run
             span = length * copies
-            take = min(n, len(run) * span - self._at)
+            take = min(n, _size(run) * span - self._at)
             if take:
                 stop = self._at + take
                 lo, hi = -(-self._at // span), stop // span  # the members crossed whole
                 if sink is not None and whole and hi - lo >= _MIN_WHOLE:
                     self._write(self._at, lo * span, sink)
-                    counted = whole(run if hi - lo == len(run) else run[lo:hi], length, copies)
+                    counted = whole(run if hi - lo == _size(run) else run[lo:hi], length, copies)
                     self._write(hi * span if counted else lo * span, stop, sink)
                 elif sink is not None:
                     self._write(self._at, stop, sink)
@@ -456,9 +457,9 @@ class StreamCursor:
         ``_split`` cuts them.  Members already crossed must be <= m."""
         while True:
             run, length, copies = self._run
-            crossed = len(_split(run, m + 1)[0])
+            crossed = _size(_split(run, m + 1)[0])
             self._advance(crossed * length * copies - self._at, sink, whole)
-            if crossed < len(run) or not self._pull():
+            if crossed < _size(run) or not self._pull():
                 return
 
     def next_digit(self) -> int:

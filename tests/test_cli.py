@@ -590,6 +590,16 @@ class TestThreshold:
             assert (code, err) == (0, "")
             assert f"\n{x} {count} {ratio} {holds}\n" in out
 
+    @pytest.mark.parametrize("spec", ["naturals", "poly:0,1"])
+    def test_sample_point_past_the_decimal_str_limit(self, spec):
+        # x and its count, both 10**5000, are written through Decimal
+        x = "1" + "0" * 5000
+        code, out, err = run_cli("threshold", "--spec", spec, "--base", "10", "--xs", x)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[3].startswith(f"{x} {x} ")
+        assert lines[-1].startswith("note: ") and len(lines) == 5
+
     def test_empty_sequence_always_holds(self):
         code, out, _ = run_cli(
             "threshold", "--sequence", "explicit:", "--base", "10",

@@ -24,14 +24,17 @@ from cedigits import (
     Explicit,
     Naturals,
     NumberSpec,
+    OracleParams,
     Polynomial,
     Primes,
     SequenceExhaustedError,
     StreamCursor,
     count_symbol_prefix,
     counter_prefix,
+    d_exact,
     digit_length,
     floor_power,
+    ones_exact_champernowne,
     to_digits,
     trajectory,
 )
@@ -317,6 +320,42 @@ def test_blocks_of_a_length_class_are_written_a_batch_at_a_time(after):
         tracemalloc.stop()
     assert block == (after + 1, to_digits(after + 1, 10), 1)
     assert peak < 256 * 1024
+
+
+def test_a_length_class_wider_than_a_machine_word_is_one_run():
+    """The naturals past 10**25 leave as one run of the whole class,
+    though len() refuses a range that wide."""
+    run, length, copies = next(_member_runs(NumberSpec(Naturals(), 10), 10**25))
+    assert (run[0], run[-1], length, copies) == (10**25 + 1, 10**26 - 1, 26, 1)
+
+
+@pytest.mark.parametrize("base", (2, 10, 257))
+def test_length_classes_of_the_naturals_leave_as_at_most_two_runs(base):
+    """A batch of the naturals from lo ends at lo * 2**64, so every length
+    class to 100 digits leaves as one run, or two cut at 2**(64 j)."""
+    runs = _member_runs(NumberSpec(Naturals(), base))
+    runs = list(itertools.takewhile(lambda run: run[1] <= 100, runs))
+    edges = [(run[0], run[-1] + 1) for run, _, _ in runs]
+    assert edges[0][0] == 1 and edges[-1][1] == base**100
+    assert all(hi == lo for (_, hi), (lo, _) in zip(edges, edges[1:]))
+    cuts = {hi for _, hi in edges} - {base**k for k in range(1, 101)}
+    assert cuts <= {2 ** (64 * j) for j in range(1, 14)}  # 257**100 < 2**832
+    assert max(Counter(length for _, length, _ in runs).values()) <= 2
+
+
+@pytest.mark.parametrize("base", (2, 10, 257))
+@pytest.mark.parametrize("c", (Fraction(1), Fraction(3, 2)))
+def test_naturals_match_the_closed_forms_to_100_digits(base, c):
+    """Position and ones at the last copy of 2 * b**(k - 1) - 1, for k up
+    to 100, against d_exact and ones_exact_champernowne."""
+    spec = NumberSpec(Naturals(), base, c)
+    ks = range(1, 101)
+    scanned = prefix_counts_at_boundaries(spec, 1, [2 * base ** (k - 1) - 1 for k in ks])
+    want = [
+        (d_exact(OracleParams(base, c, k)), ones_exact_champernowne(OracleParams(base, c, k)))
+        for k in ks
+    ]
+    assert scanned == want
 
 
 @pytest.mark.parametrize("base", (8, 10, 16))

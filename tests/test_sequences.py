@@ -111,6 +111,15 @@ class TestPrimesMachinery:
         for n in range(0, 2000):
             assert bool(flags[n]) == trial_division_is_prime(n)
 
+    def test_witness_tiers_at_their_edges(self):
+        # the least strong pseudoprime to the first k primes, k = 1 to 8
+        # (OEIS A014233), is composite: the tiers' edges are among them;
+        # primes near 2**32, 2**61 and 2**64 are prime
+        pseudoprimes = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                        3474749660383, 341550071728321, 3825123056546413051]
+        assert not any(map(is_prime, pseudoprimes))
+        assert all(map(is_prime, [4294967291, 2**61 - 1, 2**64 - 59]))
+
     def test_generator_matches_point_queries(self):
         gen = list(itertools.islice(iter_primes(2), 1000))
         assert all(is_prime(p) for p in gen)
@@ -186,7 +195,7 @@ class TestPrimesMachinery:
         ):
             batches = list(itertools.islice(spec.batches(start - 1), 40))
             for b in batches:
-                assert len(b) and (
+                assert b and (
                     type(b) is range and b.step == 1
                     or len(b) <= MAX_BATCH
                     or spec in spanned and span(b[0]) == span(b[-1])
@@ -674,6 +683,11 @@ class TestPrimeCount:
 
 
 class TestPolynomial:
+    def test_no_member_below_one(self):
+        # f(1) >= 1, so no argument n >= 1 has f(n) <= 0
+        for spec in Polynomial((3, 1)), Polynomial((0, 1), "primes"):
+            assert not any(map(spec.is_member, (-7, -1, 0)))
+
     def test_values_over_naturals(self):
         f = Polynomial((3, 0, 1))  # 3 + n**2
         assert take(f, 5) == [4, 7, 12, 19, 28]
@@ -746,6 +760,21 @@ class TestComplement:
         # n + 0 over the naturals is the naturals too
         with pytest.raises(ValueError):
             parse_sequence("complement:poly:0,1")
+
+    def test_complement_of_shifted_naturals_is_one_range(self):
+        # 1..a leaves as one range, however wide, and nothing is left past a
+        spec = Complement(Polynomial((10**30, 1)))
+        assert list(itertools.islice(spec.batches(), 2)) == [range(1, 10**30 + 1)]
+        assert list(spec.batches(10**30 - 5)) == [range(10**30 - 4, 10**30 + 1)]
+        assert list(spec.batches(10**30)) == []
+
+    @pytest.mark.parametrize(
+        "inner",
+        [Primes(), Composites(), Polynomial((3, 1)), Explicit((2, 5)), Complement(Primes())],
+    )
+    def test_counts_below_one_are_zero(self, inner):
+        # every inner count is 0 below 1, so the complement's is clamped there
+        assert [Complement(inner).count(x) for x in (-7, -1, 0)] == [0, 0, 0]
 
     def test_complement_of_shifted_naturals_ends(self):
         # n + 3 covers every integer from 4 on, so the complement is 1, 2, 3
