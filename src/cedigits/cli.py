@@ -226,9 +226,10 @@ def _cmd_count(args: argparse.Namespace) -> int:
             f"counting over {args.n} digits exceeds the per-run cap {args.max_digits}"
         )
     counter = _layers.counter_prefix(spec, args.n)
+    # through Decimal, which has no limit on the digits of an int
     for symbol, cnt in enumerate(counter.counts):
-        print(f"{symbol} {cnt}")
-    print(f"total {counter.total}")
+        print(f"{symbol} {Decimal(cnt)}")
+    print(f"total {Decimal(counter.total)}")
     return 0
 
 

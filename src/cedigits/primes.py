@@ -18,8 +18,10 @@ repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
 are already struck; each larger base prime strikes its odd multiples
 with one copy of shared zeros, a walk carries its next odd multiple from
 one span to the next, and the base primes are sieved by the same kernel.
-Flags are counted by Adler-32 sums at memory speed: a view's to size it,
-and, for the digit counts, each residue column's.  The last span
+Flags are counted by Adler-32 sums at memory speed, for the digit counts
+by residue column.  Those counts size a view that a prefix scan crosses
+whole; any other view past a walk's first is sized when first asked its
+length, by a count of its own.  The last span
 sieved is kept, so a walk that resumes inside it, as a cursor restored
 from its checkpoint does, reads it from there instead of sieving, and
 sieves on from its end.
@@ -238,13 +240,15 @@ _ONE = re.compile(b"\x01")
 class FlagBatch(Sequence):
     """The primes of the flag indices [start, stop) of one span's flags,
     whose index 0 is the integer ``lo``: a read-only sequence of ``size``
-    members, the flags equal to ``_SENSE``.  Member k is found by counting
-    flags, and a slice with no step is a view of the same flags, so a cut
-    through a span costs its members no extraction.  Members are picked
-    out, by ``_between``, only when a view is iterated, afresh each time:
-    a reader slices the stretch it writes and iterates that.  The view of
-    the other sense overrides only ``_between`` and ``_next``; a view
-    built without its size counts it."""
+    members, the flags equal to ``_SENSE``.  ``size`` may be None, not
+    counted yet: ``len()`` counts it the first time something needs it,
+    while ``bool()``, the first member and the last each take one search.
+    Member k is found by counting flags, and a slice with no step is a
+    view of the same flags, so a cut through a span costs its members no
+    extraction.  Members are picked out, by ``_between``, only when a
+    view is iterated, afresh each time: a reader slices the stretch it
+    writes and iterates that.  The view of the other sense overrides only
+    ``_between``, ``_next`` and ``_most``."""
 
     __slots__ = ("flags", "lo", "start", "stop", "size", "_seen")
     _SENSE = 1
@@ -252,32 +256,49 @@ class FlagBatch(Sequence):
     def __init__(
         self, flags: bytearray, lo: int, start: int, stop: int, size: int | None = None
     ) -> None:
-        self.flags, self.lo, self.start, self.stop = flags, lo, start, stop
-        self.size = self._count(start, stop) if size is None else size
+        self.flags, self.lo, self.start, self.stop, self.size = flags, lo, start, stop, size
         # (k, i): flag index i has k members of the view before it
         self._seen = 0, start
 
     def __len__(self) -> int:
+        if self.size is None:
+            self.size = self._count(self.start, self.stop)
         return self.size
+
+    def __bool__(self) -> bool:
+        return self.flags.find(self._SENSE, self.start, self.stop) >= 0
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            first, end, step = i.indices(self.size)
+            first, end, step = i.indices(len(self))
             if step != 1:
                 return list(self)[i]
             end = max(first, end)
             start = self._flag(first) if first < self.size else self.stop
             stop = self._flag(end) if end < self.size else self.stop
             return type(self)(self.flags, self.lo, start, stop, end - first)
-        return self.lo + self._flag(range(self.size)[i])
+        if i == 0 or i == -1:  # the first or the last member, by one search
+            at = (self.flags.find if i == 0 else self.flags.rfind)(self._SENSE, self.start, self.stop)
+            if at < 0:
+                raise IndexError("flag view index out of range")
+            return self.lo + at
+        return self.lo + self._flag(range(len(self))[i])
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._between(self.start, self.stop))
 
-    def _count(self, start: int, stop: int) -> int:
-        """The members among flag indices [start, stop), of the view's sense."""
-        ones = _count_flags(self.flags, start, stop)
+    def _count(self, start: int, stop: int, ones: int | None = None) -> int:
+        """The members among flag indices [start, stop), of the view's
+        sense, from the 1s among them: counted, or ``ones`` when given."""
+        if ones is None:
+            ones = _count_flags(self.flags, start, stop)
         return ones if self._SENSE else stop - start - ones
+
+    def _most(self) -> int:
+        """An upper bound on the members, found without counting: of any
+        210 consecutive integers, 48 are prime to 2, 3, 5 and 7, and so
+        is every prime but those four."""
+        return 48 * -(-(self.stop - self.start) // 210) + 4
 
     def _between(self, start: int, stop: int) -> list[int]:
         """The members of flag indices [start, stop)."""
@@ -324,13 +345,17 @@ class FlagBatch(Sequence):
 
     def split(self, value: int) -> tuple[FlagBatch, FlagBatch]:
         """The members below ``value`` and the others, as two views; the
-        flags are counted from the last member found."""
+        flags are counted from the last member found, and only when the
+        view's own size is known."""
         cut = min(max(value - self.lo, self.start), self.stop)
-        seen, at = self._seen
-        below = seen + self._count(at, cut) if at <= cut else seen - self._count(cut, at)
+        below = above = None
+        if self.size is not None:
+            seen, at = self._seen
+            below = seen + self._count(at, cut) if at <= cut else seen - self._count(cut, at)
+            above = self.size - below
         return (
             type(self)(self.flags, self.lo, self.start, cut, below),
-            type(self)(self.flags, self.lo, cut, self.stop, self.size - below),
+            type(self)(self.flags, self.lo, cut, self.stop, above),
         )
 
 
@@ -352,6 +377,10 @@ class CompositeBatch(FlagBatch):
         inverted = self.flags[start:stop].translate(self._INVERTED)
         return [*compress(range(self.lo + start, self.lo + stop), inverted)]
 
+    def _most(self) -> int:
+        """The width: every flag may be a composite."""
+        return self.stop - self.start
+
     def _next(self, at: int, left: int, step: int) -> int:
         """The least fixed point of i = at + left + (the 1s of flags[at :
         i + 1]), reached from i = at + left by counting only the flags each
@@ -368,12 +397,11 @@ def _count_flags(flags: bytearray, start: int, stop: int) -> int:
     """The number of 1s in flags[start:stop], of 0/1 flags, at memory
     speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
     low half, exact for chunks of at most 65 520 such bytes.  A stretch
-    of one chunk, as a residue column of a span or a walk's first view,
-    takes one call, on the buffer itself when the stretch is all of it."""
+    of one chunk, as a walk's first view, takes one call."""
     import zlib  # here: a cold start without a walk skips it
 
     if stop - start <= 65_520:
-        return zlib.adler32(flags if stop - start == len(flags) else flags[start:stop], 0) & 0xFFFF
+        return zlib.adler32(flags[start:stop], 0) & 0xFFFF
     with memoryview(flags) as view:
         return sum(
             zlib.adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF
@@ -384,17 +412,18 @@ def _count_flags(flags: bytearray, start: int, stop: int) -> int:
 def _views(view_cls: type[FlagBatch], start: int) -> Iterator[FlagBatch]:
     """The members >= start of the sense of ``view_cls``, in order,
     without end, as views of their sieve flags: the first covers at
-    most MAX_BATCH integers from start, so a restored cursor counts no
-    more before it reads, the next the rest of start's span, and each
-    later one a span whole.  Each is sized by ``_count``; a stretch
-    without a member yields no view."""
-    head = MAX_BATCH
-    for lo, flags, at in _segments(start):
-        for stop in min(at + head, len(flags)), len(flags):
-            if (view := view_cls(flags, lo, at, stop)).size:
-                yield view
-            at = stop
-        head = 0
+    most MAX_BATCH integers from start and is sized at once, so a
+    restored cursor counts no more before it reads; the next covers the
+    rest of start's span, and each later one a span whole, unsized until
+    ``len()`` or the digit counter sizes it.  A stretch without a member,
+    as one search tells, yields no view."""
+    segments = _segments(start)
+    lo, flags, at = next(segments)
+    if len(head := view_cls(flags, lo, at, min(at + MAX_BATCH, len(flags)))):
+        yield head
+    for lo, flags, at in chain([(lo, flags, head.stop)], segments):
+        if view := view_cls(flags, lo, at, len(flags)):
+            yield view
 
 
 def prime_batches(start: int = 2) -> Iterator[FlagBatch]:

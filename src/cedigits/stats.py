@@ -16,8 +16,9 @@ copy of each, are counted without being written out when they are a
 range of consecutive members, or primes or composites read off their
 sieve flags (``_run_counts``); a run of either holds the members of one
 length in one view of a sieve span, whole past a walk's first, so each
-view is counted once per member length and stop, and a stop inside it
-writes out only the member it cuts.  The rest the cursor hands out as
+view is counted once per member length and stop, and that count sizes
+a view the scan crosses whole; a stop inside a view writes out only the
+member it cuts.  The rest the cursor hands out as
 pieces of runs, members and copies; each is counted at C speed and
 multiplied by its copy count, so repeated copies are never written out.
 Counts and positions are Python ints throughout, so the scan is as
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from io import TextIOBase
@@ -37,7 +39,7 @@ from operator import sub
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
 from .primes import FlagBatch, _count_flags
-from .sequences import Record
+from .sequences import Record, _size
 from .stream import NumberSpec, StreamCursor
 
 __all__ = [
@@ -189,15 +191,24 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     members whose remainder mod base * s lies in [d * s, (d + 1) * s):
     that many in every whole cycle and a clamped part of one cycle, the
     difference of two closed forms; each place moves three steps of one
-    running sum over the digits, so every digit is counted at once.
+    running sum over the digits, so every digit is counted at once, and
+    carries each end's quotient and remainder by s on to the next place,
+    so a place divides only by the base.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low, the low places of a member m are the digits of
-    m mod G: one strided column of the flags per residue, counted by
-    ``primes._count_flags``, gives the members of each.  The high places,
-    m // G, are weighed by the count of each row of G flags: the columns,
-    read as integers with one byte per row, add up to all those counts at
-    once.  Both are reduced place by place.  G is the largest power of
-    the base within the run's width and 256, and never below the base.
+    m mod G: one strided column of the flags per residue gives the
+    members of each.  A column holds at most ceil(width / G) flags; where
+    that is at most 65 520, as in every run up to 2**16 wide and every
+    run up to 2**20 wide with G >= 17, one Adler-32 sum counts it exactly,
+    and ``primes._count_flags`` counts a longer one in chunks.  Every
+    member lies in a residue counted, so the columns add up to the run's
+    size, which sizes a view the scan crosses before it is sized.  The
+    high places, m // G, are weighed by the count of each row of G flags:
+    the columns, read as integers with one byte per row, add up to all
+    those counts at once, in two sums, one for the residues whose column
+    starts a row late.  Both are reduced place by place.  G is the
+    largest power of the base within the run's width and 256, and never
+    below the base.
     A row of G integers then holds fewer than 256 primes: at most one per
     residue prime to the base in a run above the base, and at most 129
     (2 and the odd integers) in any 256 consecutive integers, so one byte
@@ -205,9 +216,10 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     A run of composites, a ``CompositeBatch``, reads the same flags with
     the opposite sense: its counts are those of every integer its flags
     stand for, by the closed form, less those of the primes among them,
-    counted off the flags as above.  The two cover the same integers to
-    the same ``length`` places, so the difference is exact, also where
-    the run's first flags are primes one digit shorter than its members.
+    counted off the flags as above, and its size is its width less the
+    primes.  The two cover the same integers to the same ``length``
+    places, so the difference is exact, also where the run's first flags
+    are primes one digit shorter than its members.
     """
     @cache
     def held(size: int, every: bool) -> list[int]:
@@ -226,22 +238,30 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
             first //= base
 
     def flag_counts(run: FlagBatch, length: int) -> list[int]:
+        from zlib import adler32  # here: verify and a cold threshold count no flags
+
         flags, start, stop = run.flags, run.start, run.stop
         first = run.lo + start  # the integer of flag ``start``
         low = 1  # G = base**low, the largest power within the run and 256, at least the base
         while low < length and base ** (low + 1) <= min(stop - start, 256):
             low += 1
         size = base**low
-        counts = [0] * base
+        at = first % size  # a residue below this starts its column a row later
+        direct = stop - start <= 65_520 * size  # then no column holds more than 65 520 flags
         weights = [0] * size
-        total = 0
+        total = late = 0
         for r in held(size, first <= base):
             column = flags[start + (r - first) % size : stop : size]
-            weights[r] = _count_flags(column, 0, len(column))
-            total += int.from_bytes(column, "little") << (8 if r < first % size else 0)
+            weights[r] = adler32(column, 0) & 0xFFFF if direct else _count_flags(column, 0, len(column))
+            if r < at:
+                late += int.from_bytes(column, "little")
+            else:
+                total += int.from_bytes(column, "little")
+        run.size = run._count(start, stop, sum(weights))
+        counts = [0] * base
         tally(counts, 0, weights, low)
         rows = (run.lo + stop - 1) // size - first // size + 1
-        tally(counts, first // size, list(total.to_bytes(rows, "little")), length - low)
+        tally(counts, first // size, list((total + (late << 8)).to_bytes(rows, "little")), length - low)
         return counts
 
     def spread(start: int, stop: int, length: int) -> list[int]:
@@ -250,17 +270,20 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         # integers of [0, end) hold q * s + s of each digit below d,
         # q * s + part of d and q * s of each digit above, where q, d and
         # part come from end = (q * base + d) * s + part; steps[d] is what
-        # every digit from d on holds more than the one before it
+        # every digit from d on holds more than the one before it.  Each
+        # place carries end // s and part = end % s on from the last, so
+        # it divides only by the base: q * s = (end - d * s - part) // base
         steps = [0] * (base + 1)
-        s = 1
-        for _ in range(length):
-            for end, sign in ((stop, 1), (start, -1)):
-                q, r = divmod(end, s * base)
-                d, part = divmod(r, s)
-                steps[0] += sign * (q * s + s)
+        for end, sign in ((stop, 1), (start, -1)):
+            high, part, s = end, 0, 1
+            for _ in range(length):
+                high, d = divmod(high, base)
+                ds = d * s
+                steps[0] += sign * ((end - ds - part) // base + s)
                 steps[d] -= sign * (s - part)
                 steps[d + 1] -= sign * part
-            s *= base
+                part += ds
+                s *= base
         return [*accumulate(steps[:base])]
 
     def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
@@ -312,13 +335,13 @@ def _scan(
 
     run_counts = _run_counts(spec.base)
 
-    def count_run(run: Sequence[int], length: int, copies: int) -> bool:
+    def count_run(run: Sequence[int], length: int, copies: int) -> int | None:
         found = run_counts(run, length, symbols)
         if found is None:
-            return False
+            return None
         for j, c in enumerate(found):
             counts[j] += c * copies
-        return True
+        return _size(run)
 
     cursor = StreamCursor(spec)
     for stop in stops:
@@ -389,12 +412,14 @@ class Trajectory(Record):
         self._fill(spec, symbol, points)
 
     def write_csv(self, out: TextIOBase) -> None:
-        """Write the trajectory as CSV with LF line endings."""
+        """Write the trajectory as CSV with LF line endings, the integers
+        through Decimal, which has no limit on the digits of an int."""
         out.write(TRAJECTORY_CSV_HEADER + "\n")
         for p in self.points:
+            d = p.discrepancy
             out.write(
-                f"{p.n},{p.count},{p.discrepancy.numerator},"
-                f"{p.discrepancy.denominator},{p.statistic!r}\n"
+                f"{Decimal(p.n)},{Decimal(p.count)},{Decimal(d.numerator)},"
+                f"{Decimal(d.denominator)},{p.statistic!r}\n"
             )
 
     def write_csv_path(self, path: str) -> None:

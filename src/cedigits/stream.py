@@ -23,8 +23,9 @@ are the digits up to base 256, a list of ints beyond), counters for the
 prefix scans of ``stats``, nothing for ``skip_to``.  A prefix scan may
 also take the members of a run that a move crosses whole and count them
 without writing them out, so the move writes out only the member it
-cuts at each end.  The cursor serializes to a one-line checkpoint of
-the exact stream state.
+cuts at each end; a view of sieve flags that a move surely crosses goes
+to the count before it is sized, and the count sizes it.  The cursor
+serializes to a one-line checkpoint of the exact stream state.
 """
 
 from __future__ import annotations
@@ -146,9 +147,11 @@ _MIN_WHOLE = 256
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
 # Takes members of a run that a move crosses whole, every copy of each,
-# as (members, length, copies), and returns False to have their digits
-# handed to the sink instead.
-Whole = Callable[[Sequence[int], int, int], bool]
+# as (members, length, copies), counts their digits and returns how many
+# members it counted, or None to have their digits handed to the sink
+# instead.  A view of sieve flags may come before it is sized, so that
+# its count sizes it.
+Whole = Callable[[Sequence[int], int, int], int | None]
 
 # printf conversions of the bases whose digits the stdlib writes at C
 # speed; base 2, which has none, goes through format() with code "b".
@@ -388,18 +391,11 @@ class StreamCursor:
         return True
 
     def _advance(self, n: int, sink: Sink | None = None, whole: Whole | None = None) -> None:
-        """The one walker of the stream: go n digits forward, handing the
-        digits crossed to ``sink`` when given.  The members of a run that
-        the move crosses whole, every copy of each, go to ``whole`` when
-        given and at least _MIN_WHOLE of them, as one stretch of the run;
-        only if that returns False are they written out, and otherwise
-        only the partial member at each end of the move is, so a cut
-        through a run of primes costs one member, not all those before it.
-        Whole copies, members and runs are crossed by arithmetic on
-        ``_at``; only the members a sink needs are written out, and the
-        next run is pulled only for a digit that is needed.  A move inside
-        the copy the last write ended in slices the digits that write
-        kept."""
+        """The one walker of the stream: go n digits forward, run by run
+        (``_cross``), handing the digits crossed to ``sink`` when given,
+        and the members crossed whole to ``whole``.  The next run is
+        pulled only for a digit that is needed.  A move inside the copy
+        the last write ended in slices the digits that write kept."""
         if self.offset + n <= len(self._block):
             if sink is not None:
                 sink(self._block[self.offset : self.offset + n], n, 1)
@@ -407,34 +403,54 @@ class StreamCursor:
             self.position += n
             self.offset += n
             return
-        self._block = ()
-        while True:
-            run, length, copies = self._run
-            span = length * copies
-            take = min(n, _size(run) * span - self._at)
-            if take:
-                stop = self._at + take
-                lo, hi = -(-self._at // span), stop // span  # the members crossed whole
-                if sink is not None and whole and hi - lo >= _MIN_WHOLE:
-                    self._write(self._at, lo * span, sink)
-                    counted = whole(run if hi - lo == _size(run) else run[lo:hi], length, copies)
-                    self._write(hi * span if counted else lo * span, stop, sink)
-                elif sink is not None:
-                    self._write(self._at, stop, sink)
-                self._at = stop
-                self.position += take
-                member, used = divmod(stop - 1, span)
-                if not self._block:  # else the last write, which ended here, set it
-                    self.integer = run[member]
-                self.rep, used = divmod(used, length)
-                self.offset = used + 1
-                n -= take
-            if not n:
-                return
-            if not self._pull():
+        while n:
+            n -= self._cross(n, sink, whole)
+            if n and not self._pull():
                 raise SequenceExhaustedError(
                     f"stream over {self.spec.canonical} ended at position {self.position}"
                 )
+
+    def _cross(self, n: int | None, sink: Sink | None, whole: Whole | None) -> int:
+        """Go n digits forward within the current run, or to its end when
+        n is None, and return how many were crossed.  The members the move
+        crosses whole, every copy of each, go to ``whole`` when given with
+        a sink and at least _MIN_WHOLE of them, as one stretch of the run;
+        only if that counts none are they written out, and otherwise only
+        the partial member at each end of the move is, so a cut through a
+        run of primes costs one member, not all those before it.  A view
+        of sieve flags not yet sized, which the move surely crosses from
+        its start, by a bound on its members, goes to ``whole`` unsized,
+        and the count sizes it.  Whole copies and members are crossed by
+        arithmetic on ``_at``; only the members a sink needs are written
+        out."""
+        self._block = ()
+        run, length, copies = self._run
+        span = length * copies
+        counting = sink is not None and whole
+        counted = None
+        if counting and not self._at and isinstance(run, FlagBatch) and run.size is None:
+            most = run._most()
+            if _MIN_WHOLE <= most and (n is None or most * span <= n):
+                counted = whole(run, length, copies)
+        rest = (_size(run) if counted is None else counted) * span - self._at
+        take = rest if n is None else min(n, rest)
+        if take:
+            stop = self._at + take
+            lo, hi = -(-self._at // span), stop // span  # the members crossed whole
+            if counted is None and counting and hi - lo >= _MIN_WHOLE:
+                self._write(self._at, lo * span, sink)
+                counted = whole(run if hi - lo == _size(run) else run[lo:hi], length, copies)
+                self._write(lo * span if counted is None else hi * span, stop, sink)
+            elif counted is None and sink is not None:
+                self._write(self._at, stop, sink)
+            self._at = stop
+            self.position += take
+            member, used = divmod(stop - 1, span)
+            if not self._block:  # else the last write, which ended here, set it
+                self.integer = run[member]
+            self.rep, used = divmod(used, length)
+            self.offset = used + 1
+        return take
 
     def _write(self, start: int, stop: int, sink: Sink) -> None:
         """Write out digits ``start`` to ``stop`` of the current run,
@@ -454,12 +470,16 @@ class StreamCursor:
     def _advance_past(self, m: int, sink: Sink, whole: Whole | None = None) -> None:
         """Go to the end of the last copy of every member <= m, or to the
         end of a finite stream.  Each run crosses its members <= m, as
-        ``_split`` cuts them.  Members already crossed must be <= m."""
+        ``_split`` cuts them, and one whose last member is <= m is crossed
+        to its end unsized.  Members already crossed must be <= m."""
         while True:
             run, length, copies = self._run
-            crossed = _size(_split(run, m + 1)[0])
-            self._advance(crossed * length * copies - self._at, sink, whole)
-            if crossed < _size(run) or not self._pull():
+            below = _split(run, m + 1)[0]
+            if below is not run:
+                self._advance(_size(below) * length * copies - self._at, sink, whole)
+                return
+            self._cross(None, sink, whole)
+            if not self._pull():
                 return
 
     def next_digit(self) -> int:

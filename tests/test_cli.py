@@ -387,6 +387,17 @@ class TestCount:
         assert out == ""
         assert "cap 999" in err
 
+    def test_counts_past_the_decimal_str_limit(self):
+        # c = 10**5000 writes the first member, 1, more than n = 10**4400
+        # times, so every digit is a 1; counts are written through Decimal
+        n = "1" + "0" * 4400
+        code, out, err = run_cli(
+            "count", "--spec", "naturals", "--base", "10", "--c", "1" + "0" * 5000,
+            "-n", n, "--max-digits", n,
+        )
+        assert (code, err) == (0, "")
+        assert out == "0 0\n" + f"1 {n}\n" + "".join(f"{d} 0\n" for d in range(2, 10)) + f"total {n}\n"
+
 
 class TestTrajectory:
     def test_explicit_checkpoints_to_stdout(self):
@@ -421,6 +432,20 @@ class TestTrajectory:
             assert lines[0] == "n,count,discrepancy_num,discrepancy_den,statistic"
             assert lines[1].startswith(first)
             assert lines[-1].startswith(last)
+
+    def test_checkpoint_past_the_decimal_str_limit(self):
+        # n and the count of ones are both 10**4400, so the discrepancy is
+        # 9 * 10**4399 / 1, and the statistic is past the float range
+        n = "1" + "0" * 4400
+        code, out, err = run_cli(
+            "trajectory", "--spec", "naturals", "--base", "10", "--c", "1" + "0" * 5000,
+            "--checkpoints", n,
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "n,count,discrepancy_num,discrepancy_den,statistic",
+            f"{n},{n},9{'0' * 4399},1,inf",
+        ]
 
     def test_deterministic_bytes(self, tmp_path):
         a = str(tmp_path / "a.csv")

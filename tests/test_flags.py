@@ -16,13 +16,14 @@ expansion of ``concat_stream`` over an independent sieve.
 
 import itertools
 import math
+import random
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
-from itertools import chain
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -542,6 +543,17 @@ def test_rows_of_a_whole_span_count_without_carry(base):
         assert count(view, length, range(base)) == [tally[d] for d in range(base)]
 
 
+def test_columns_past_one_adler_sum_count_exactly():
+    """A run wider than 65 520 times G has columns of more than 65 520
+    flags, past what one Adler-32 sum counts: in base 3, a run counted to
+    one digit place reads a column of every third flag.  With every flag
+    set, one sum per column would wrap at 65 521."""
+    width = 3 * 70_000
+    view = FlagBatch(bytearray([1]) * width, 0, 0, width)
+    assert _run_counts(3)(view, 1, range(3)) == [70_000] * 3
+    assert view.size == width
+
+
 @pytest.mark.parametrize("base", [7, 17, 36])
 def test_deep_span_counts_equal_a_plain_sieve(base):
     """The primes of the span at 2**28, 2**20 integers wide, counted off
@@ -723,3 +735,184 @@ def test_skip_across_flag_views_then_read_and_resume(base, c):
     resumed = StreamCursor.from_checkpoint(line)
     assert resumed.checkpoint() == line
     assert resumed.read(3000) == fresh.read(3000)
+
+
+def test_a_prefix_scan_counts_each_span_once(monkeypatch):
+    """Over 10**7 base-10 digits of the primes, and to their class edges
+    up to 10**7 - 1, each view the scan crosses whole is sized by the
+    kernel's residue columns as they count its digits.  Flags are counted
+    apart from them only for the walk's first view, the runs the stops
+    cut and the views too near a stop for a bound on their members to
+    clear it: when every view was sized by a count of its own, the digit
+    scan counted 21 595 730 flags so, and the edge scan every flag.  At
+    the edges no span is counted apart, not even where a boundary falls
+    between two runs of one span and the move to it crosses no digit."""
+    counted = [0]
+    count_flags = _count_flags
+
+    def recording(flags, start, stop):
+        counted[0] += stop - start
+        return count_flags(flags, start, stop)
+
+    monkeypatch.setattr("cedigits.primes._count_flags", recording)
+    counter = counter_prefix(NumberSpec(Primes(), 10), 10**7)
+    assert (counter.counts[1], counter.total) == (1_766_602, 10**7)
+    assert counted[0] < 21_595_730 // 2
+    counted[0] = 0
+    edges = [10**k - 1 for k in range(1, 8)]
+    ends = prefix_counts_at_boundaries(NumberSpec(Primes(), 10), 1, edges)
+    lengths = [prime_count(x) - prime_count(x // 10) for x in edges]
+    assert [pos for pos, _ in ends] == [*accumulate(k * n for k, n in enumerate(lengths, 1))]
+    assert counted[0] < SEGMENT_SIZE  # no span is counted apart from the kernel
+
+
+@pytest.mark.parametrize("sequence", [Primes(), Composites()])
+def test_a_restored_cursor_counts_at_most_max_batch_flags_before_it_reads(sequence, monkeypatch):
+    """A cursor restored at the end of a member deep in the stream sizes
+    only the walk's first view, of at most MAX_BATCH integers, to read
+    on; the views after it stay unsized until a move reaches them."""
+    spec = NumberSpec(sequence, 10)
+    cursor = StreamCursor(spec)
+    cursor.skip_to(10**6)
+    cursor.skip_to(cursor.position + len(str(cursor.integer)) - cursor.offset)
+    line = cursor.checkpoint()
+    counted = []
+    count_flags = _count_flags
+
+    def recording(flags, start, stop):
+        counted.append(stop - start)
+        return count_flags(flags, start, stop)
+
+    monkeypatch.setattr("cedigits.primes._count_flags", recording)
+    digits = StreamCursor.from_checkpoint(line).read(100)
+    assert sum(counted) <= MAX_BATCH
+    assert digits == cursor.read(100)
+
+
+@st.composite
+def unsized_views(draw) -> tuple[FlagBatch, list[int]]:
+    """A view of either sense over random flags, of a drawn density,
+    built without its size, and its members by a plain extraction."""
+    cls = draw(st.sampled_from([FlagBatch, CompositeBatch]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0]))
+    flags = bytearray(rng.random() < density for _ in range(draw(st.integers(0, 3000))))
+    start = draw(st.integers(0, len(flags)))
+    stop = draw(st.integers(start, len(flags)))
+    lo = draw(st.integers(0, 10**7))
+    members = [lo + i for i in range(start, stop) if flags[i] == cls._SENSE]
+    return cls(flags, lo, start, stop), members
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    unsized_views(),
+    st.integers(-100, 3100),
+    st.tuples(st.none() | st.integers(-3000, 3000), st.none() | st.integers(-3000, 3000)),
+    st.lists(st.integers(-3000, 3000), max_size=5),
+)
+def test_views_of_unknown_size_act_as_their_member_list(drawn, cut, bounds, indices):
+    """bool(), the first and the last member take no count, and an empty
+    view has neither; split halves an unsized view into unsized views
+    and a sized one into sized views; len(), lookups and slices equal the
+    member list's."""
+    view, members = drawn
+    value = view.lo + cut
+    assert bool(view) == bool(members)
+    if members:
+        assert (view[0], view[-1]) == (members[0], members[-1])
+    else:
+        for i in (0, -1):
+            with pytest.raises(IndexError):
+                view[i]
+    low, high = view.split(value)
+    assert view.size is low.size is high.size is None
+    below = bisect_left(members, value)
+    for half, want in (low, members[:below]), (high, members[below:]):
+        assert bool(half) == bool(want) and half.size is None
+        assert len(half) == len(want) and list(half) == want
+    assert len(view) == view.size == len(members)
+    low, high = view.split(value)
+    assert (low.size, high.size) == (below, len(members) - below)
+    for k in indices:
+        if -len(members) <= k < len(members):
+            assert view[k] == members[k]
+        else:
+            with pytest.raises(IndexError):
+                view[k]
+    a, b = bounds
+    assert list(view[a:b]) == members[a:b] and len(view[a:b]) == len(members[a:b])
+
+
+def beside(edges, is_member) -> list[int]:
+    """The last member below each edge and the first from it."""
+    found = set()
+    for x in edges:
+        below, above = x - 1, x
+        while not is_member(below):
+            below -= 1
+        while not is_member(above):
+            above += 1
+        found |= {below, above}
+    return sorted(found)
+
+
+@pytest.mark.parametrize("base", [2, 3, 10, 16, 36, 256, 257])
+def test_stops_inside_unsized_views_match_the_primes_as_lists(base, monkeypatch):
+    """The primes and the composites, counted off their flags to a stop
+    inside a member beside 10**6, 2**21, 2**23 and 10**7, against
+    poly-primes:0,1, the same primes as lists written out member by
+    member; the composites against the naturals, by closed forms, less
+    those primes and 1.  Every view there is a span whole, which a walk
+    from the start crosses unsized up to the stop's own.  Above base 256
+    every member is written out, so one scan walks to all the stops, and
+    the composites stop by 2**21."""
+    edges = (10**6, 2**21, 2**23, 10**7)
+    primes_at = beside(edges, Primes().is_member)
+    composites_at = beside(edges[: 2 if base > 256 else 4], Composites().is_member)
+    bounds = sorted({m - 1 for m in primes_at + composites_at})
+    lists, naturals = (
+        dict(zip(bounds, stats._scan(NumberSpec(seq, base), bounds, members=True)))
+        for seq in (Polynomial((0, 1), "primes"), Naturals())
+    )
+
+    def cut_into(m: int, pos: int, counts: list[int]) -> tuple[int, list[int]]:
+        # (position, counts) once m's digits up to just past its middle are read
+        digits = digits_of(m, base)
+        digits = digits[: len(digits) // 2 + 1]
+        return pos + len(digits), [c + digits.count(d) for d, c in enumerate(counts)]
+
+    one = [int(d == 1) for d in range(base)]
+    expected = {
+        Primes(): [cut_into(p, *lists[p - 1]) for p in primes_at],
+        Composites(): [
+            cut_into(
+                m,
+                naturals[m - 1][0] - lists[m - 1][0] - 1,
+                [*map(lambda n, p, u: n - p - u, naturals[m - 1][1], lists[m - 1][1], one)],
+            )
+            for m in composites_at
+        ],
+    }
+    unsized = []
+    kernel = stats._run_counts
+
+    def recording(base):
+        count = kernel(base)
+
+        def recorded(run, length, symbols):
+            if isinstance(run, FlagBatch) and run.size is None:
+                unsized.append(run)
+            return count(run, length, symbols)
+
+        return recorded
+
+    monkeypatch.setattr(stats, "_run_counts", recording)
+    for sequence, want in expected.items():
+        spec = NumberSpec(sequence, base)
+        stops = [pos for pos, _ in want]
+        if base > 256:
+            assert [*stats._scan(spec, stops)] == want
+        else:
+            assert [(n, counter_prefix(spec, n).counts) for n in stops] == want
+    assert unsized  # the kernel sized views that a walk crossed unsized

@@ -26,6 +26,7 @@ from cedigits import (
     parse_sequence,
     trajectory,
 )
+from cedigits.stats import _run_counts
 
 from conftest import concat_stream
 
@@ -316,3 +317,54 @@ class TestChunkedCounting:
             merged = merged.merge(p)
         assert merged == sequential
         assert merged.total == n
+
+
+def two_division_counts(base, start, stop, length):
+    """Every digit's count at the lowest ``length`` places of the
+    integers of [start, stop), by two divisions of each end per place:
+    at place i, with s = base**i, end = (q * base + d) * s + part."""
+    steps = [0] * (base + 1)
+    s = 1
+    for _ in range(length):
+        for end, sign in ((stop, 1), (start, -1)):
+            q, r = divmod(end, s * base)
+            d, part = divmod(r, s)
+            steps[0] += sign * (q * s + s)
+            steps[d] -= sign * (s - part)
+            steps[d + 1] -= sign * part
+        s *= base
+    return list(itertools.accumulate(steps[:base]))
+
+
+class TestRangeCounts:
+    """A run of consecutive members is counted by closed forms, place by
+    place, carrying each end's quotient and remainder from one place to
+    the next."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(2, 300), st.integers(0, 10**5), st.integers(0, 700), st.integers(1, 4)
+    )
+    @example(2, 0, 0, 1)
+    @example(300, 299, 2, 1)
+    @example(10, 999, 2, 4)
+    def test_equal_a_digit_by_digit_count(self, base, start, width, length):
+        want = [0] * base
+        for x in range(start, start + width):
+            for _ in range(length):
+                x, d = divmod(x, base)
+                want[d] += 1
+        assert _run_counts(base)(range(start, start + width), length, range(base)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 300), st.data())
+    @example(10, None)
+    def test_equal_the_two_division_count_to_300_places(self, base, data):
+        if data is None:  # the class of 300-digit members, whole
+            length, start, stop = 300, base**299, base**300
+        else:
+            length = data.draw(st.integers(1, 300))
+            start = data.draw(st.integers(0, base ** (length + 1)))
+            stop = data.draw(st.integers(start, start + base ** (length + 1)))
+        got = _run_counts(base)(range(start, stop), length, range(base))
+        assert got == two_division_counts(base, start, stop, length)
