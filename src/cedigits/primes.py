@@ -242,7 +242,8 @@ class FlagBatch(Sequence):
     whose index 0 is the integer ``lo``: a read-only sequence of ``size``
     members, the flags equal to ``_SENSE``.  ``size`` may be None, not
     counted yet: ``len()`` counts it the first time something needs it,
-    while ``bool()``, the first member and the last each take one search.
+    unless ``size_from`` sets it from a count made by the caller, while
+    ``bool()``, the first member and the last each take one search.
     Member k is found by counting flags, and a slice with no step is a
     view of the same flags, so a cut through a span costs its members no
     extraction.  Members are picked out, by ``_between``, only when a
@@ -293,6 +294,22 @@ class FlagBatch(Sequence):
         if ones is None:
             ones = _count_flags(self.flags, start, stop)
         return ones if self._SENSE else stop - start - ones
+
+    def size_from(self, ones: int) -> None:
+        """Size the view from ``ones``, the 1s among all its flags as the
+        caller counted them, so that ``len()`` and lookups count none."""
+        self.size = self._count(self.start, self.stop, ones)
+
+    def surely_crossed(self, members: int | None, least: int) -> bool:
+        """Whether the view is not sized yet and a walk of ``members``
+        more members from its start, or of any number when None, surely
+        crosses it whole: a bound on its members, found without counting
+        them, is at most ``members``.  It must also be at least ``least``,
+        so that a view too short to hold that many is left out."""
+        if self.size is not None:
+            return False
+        most = self._most()
+        return least <= most and (members is None or most <= members)
 
     def _most(self) -> int:
         """An upper bound on the members, found without counting: of any
@@ -397,11 +414,12 @@ def _count_flags(flags: bytearray, start: int, stop: int) -> int:
     """The number of 1s in flags[start:stop], of 0/1 flags, at memory
     speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
     low half, exact for chunks of at most 65 520 such bytes.  A stretch
-    of one chunk, as a walk's first view, takes one call."""
+    of one chunk, as a residue column of a span or a walk's first view,
+    takes one call, on the buffer itself when the stretch is all of it."""
     import zlib  # here: a cold start without a walk skips it
 
     if stop - start <= 65_520:
-        return zlib.adler32(flags[start:stop], 0) & 0xFFFF
+        return zlib.adler32(flags if stop - start == len(flags) else flags[start:stop], 0) & 0xFFFF
     with memoryview(flags) as view:
         return sum(
             zlib.adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF

@@ -196,13 +196,10 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
     so a place divides only by the base.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low, the low places of a member m are the digits of
-    m mod G: one strided column of the flags per residue gives the
-    members of each.  A column holds at most ceil(width / G) flags; where
-    that is at most 65 520, as in every run up to 2**16 wide and every
-    run up to 2**20 wide with G >= 17, one Adler-32 sum counts it exactly,
-    and ``primes._count_flags`` counts a longer one in chunks.  Every
-    member lies in a residue counted, so the columns add up to the run's
-    size, which sizes a view the scan crosses before it is sized.  The
+    m mod G: one strided column of the flags per residue, counted by
+    ``primes._count_flags``, gives the members of each.  Every member
+    lies in a residue counted, so the columns add up to the run's size,
+    which sizes a view the scan crosses before it is sized.  The
     high places, m // G, are weighed by the count of each row of G flags:
     the columns, read as integers with one byte per row, add up to all
     those counts at once, in two sums, one for the residues whose column
@@ -238,8 +235,6 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
             first //= base
 
     def flag_counts(run: FlagBatch, length: int) -> list[int]:
-        from zlib import adler32  # here: verify and a cold threshold count no flags
-
         flags, start, stop = run.flags, run.start, run.stop
         first = run.lo + start  # the integer of flag ``start``
         low = 1  # G = base**low, the largest power within the run and 256, at least the base
@@ -247,17 +242,16 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
             low += 1
         size = base**low
         at = first % size  # a residue below this starts its column a row later
-        direct = stop - start <= 65_520 * size  # then no column holds more than 65 520 flags
         weights = [0] * size
         total = late = 0
         for r in held(size, first <= base):
             column = flags[start + (r - first) % size : stop : size]
-            weights[r] = adler32(column, 0) & 0xFFFF if direct else _count_flags(column, 0, len(column))
+            weights[r] = _count_flags(column, 0, len(column))
             if r < at:
                 late += int.from_bytes(column, "little")
             else:
                 total += int.from_bytes(column, "little")
-        run.size = run._count(start, stop, sum(weights))
+        run.size_from(sum(weights))
         counts = [0] * base
         tally(counts, 0, weights, low)
         rows = (run.lo + stop - 1) // size - first // size + 1
@@ -341,7 +335,7 @@ def _scan(
             return None
         for j, c in enumerate(found):
             counts[j] += c * copies
-        return _size(run)
+        return _size(run)  # a view of flags, sized by its count
 
     cursor = StreamCursor(spec)
     for stop in stops:

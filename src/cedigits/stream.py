@@ -149,8 +149,9 @@ Sink = Callable[[Sequence[int], int, int], None]
 # Takes members of a run that a move crosses whole, every copy of each,
 # as (members, length, copies), counts their digits and returns how many
 # members it counted, or None to have their digits handed to the sink
-# instead.  A view of sieve flags may come before it is sized, so that
-# its count sizes it.
+# instead.  A view of sieve flags may come before it is sized; a count
+# of its flags sizes it (``FlagBatch.size_from``), so that the walker's
+# lookups in it count none.
 Whole = Callable[[Sequence[int], int, int], int | None]
 
 # printf conversions of the bases whose digits the stdlib writes at C
@@ -428,10 +429,13 @@ class StreamCursor:
         span = length * copies
         counting = sink is not None and whole
         counted = None
-        if counting and not self._at and isinstance(run, FlagBatch) and run.size is None:
-            most = run._most()
-            if _MIN_WHOLE <= most and (n is None or most * span <= n):
-                counted = whole(run, length, copies)
+        if (
+            counting
+            and not self._at
+            and isinstance(run, FlagBatch)
+            and run.surely_crossed(None if n is None else n // span, _MIN_WHOLE)
+        ):
+            counted = whole(run, length, copies)
         rest = (_size(run) if counted is None else counted) * span - self._at
         take = rest if n is None else min(n, rest)
         if take:

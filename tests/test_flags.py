@@ -543,17 +543,6 @@ def test_rows_of_a_whole_span_count_without_carry(base):
         assert count(view, length, range(base)) == [tally[d] for d in range(base)]
 
 
-def test_columns_past_one_adler_sum_count_exactly():
-    """A run wider than 65 520 times G has columns of more than 65 520
-    flags, past what one Adler-32 sum counts: in base 3, a run counted to
-    one digit place reads a column of every third flag.  With every flag
-    set, one sum per column would wrap at 65 521."""
-    width = 3 * 70_000
-    view = FlagBatch(bytearray([1]) * width, 0, 0, width)
-    assert _run_counts(3)(view, 1, range(3)) == [70_000] * 3
-    assert view.size == width
-
-
 @pytest.mark.parametrize("base", [7, 17, 36])
 def test_deep_span_counts_equal_a_plain_sieve(base):
     """The primes of the span at 2**28, 2**20 integers wide, counted off
@@ -857,7 +846,7 @@ def beside(edges, is_member) -> list[int]:
     return sorted(found)
 
 
-@pytest.mark.parametrize("base", [2, 3, 10, 16, 36, 256, 257])
+@pytest.mark.parametrize("base", [10, 36, 257])
 def test_stops_inside_unsized_views_match_the_primes_as_lists(base, monkeypatch):
     """The primes and the composites, counted off their flags to a stop
     inside a member beside 10**6, 2**21, 2**23 and 10**7, against
@@ -866,7 +855,10 @@ def test_stops_inside_unsized_views_match_the_primes_as_lists(base, monkeypatch)
     those primes and 1.  Every view there is a span whole, which a walk
     from the start crosses unsized up to the stop's own.  Above base 256
     every member is written out, so one scan walks to all the stops, and
-    the composites stop by 2**21."""
+    the composites stop by 2**21.  The walk is the same in every base to
+    256, so base 10 and base 36, with rows of 100 and 36 integers, stand
+    for them; the CI diff of primes against poly-primes:0,1 stops inside
+    unsized views in bases 2, 3, 16 and 256."""
     edges = (10**6, 2**21, 2**23, 10**7)
     primes_at = beside(edges, Primes().is_member)
     composites_at = beside(edges[: 2 if base > 256 else 4], Composites().is_member)
