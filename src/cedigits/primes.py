@@ -414,12 +414,11 @@ def _count_flags(flags: bytearray, start: int, stop: int) -> int:
     """The number of 1s in flags[start:stop], of 0/1 flags, at memory
     speed: Adler-32 seeded with 0 holds the byte sum mod 65 521 in its
     low half, exact for chunks of at most 65 520 such bytes.  A stretch
-    of one chunk, as a residue column of a span or a walk's first view,
-    takes one call, on the buffer itself when the stretch is all of it."""
+    of one chunk, as a walk's first view, takes one call."""
     import zlib  # here: a cold start without a walk skips it
 
     if stop - start <= 65_520:
-        return zlib.adler32(flags if stop - start == len(flags) else flags[start:stop], 0) & 0xFFFF
+        return zlib.adler32(flags[start:stop], 0) & 0xFFFF
     with memoryview(flags) as view:
         return sum(
             zlib.adler32(view[at : min(at + 65_520, stop)], 0) & 0xFFFF

@@ -10,19 +10,19 @@ concatenation streams built by this package drive the symbol-1
 statistic to infinity instead, which the trajectory measurements make
 visible.
 
-Every prefix count walks one fresh StreamCursor to its stops with a
-counting sink.  The members of a run the cursor crosses whole, every
-copy of each, are counted without being written out when they are a
-range of consecutive members, or primes or composites read off their
+Every prefix count walks one fresh StreamCursor to its stops and counts
+into one DigitCounter.  The members of a run the cursor crosses whole,
+every copy of each, are counted without being written out when they are
+a range of consecutive members, or primes or composites read off their
 sieve flags (``_run_counts``); a run of either holds the members of one
 length in one view of a sieve span, whole past a walk's first, so each
 view is counted once per member length and stop, and that count sizes
 a view the scan crosses whole; a stop inside a view writes out only the
-member it cuts.  The rest the cursor hands out as
-pieces of runs, members and copies; each is counted at C speed and
-multiplied by its copy count, so repeated copies are never written out.
-Counts and positions are Python ints throughout, so the scan is as
-exact as a digit-by-digit walk.
+member it cuts.  Other runs, and the pieces of runs, members and copies
+the cursor hands out, are written out and go to ``add_block``, which
+counts each once and multiplies by its copy count.  Counts and positions
+are Python ints throughout, so the scan is as exact as a digit-by-digit
+walk.
 """
 
 from __future__ import annotations
@@ -35,12 +35,12 @@ from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from io import TextIOBase
 from itertools import accumulate, repeat
-from operator import sub
+from operator import add, mul, sub
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
-from .primes import FlagBatch, _count_flags
+from .primes import FlagBatch
 from .sequences import Record, _size
-from .stream import NumberSpec, StreamCursor
+from .stream import NumberSpec, StreamCursor, _run_encoder
 
 __all__ = [
     "DigitCounter",
@@ -59,8 +59,7 @@ __all__ = [
 
 MIN_STATISTIC_N = 16
 
-# From this base on, a full counter tallies a run in one pass rather than
-# scanning the run once per symbol.
+# From this base on, a counter tallies a block rather than counting each symbol.
 _TALLY_MIN_BASE = 64
 
 TRAJECTORY_CSV_HEADER = "n,count,discrepancy_num,discrepancy_den,statistic"
@@ -110,6 +109,8 @@ class DigitCounter:
 
     Counters over disjoint position sets merge by componentwise
     addition, which makes chunked counting associative and commutative.
+    Each update replaces ``counts`` with a new list, so a list read off
+    a counter keeps its values.
     """
 
     __slots__ = ("base", "counts", "total")
@@ -128,18 +129,33 @@ class DigitCounter:
         self.add_block((digit,))
 
     def add_block(self, digits: Iterable[int], copies: int = 1) -> None:
-        """Record every digit of a block, ``copies`` times over."""
+        """Record every digit of a block, ``copies`` times over, at C
+        speed: one ``count`` per symbol below _TALLY_MIN_BASE, one tally
+        from there.  A block with a digit out of range is refused whole."""
         if copies < 0:
             raise ValueError("copies must be nonnegative")
-        counts = self.counts
+        if not isinstance(digits, (bytes, list, tuple)):
+            digits = list(digits)
         base = self.base
-        added = 0
-        for d in digits:
-            if not 0 <= d < base:
-                raise ValueError(f"digit {d} out of range for base {base}")
-            counts[d] += copies
-            added += 1
-        self.total += added * copies
+        if base < _TALLY_MIN_BASE:
+            found = [*map(digits.count, range(base))]
+            if sum(found) == len(digits):
+                return self._add(found, copies)
+        else:
+            tally = Counter(digits)
+            if 0 <= min(tally, default=0) and max(tally, default=0) < base:
+                counts = self.counts[:]
+                for d, k in tally.items():
+                    counts[d] += k * copies
+                self.counts, self.total = counts, self.total + len(digits) * copies
+                return
+        bad = next(d for d in digits if d not in range(base))
+        raise ValueError(f"digit {bad} out of range for base {base}")
+
+    def _add(self, found: list[int], copies: int) -> None:
+        # count ``copies`` times over a block whose counts are ``found``
+        self.counts = [*map(add, self.counts, map(mul, found, repeat(copies)))]
+        self.total += sum(found) * copies
 
     def merge(self, other: "DigitCounter") -> "DigitCounter":
         """Componentwise sum of two counters over the same base."""
@@ -180,12 +196,11 @@ def _check_symbol(spec: NumberSpec, symbol: int) -> None:
 
 
 @lru_cache(maxsize=8)
-def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list[int] | None]:
-    """Function giving, for each of ``symbols``, its count in one copy of
-    every member of a run of ``length``-digit members, without writing
-    the run out; None for a run it does not count so, which the scan
-    has written out and counts instead.  Above base 256 only a range
-    is counted so.
+def _run_counts(base: int) -> Callable[[Sequence[int], int], list[int] | None]:
+    """Function giving every symbol's count in one copy of every member
+    of a run of ``length``-digit members, without writing the run out;
+    None for a run it does not count so, which the scan writes out and
+    counts instead.  Above base 256 only a range is counted so.
 
     A ``range`` run counts digit d at place i, with s = base**i, as the
     members whose remainder mod base * s lies in [d * s, (d + 1) * s):
@@ -245,12 +260,12 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
         weights = [0] * size
         total = late = 0
         for r in held(size, first <= base):
-            column = flags[start + (r - first) % size : stop : size]
-            weights[r] = _count_flags(column, 0, len(column))
+            column = int.from_bytes(flags[start + (r - first) % size : stop : size], "little")
+            weights[r] = column.bit_count()
             if r < at:
-                late += int.from_bytes(column, "little")
+                late += column
             else:
-                total += int.from_bytes(column, "little")
+                total += column
         run.size_from(sum(weights))
         counts = [0] * base
         tally(counts, 0, weights, low)
@@ -280,32 +295,27 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int, Sequence[int]], list
                 s *= base
         return [*accumulate(steps[:base])]
 
-    def count(run: Sequence[int], length: int, symbols: Sequence[int]) -> list[int] | None:
+    def count(run: Sequence[int], length: int) -> list[int] | None:
         if type(run) is range and run.step == 1:
-            counts = spread(run.start, run.stop, length)
-        elif base > 256 or not isinstance(run, FlagBatch):
+            return spread(run.start, run.stop, length)
+        if base > 256 or not isinstance(run, FlagBatch):
             return None
-        elif type(run) is FlagBatch:
-            counts = flag_counts(run, length)
-        else:  # composites: every integer of their flags less the primes
-            every = spread(run.lo + run.start, run.lo + run.stop, length)
-            counts = [*map(sub, every, flag_counts(run, length))]
-        return [counts[d] for d in symbols]
+        if type(run) is FlagBatch:
+            return flag_counts(run, length)
+        # composites: every integer of their flags less the primes
+        every = spread(run.lo + run.start, run.lo + run.stop, length)
+        return [*map(sub, every, flag_counts(run, length))]
 
     return count
 
 
 def _scan(
-    spec: NumberSpec,
-    stops: Sequence[int],
-    symbol: int | None = None,
-    members: bool = False,
+    spec: NumberSpec, stops: Sequence[int], members: bool = False
 ) -> Iterator[tuple[int, list[int]]]:
     """The prefix scan behind every counting entry point.
 
-    Walks one fresh cursor to each stop in turn and yields (position,
-    counts) there.  ``counts`` holds the occurrences of every symbol,
-    indexed by symbol, or with ``symbol`` given, of that symbol alone.
+    Walks one fresh cursor to each stop in turn, counting into one
+    DigitCounter, and yields (position, the counter's ``counts``) there.
     A stop is a digit position, or with ``members`` a boundary member m,
     whose position is the end of all copies of all members <= m.  Stops
     must be increasing.
@@ -315,26 +325,19 @@ def _scan(
             position stop.  Boundary members past the end all stop at
             the end.
     """
-    symbols = range(spec.base) if symbol is None else (symbol,)
-    tally = symbol is None and spec.base >= _TALLY_MIN_BASE
-    counts = [0] * len(symbols)
+    counter = DigitCounter(spec.base)
+    run_counts = _run_counts(spec.base)
+    encode = _run_encoder(spec.base)
 
     def add(digits: Sequence[int], length: int, copies: int) -> None:
-        if tally:
-            for d, k in Counter(digits).items():
-                counts[d] += k * copies
-        else:
-            for j, s in enumerate(symbols):
-                counts[j] += digits.count(s) * copies
+        counter.add_block(digits, copies)
 
-    run_counts = _run_counts(spec.base)
-
-    def count_run(run: Sequence[int], length: int, copies: int) -> int | None:
-        found = run_counts(run, length, symbols)
+    def count_run(run: Sequence[int], length: int, copies: int) -> int:
+        found = run_counts(run, length)
         if found is None:
-            return None
-        for j, c in enumerate(found):
-            counts[j] += c * copies
+            counter.add_block(encode(run, length), copies)
+        else:
+            counter._add(found, copies)
         return _size(run)  # a view of flags, sized by its count
 
     cursor = StreamCursor(spec)
@@ -343,7 +346,7 @@ def _scan(
             cursor._advance_past(stop, add, count_run)
         else:
             cursor._advance(stop - cursor.position, add, count_run)
-        yield cursor.position, list(counts)
+        yield cursor.position, counter.counts
 
 
 def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:
@@ -355,8 +358,8 @@ def count_symbol_prefix(spec: NumberSpec, symbol: int, n: int) -> int:
     _check_symbol(spec, symbol)
     if n < 0:
         raise ValueError("prefix length must be nonnegative")
-    ((_, counts),) = _scan(spec, [n], symbol)
-    return counts[0]
+    ((_, counts),) = _scan(spec, [n])
+    return counts[symbol]
 
 
 def counter_prefix(spec: NumberSpec, n: int) -> DigitCounter:
@@ -380,7 +383,7 @@ def prefix_counts_at_boundaries(
     boundaries = list(boundary_members)
     if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
         raise ValueError("boundary members must be strictly increasing")
-    return [(pos, counts[0]) for pos, counts in _scan(spec, boundaries, symbol, members=True)]
+    return [(pos, counts[symbol]) for pos, counts in _scan(spec, boundaries, members=True)]
 
 
 class LilPoint(Record):
@@ -440,6 +443,6 @@ def trajectory(
         )
     points = tuple(
         LilPoint(n, c, discrepancy(c, n, spec.base), lil_statistic(c, n, spec.base))
-        for n, (c,) in _scan(spec, cps, symbol)
+        for n, c in zip(cps, (counts[symbol] for _, counts in _scan(spec, cps)))
     )
     return Trajectory(spec, symbol, points)

@@ -20,12 +20,13 @@ time, crosses whole copies, members and runs by arithmetic, and hands
 the digits it crosses to a sink as pieces (digits, length, copies): the
 pieces ``read`` joins once into the encoder's type (bytes whose values
 are the digits up to base 256, a list of ints beyond), counters for the
-prefix scans of ``stats``, nothing for ``skip_to``.  A prefix scan may
-also take the members of a run that a move crosses whole and count them
-without writing them out, so the move writes out only the member it
-cuts at each end; a view of sieve flags that a move surely crosses goes
-to the count before it is sized, and the count sizes it.  The cursor
-serializes to a one-line checkpoint of the exact stream state.
+prefix scans of ``stats``, nothing for ``skip_to``.  A prefix scan also
+takes the members of a run that a move crosses whole and counts them,
+writing out only those it has no closed form for, so the move itself
+writes out only the member it cuts at each end; a view of sieve flags
+that a move surely crosses goes to the count before it is sized, and
+the count sizes it.  The cursor serializes to a one-line checkpoint of
+the exact stream state.
 """
 
 from __future__ import annotations
@@ -147,12 +148,12 @@ _MIN_WHOLE = 256
 # every ``length``-digit block of ``digits``, written ``copies`` times.
 Sink = Callable[[Sequence[int], int, int], None]
 # Takes members of a run that a move crosses whole, every copy of each,
-# as (members, length, copies), counts their digits and returns how many
-# members it counted, or None to have their digits handed to the sink
-# instead.  A view of sieve flags may come before it is sized; a count
-# of its flags sizes it (``FlagBatch.size_from``), so that the walker's
-# lookups in it count none.
-Whole = Callable[[Sequence[int], int, int], int | None]
+# as (members, length, copies), counts their digits, writing out those
+# it cannot count otherwise, and returns how many members it counted.
+# A view of sieve flags may come before it is sized; a count of its
+# flags sizes it (``FlagBatch.size_from``), so that the walker's lookups
+# in it count none.
+Whole = Callable[[Sequence[int], int, int], int]
 
 # printf conversions of the bases whose digits the stdlib writes at C
 # speed; base 2, which has none, goes through format() with code "b".
@@ -396,9 +397,10 @@ class StreamCursor:
         (``_cross``), handing the digits crossed to ``sink`` when given,
         and the members crossed whole to ``whole``.  The next run is
         pulled only for a digit that is needed.  A move inside the copy
-        the last write ended in slices the digits that write kept."""
+        the last write ended in slices the digits that write kept, and a
+        move of no digits hands out none."""
         if self.offset + n <= len(self._block):
-            if sink is not None:
+            if sink is not None and n:
                 sink(self._block[self.offset : self.offset + n], n, 1)
             self._at += n
             self.position += n
@@ -414,38 +416,32 @@ class StreamCursor:
     def _cross(self, n: int | None, sink: Sink | None, whole: Whole | None) -> int:
         """Go n digits forward within the current run, or to its end when
         n is None, and return how many were crossed.  The members the move
-        crosses whole, every copy of each, go to ``whole`` when given with
-        a sink and at least _MIN_WHOLE of them, as one stretch of the run;
-        only if that counts none are they written out, and otherwise only
-        the partial member at each end of the move is, so a cut through a
-        run of primes costs one member, not all those before it.  A view
-        of sieve flags not yet sized, which the move surely crosses from
-        its start, by a bound on its members, goes to ``whole`` unsized,
-        and the count sizes it.  Whole copies and members are crossed by
-        arithmetic on ``_at``; only the members a sink needs are written
-        out."""
+        crosses whole, every copy of each, go to ``whole`` (given only
+        with a sink) when there are at least _MIN_WHOLE of them, as one
+        stretch of the run, and only the partial member at each end of the
+        move is written out, so a cut through a run of primes costs one
+        member, not all those before it.  A view of sieve flags not yet sized, which the move
+        surely crosses from its start, by a bound on its members, goes to
+        ``whole`` unsized, and the count sizes it.  Whole copies and
+        members are crossed by arithmetic on ``_at``; only the members a
+        sink needs are written out."""
         self._block = ()
         run, length, copies = self._run
         span = length * copies
-        counting = sink is not None and whole
-        counted = None
-        if (
-            counting
-            and not self._at
-            and isinstance(run, FlagBatch)
+        crossed = (  # counted whole before it is sized
+            whole and not self._at and isinstance(run, FlagBatch)
             and run.surely_crossed(None if n is None else n // span, _MIN_WHOLE)
-        ):
-            counted = whole(run, length, copies)
-        rest = (_size(run) if counted is None else counted) * span - self._at
+        )
+        rest = (whole(run, length, copies) if crossed else _size(run)) * span - self._at
         take = rest if n is None else min(n, rest)
         if take:
             stop = self._at + take
             lo, hi = -(-self._at // span), stop // span  # the members crossed whole
-            if counted is None and counting and hi - lo >= _MIN_WHOLE:
+            if whole and not crossed and hi - lo >= _MIN_WHOLE:
                 self._write(self._at, lo * span, sink)
-                counted = whole(run if hi - lo == _size(run) else run[lo:hi], length, copies)
-                self._write(lo * span if counted is None else hi * span, stop, sink)
-            elif counted is None and sink is not None:
+                whole(run if hi - lo == _size(run) else run[lo:hi], length, copies)
+                self._write(hi * span, stop, sink)
+            elif sink is not None and not crossed:
                 self._write(self._at, stop, sink)
             self._at = stop
             self.position += take
@@ -508,8 +504,7 @@ class StreamCursor:
                 blocks = range(0, len(digits), length)
                 pieces.extend(digits[k : k + length] * copies for k in blocks)
 
-        if n:  # a move of no digits hands out an empty ``_block``, a tuple when unset
-            self._advance(n, write)
+        self._advance(n, write)
         if self.spec.base > 256:
             return list(chain.from_iterable(pieces))
         return b"".join(pieces)

@@ -503,9 +503,8 @@ def test_run_counts_equal_written_counts(base):
         runs.append((range(a, a + n), len(digits_of(a, base)), 1))
     for run, length, _ in runs:
         digits = _run_encoder(base)(run[:], length)
-        assert count(run, length, range(base)) == [digits.count(s) for s in range(base)]
-        assert count(run, length, (1,)) == [digits.count(1)]
-    assert count((2, 3), 1, (1,)) is None  # lists are written
+        assert count(run, length) == [digits.count(s) for s in range(base)]
+    assert count((2, 3), 1) is None  # lists are written
 
 
 @pytest.mark.parametrize("base", [2, 10, 36, 40, 256])
@@ -532,7 +531,7 @@ def test_rows_of_a_whole_span_count_without_carry(base):
         ))
         view = FlagBatch(flags, lo, start, stop, flags.count(1, start, stop))
         assert len(to_digits(lo + stop - 1, base)) == length
-        assert count(view, length, range(base)) == [tally[d] for d in range(base)]
+        assert count(view, length) == [tally[d] for d in range(base)]
     flags = bytearray(i == 2 or i % 2 for i in range(5 * 256 + 100))
     length = len(to_digits(len(flags) - 1, base))
     for start, stop in ((0, len(flags)), (1, len(flags) - 5), (base, len(flags))):
@@ -540,7 +539,7 @@ def test_rows_of_a_whole_span_count_without_carry(base):
             to_digits(base**length + i, base)[1:] for i in range(start, stop) if flags[i]
         ))
         view = FlagBatch(flags, 0, start, stop, flags.count(1, start, stop))
-        assert count(view, length, range(base)) == [tally[d] for d in range(base)]
+        assert count(view, length) == [tally[d] for d in range(base)]
 
 
 @pytest.mark.parametrize("base", [7, 17, 36])
@@ -566,7 +565,7 @@ def test_deep_span_counts_equal_a_plain_sieve(base):
             digits_of(lo + i, base) for i in range(start, stop) if flags[i]
         ))
         run = FlagBatch(view.flags, lo, start, stop, flags.count(1, start, stop))
-        assert count(run, length, range(base)) == [tally[d] for d in range(base)]
+        assert count(run, length) == [tally[d] for d in range(base)]
 
 
 def prime_oracle(base: int, c: Fraction, positions: list[int], bounds: list[int]):
@@ -660,10 +659,10 @@ def test_stops_inside_a_wide_span(base, c, monkeypatch):
     def recording(base):
         count = kernel(base)
 
-        def recorded(run, length, symbols):
+        def recorded(run, length):
             if type(run) is FlagBatch:
                 counted.append(run)
-            return count(run, length, symbols)
+            return count(run, length)
 
         return recorded
 
@@ -689,10 +688,10 @@ def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):
     def recording(base):
         count = kernel(base)
 
-        def recorded(run, length, symbols):
+        def recorded(run, length):
             if type(run) is FlagBatch:
                 calls.append((run.lo, length, stop[0], run.stop - run.start))
-            return count(run, length, symbols)
+            return count(run, length)
 
         return recorded
 
@@ -706,6 +705,38 @@ def test_kernel_runs_once_per_span_length_and_stop(monkeypatch):
     assert max(keys.values()) == 1
     assert len(calls) <= len({call[:2] for call in calls}) + len(stops)
     assert SEGMENT_SIZE in {call[3] for call in calls}
+
+
+def test_a_prefix_scan_counts_its_written_pieces_through_add_block(monkeypatch):
+    """Over 10**6 base-10 digits of the primes, the pieces a scan writes
+    out go to ``DigitCounter.add_block``, and the runs the flag kernel
+    counts do not: the digits of the two add up to the prefix, each
+    counted once."""
+    blocks, counted = [], []
+    add_block = stats.DigitCounter.add_block
+    kernel = stats._run_counts
+
+    def recording_block(self, digits, copies=1):
+        blocks.append(len(digits) * copies)
+        add_block(self, digits, copies)
+
+    def recording(base):
+        count = kernel(base)
+
+        def recorded(run, length):
+            found = count(run, length)
+            if found is not None:
+                counted.append(len(run) * length)
+            return found
+
+        return recorded
+
+    monkeypatch.setattr(stats.DigitCounter, "add_block", recording_block)
+    monkeypatch.setattr(stats, "_run_counts", recording)
+    n = 10**6
+    counter = counter_prefix(NumberSpec(Primes(), 10), n)
+    assert blocks and counted
+    assert sum(blocks) + sum(counted) == counter.total == sum(counter.counts) == n
 
 
 @pytest.mark.parametrize("base,c", [(10, Fraction(1)), (2, Fraction(3, 2)), (257, Fraction(1))])
@@ -892,10 +923,10 @@ def test_stops_inside_unsized_views_match_the_primes_as_lists(base, monkeypatch)
     def recording(base):
         count = kernel(base)
 
-        def recorded(run, length, symbols):
+        def recorded(run, length):
             if isinstance(run, FlagBatch) and run.size is None:
                 unsized.append(run)
-            return count(run, length, symbols)
+            return count(run, length)
 
         return recorded
 

@@ -258,6 +258,21 @@ def test_validation_messages(build, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("base,block,bad", [(10, (1, 10), 10), (300, (1, 300, -1), 300)])
+def test_a_refused_block_leaves_the_counter_as_it_was(base, block, bad):
+    """A block with a digit out of range, counted per symbol (base 10) or
+    tallied (base 300), is refused before any count moves, and the
+    message names its first bad digit; a generator is still taken."""
+    counter = DigitCounter(base)
+    for digits in (block, iter(block)):
+        with pytest.raises(ValueError) as exc:
+            counter.add_block(digits)
+        assert str(exc.value) == f"digit {bad} out of range for base {base}"
+        assert counter == DigitCounter(base) and counter.total == 0
+    counter.add_block((d for d in (1, 2, 1)), 3)
+    assert counter.counts[:3] == [0, 6, 3] and counter.total == 9
+
+
 def test_values_at_the_edges():
     # below 4 the composites' closed form x - pi(x) - 1 is clamped to 0
     assert [Composites().count(x) for x in (-5, 0, 1, 2, 3, 4)] == [0, 0, 0, 0, 0, 1]

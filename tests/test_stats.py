@@ -354,7 +354,7 @@ class TestRangeCounts:
             for _ in range(length):
                 x, d = divmod(x, base)
                 want[d] += 1
-        assert _run_counts(base)(range(start, start + width), length, range(base)) == want
+        assert _run_counts(base)(range(start, start + width), length) == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 300), st.data())
@@ -366,5 +366,5 @@ class TestRangeCounts:
             length = data.draw(st.integers(1, 300))
             start = data.draw(st.integers(0, base ** (length + 1)))
             stop = data.draw(st.integers(start, start + base ** (length + 1)))
-        got = _run_counts(base)(range(start, stop), length, range(base))
+        got = _run_counts(base)(range(start, stop), length)
         assert got == two_division_counts(base, start, stop, length)
