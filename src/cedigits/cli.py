@@ -23,14 +23,13 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from io import TextIOBase
 
 from . import _HOMES as _PACKAGE_HOMES, _loader
 from .errors import CapExceededError, SequenceExhaustedError
-from .rational import format_rational, parse_natural, parse_rational
+from .rational import format_integer, format_rational, parse_natural, parse_rational
 from .sequences import DEFAULT_COUNTING_CAP, Naturals, Record, parse_int_list, parse_sequence
 
 # the layers' names the commands call, by module, imported on first access
@@ -147,11 +146,9 @@ def run_verification(
 def write_verification_csv(rows: Sequence[VerifyRow], out: TextIOBase) -> None:
     out.write(VERIFY_CSV_HEADER + "\n")
     for r in rows:
-        out.write(
-            f"{r.base},{r.c.numerator},{r.c.denominator},{r.k},"
-            f"{r.d_oracle},{r.d_stream},{r.ones_oracle},{r.ones_stream},"
-            f"{'true' if r.match else 'false'}\n"
-        )
+        fields = (r.base, *r.c.as_integer_ratio(), r.k,
+                  r.d_oracle, r.d_stream, r.ones_oracle, r.ones_stream)
+        out.write(",".join(map(format_integer, fields)) + f",{'true' if r.match else 'false'}\n")
 
 
 def _print_verification_table(rows: Sequence[VerifyRow]) -> None:
@@ -159,8 +156,9 @@ def _print_verification_table(rows: Sequence[VerifyRow]) -> None:
     for r in rows:
         print(
             f"{r.base:<2} {format_rational(r.c):<6} {r.k:<3} "
-            f"{r.d_oracle:<10} {r.d_stream:<10} {r.ones_oracle:<10} "
-            f"{r.ones_stream:<11} {'true' if r.match else 'false'}"
+            f"{format_integer(r.d_oracle):<10} {format_integer(r.d_stream):<10} "
+            f"{format_integer(r.ones_oracle):<10} {format_integer(r.ones_stream):<11} "
+            f"{'true' if r.match else 'false'}"
         )
 
 
@@ -172,7 +170,7 @@ def _multiplier(args: argparse.Namespace) -> Fraction:
 def _capped(base: int) -> int:
     """``base``, refused at or above BASE_CAP, as every command does."""
     if base >= BASE_CAP:
-        raise ValueError(f"base {base} is beyond the CLI cap {BASE_CAP}")
+        raise ValueError(f"base {format_integer(base)} is beyond the CLI cap {BASE_CAP}")
     return base
 
 
@@ -192,7 +190,8 @@ def _cmd_digits(args: argparse.Namespace) -> int:
         cursor = _layers.open_stream(_build_spec(args))
     if args.n > args.max_emit:
         raise CapExceededError(
-            f"emitting {args.n} digits exceeds the per-run cap {args.max_emit}"
+            f"emitting {format_integer(args.n)} digits exceeds the per-run cap "
+            f"{format_integer(args.max_emit)}"
         )
     base = cursor.spec.base
     chunks = (
@@ -223,13 +222,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     if args.n > args.max_digits:
         raise CapExceededError(
-            f"counting over {args.n} digits exceeds the per-run cap {args.max_digits}"
+            f"counting over {format_integer(args.n)} digits exceeds the per-run cap "
+            f"{format_integer(args.max_digits)}"
         )
     counter = _layers.counter_prefix(spec, args.n)
-    # through Decimal, which has no limit on the digits of an int
     for symbol, cnt in enumerate(counter.counts):
-        print(f"{symbol} {Decimal(cnt)}")
-    print(f"total {Decimal(counter.total)}")
+        print(f"{symbol} {format_integer(cnt)}")
+    print(f"total {format_integer(counter.total)}")
     return 0
 
 
@@ -288,8 +287,8 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     )
     print("x count ratio holds")
     for s in report.samples:
-        # through Decimal, which has no limit on the digits of an int
-        print(f"{Decimal(s.x)} {Decimal(s.count)} {s.ratio:.6f} {'yes' if s.holds_at_x else 'no'}")
+        x, count = format_integer(s.x), format_integer(s.count)
+        print(f"{x} {count} {s.ratio:.6f} {'yes' if s.holds_at_x else 'no'}")
     print(f"note: {report.disclaimer}")
     return 0
 

@@ -18,13 +18,12 @@ repeated to its width, on which the multiples of 2, 3, 5, 7, 11 and 13
 are already struck; each larger base prime strikes its odd multiples
 with one copy of shared zeros, a walk carries its next odd multiple from
 one span to the next, and the base primes are sieved by the same kernel.
-Flags are counted by Adler-32 sums at memory speed, for the digit counts
-by residue column.  Those counts size a view that a prefix scan crosses
-whole; any other view past a walk's first is sized when first asked its
-length, by a count of its own.  The last span
-sieved is kept, so a walk that resumes inside it, as a cursor restored
-from its checkpoint does, reads it from there instead of sieving, and
-sieves on from its end.
+The digit counts weigh each residue column of flags by ``int.bit_count``,
+and those weights size a view that a prefix scan crosses whole; any other
+view past a walk's first is sized when first asked its length, by Adler-32
+sums at memory speed.  The last span sieved is kept, so a walk that
+resumes inside it, as a cursor restored from its checkpoint does, reads
+it from there instead of sieving, and sieves on from its end.
 Counting sieves only [0, x // cbrt(x)], about x**(2/3), with the same
 kernel, and takes pi(x) from Meissel's formula over that table and the
 primes it holds up to sqrt(x), exact and in integers throughout.
@@ -42,6 +41,7 @@ from itertools import accumulate, chain, compress, repeat
 from math import isqrt, prod
 
 from .errors import CapExceededError
+from .rational import format_integer
 
 # Spans widen with depth from SEGMENT_SIZE to MAX_SPAN integers (see
 # span_width).
@@ -248,8 +248,9 @@ class FlagBatch(Sequence):
     view of the same flags, so a cut through a span costs its members no
     extraction.  Members are picked out, by ``_between``, only when a
     view is iterated, afresh each time: a reader slices the stretch it
-    writes and iterates that.  The view of the other sense overrides only
-    ``_between``, ``_next`` and ``_most``."""
+    writes and iterates that.  ``list(view)`` sizes an unsized view, as
+    ``list`` asks ``len()`` first; ``list(iter(view))`` does not.  The view
+    of the other sense overrides only ``_between``, ``_next`` and ``_most``."""
 
     __slots__ = ("flags", "lo", "start", "stop", "size", "_seen")
     _SENSE = 1
@@ -518,7 +519,9 @@ def prime_count(x: int, cap: int = DEFAULT_COUNTING_CAP) -> int:
             approximated.
     """
     if x > cap:
-        raise CapExceededError(f"prime count at {x} exceeds the counting cap {cap}")
+        raise CapExceededError(
+            f"prime count at {format_integer(x)} exceeds the counting cap {format_integer(cap)}"
+        )
     if x < len(_SMALL):  # a = 6 needs x >= p_6 = 13
         return _SMALL.count(1, 0, max(x + 1, 0))
     # array is imported here, not with the module: loading it costs every

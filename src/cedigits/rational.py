@@ -3,7 +3,8 @@
 Repetition counts are floors of powers of an exact rational, so every
 computation here stays in integer arithmetic until the caller decides
 to round.  Numbers are read only in the forms the canonical writers
-produce, so a text that is accepted names one canonical text.
+produce, so a text that is accepted names one canonical text.  Every
+integer the package writes as text goes through ``format_integer``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ def parse_natural(text: str) -> int:
         return int(text)
     except ValueError:  # past the limit on decimal digits, which Decimal lacks
         return int(Decimal(text))
+
+
+def format_integer(n: int) -> str:
+    """The decimal text of an integer, the inverse of ``parse_natural``:
+    any number of digits is written, through Decimal past the limit that
+    ``str`` puts on them."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 def parse_rational(text: str) -> Fraction:
@@ -54,4 +65,4 @@ def floor_power(c: Fraction, n: int) -> int:
 
 def format_rational(c: Fraction) -> str:
     """Canonical num/den rendering, always including the denominator."""
-    return f"{c.numerator}/{c.denominator}"
+    return f"{format_integer(c.numerator)}/{format_integer(c.denominator)}"

@@ -14,7 +14,6 @@ import itertools
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator, Sequence
-from decimal import Decimal
 
 from .errors import CapExceededError, SequenceExhaustedError
 # iter_primes and iter_composites stay importable here: bench/tracer.py rebinds them
@@ -28,7 +27,7 @@ from .primes import (
     prime_batches,
     prime_count,
 )
-from .rational import parse_natural
+from .rational import format_integer, parse_natural
 
 __all__ = [
     "SequenceSpec",
@@ -135,7 +134,7 @@ class SequenceSpec(ABC):
             return next(self.members(after))
         except StopIteration:
             raise SequenceExhaustedError(
-                f"no member of {self.canonical} after {after}"
+                f"no member of {self.canonical} after {format_integer(after)}"
             ) from None
 
     def __str__(self) -> str:
@@ -272,7 +271,7 @@ class Polynomial(Record, SequenceSpec):
     @property
     def canonical(self) -> str:
         head = "poly-primes" if self.argument == "primes" else "poly"
-        return head + ":" + ",".join(map(str, map(Decimal, self.coefficients)))
+        return head + ":" + ",".join(map(format_integer, self.coefficients))
 
 
 class Explicit(Record, SequenceSpec):
@@ -302,8 +301,7 @@ class Explicit(Record, SequenceSpec):
 
     @property
     def canonical(self) -> str:
-        # through Decimal, which has no limit on the digits of a member
-        return "explicit:" + ",".join(map(str, map(Decimal, self.values)))
+        return "explicit:" + ",".join(map(format_integer, self.values))
 
 
 def _last_gap(spec: SequenceSpec) -> int | None:

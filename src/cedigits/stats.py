@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from decimal import Decimal
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from io import TextIOBase
@@ -39,6 +38,7 @@ from operator import add, mul, sub
 
 from .errors import SequenceExhaustedError, UndefinedStatisticError
 from .primes import FlagBatch
+from .rational import format_integer
 from .sequences import Record, _size
 from .stream import NumberSpec, StreamCursor, _run_encoder
 
@@ -150,7 +150,7 @@ class DigitCounter:
                 self.counts, self.total = counts, self.total + len(digits) * copies
                 return
         bad = next(d for d in digits if d not in range(base))
-        raise ValueError(f"digit {bad} out of range for base {base}")
+        raise ValueError(f"digit {format_integer(bad)} out of range for base {base}")
 
     def _add(self, found: list[int], copies: int) -> None:
         # count ``copies`` times over a block whose counts are ``found``
@@ -192,7 +192,7 @@ def block_stream(cursor: StreamCursor, m: int) -> Iterator[int]:
 
 def _check_symbol(spec: NumberSpec, symbol: int) -> None:
     if not 0 <= symbol < spec.base:
-        raise ValueError(f"symbol {symbol} out of range for base {spec.base}")
+        raise ValueError(f"symbol {format_integer(symbol)} out of range for base {spec.base}")
 
 
 @lru_cache(maxsize=8)
@@ -211,11 +211,11 @@ def _run_counts(base: int) -> Callable[[Sequence[int], int], list[int] | None]:
     so a place divides only by the base.
     A run of primes, a ``FlagBatch``, is counted off its sieve flags.
     With G = base**low, the low places of a member m are the digits of
-    m mod G: one strided column of the flags per residue, counted by
-    ``primes._count_flags``, gives the members of each.  Every member
-    lies in a residue counted, so the columns add up to the run's size,
-    which sizes a view the scan crosses before it is sized.  The
-    high places, m // G, are weighed by the count of each row of G flags:
+    m mod G: one strided column of the flags per residue, read as an
+    integer and counted by ``int.bit_count``, gives the members of each.
+    Every member lies in a residue counted, so the columns add up to the
+    run's size, which sizes a view the scan crosses before it is sized.
+    The high places, m // G, are weighed by the count of each row of G flags:
     the columns, read as integers with one byte per row, add up to all
     those counts at once, in two sums, one for the residues whose column
     starts a row late.  Both are reduced place by place.  G is the
@@ -409,15 +409,11 @@ class Trajectory(Record):
         self._fill(spec, symbol, points)
 
     def write_csv(self, out: TextIOBase) -> None:
-        """Write the trajectory as CSV with LF line endings, the integers
-        through Decimal, which has no limit on the digits of an int."""
+        """Write the trajectory as CSV with LF line endings."""
         out.write(TRAJECTORY_CSV_HEADER + "\n")
         for p in self.points:
-            d = p.discrepancy
-            out.write(
-                f"{Decimal(p.n)},{Decimal(p.count)},{Decimal(d.numerator)},"
-                f"{Decimal(d.denominator)},{p.statistic!r}\n"
-            )
+            fields = p.n, p.count, *p.discrepancy.as_integer_ratio()
+            out.write(",".join(map(format_integer, fields)) + f",{p.statistic!r}\n")
 
     def write_csv_path(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -34,7 +34,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterator, Sequence
-from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
@@ -42,7 +41,7 @@ from operator import floordiv, mod
 
 from .errors import SequenceExhaustedError
 from .primes import MAX_BATCH, FlagBatch
-from .rational import floor_power, format_rational, parse_natural, parse_rational
+from .rational import floor_power, format_integer, format_rational, parse_natural, parse_rational
 from .sequences import Record, SequenceSpec, _size, parse_sequence
 
 __all__ = [
@@ -112,7 +111,7 @@ class NumberSpec(Record):
     def canonical(self) -> str:
         return (
             f"{self.sequence.canonical}"
-            f"|b={self.base}"
+            f"|b={format_integer(self.base)}"
             f"|c={format_rational(self.multiplier)}"
         )
 
@@ -193,8 +192,8 @@ def _run_encoder(base: int) -> Callable[[Sequence[int], int], Sequence[int]]:
             else:
                 try:
                     written = conversion * len(members) % tuple(members)
-                except ValueError:  # past the limit on decimal digits, which Decimal lacks
-                    written = "".join(map(str, map(Decimal, members)))
+                except ValueError:  # past the limit on decimal digits
+                    written = "".join(map(format_integer, members))
             return written.encode("ascii").translate(values)
 
     else:
@@ -354,7 +353,7 @@ class StreamCursor:
         self._run, self._at, self._block = ((), 0, 0), 0, ()
         if integer > 0:
             if not spec.sequence.is_member(integer):
-                raise ValueError(f"{integer} is not a member of {spec.sequence}")
+                raise ValueError(f"{format_integer(integer)} is not a member of {spec.sequence}")
             length = digit_length(integer, spec.base)
             copies = floor_power(spec.multiplier, length)
             if not 0 <= rep < copies:
@@ -410,7 +409,8 @@ class StreamCursor:
             n -= self._cross(n, sink, whole)
             if n and not self._pull():
                 raise SequenceExhaustedError(
-                    f"stream over {self.spec.canonical} ended at position {self.position}"
+                    f"stream over {self.spec.canonical} ended at position "
+                    f"{format_integer(self.position)}"
                 )
 
     def _cross(self, n: int | None, sink: Sink | None, whole: Whole | None) -> int:
@@ -519,18 +519,15 @@ class StreamCursor:
             SequenceExhaustedError: when a finite stream ends first.
         """
         if n < self.position:
-            raise ValueError(f"cannot skip backwards from {self.position} to {n}")
+            raise ValueError(
+                f"cannot skip backwards from {format_integer(self.position)} to {format_integer(n)}"
+            )
         self._advance(n - self.position)
 
     def checkpoint(self) -> str:
-        """One-line serialization of the cursor state.  The integers are
-        written through Decimal only past the limit on the decimal digits
-        of an int, which Decimal lacks."""
-        state = self.position, self.integer, self.rep, self.offset, self.spec.canonical
-        try:
-            return _CHECKPOINT_FORMAT % state
-        except ValueError:
-            return _CHECKPOINT_FORMAT.replace("%d", "%s") % (*map(Decimal, state[:4]), state[4])
+        """One-line serialization of the cursor state."""
+        state = self.position, self.integer, self.rep, self.offset
+        return _CHECKPOINT_FORMAT % (*map(format_integer, state), self.spec.canonical)
 
     @classmethod
     def from_checkpoint(cls, line: str) -> "StreamCursor":
@@ -545,7 +542,7 @@ class StreamCursor:
         return cls(spec, position, integer, rep, offset)
 
 
-_CHECKPOINT_FORMAT = "position=%d integer=%d rep=%d offset=%d spec=%s"
+_CHECKPOINT_FORMAT = "position=%s integer=%s rep=%s offset=%s spec=%s"
 # the fields of a checkpoint line, in order, one space apart; each value
 # is checked as it is parsed
 _CHECKPOINT_LINE = re.compile(

@@ -130,6 +130,11 @@ class TestDigits:
         )
         assert code == 3
         assert "cap" in err
+        # a count of more than 4300 decimal digits is refused as a cap too
+        big = "1" + "0" * 5000
+        code, out, err = run_cli("digits", "--spec", "naturals", "--base", "10", "-n", big)
+        assert (code, out) == (3, "")
+        assert f"emitting {big} digits exceeds" in err
 
     def test_finite_complement_ends_with_usage_error(self):
         # n + 3 covers every integer from 4 on, so complement:poly:3,1 is
@@ -259,6 +264,22 @@ class TestDigits:
         )
         assert whole.strip() == first.strip() + second.strip()
 
+    def test_save_and_resume_with_a_multiplier_past_the_decimal_str_limit(self, tmp_path):
+        # c = 10**5000 writes 1 that many times, and the checkpoint's spec
+        # writes c at full length
+        c = "1" + "0" * 5000
+        state = str(tmp_path / "cursor.txt")
+        args = ("digits", "--spec", "naturals", "--base", "10", "--c", c)
+        assert run_cli(*args, "-n", "5", "--save-cursor", state) == (0, "11111\n", "")
+        line = Path(state).read_text(encoding="utf-8")
+        assert line == f"position=5 integer=1 rep=4 offset=1 spec=naturals|b=10|c={c}/1\n"
+        assert run_cli("digits", "--resume", state, "-n", "7", "--save-cursor", state) == (
+            0, "1111111\n", ""
+        )
+        assert Path(state).read_text(encoding="utf-8") == line.replace("=5 ", "=12 ").replace(
+            "rep=4", "rep=11"
+        )
+
     def test_resume_from_impossible_fresh_state_is_usage_error(self, tmp_path):
         state = tmp_path / "cursor.txt"
         state.write_text("position=0 integer=0 rep=7 offset=9 spec=naturals|b=10|c=1\n")
@@ -386,10 +407,15 @@ class TestCount:
         assert code == 3
         assert out == ""
         assert "cap 999" in err
+        # a prefix of more than 4300 decimal digits is refused as a cap too
+        big = "1" + "0" * 5000
+        code, out, err = run_cli(*args[:-1], big, flag, "999")
+        assert (code, out) == (3, "")
+        assert f"counting over {big} digits exceeds the per-run cap 999" in err
 
     def test_counts_past_the_decimal_str_limit(self):
         # c = 10**5000 writes the first member, 1, more than n = 10**4400
-        # times, so every digit is a 1; counts are written through Decimal
+        # times, so every digit is a 1; counts are written in full
         n = "1" + "0" * 4400
         code, out, err = run_cli(
             "count", "--spec", "naturals", "--base", "10", "--c", "1" + "0" * 5000,
@@ -571,6 +597,22 @@ class TestVerify:
         assert rows and all(r.match for r in rows)
         assert max(r.k for r in rows if r.base == 2) == 60
 
+    def test_rows_past_the_decimal_str_limit(self, tmp_path):
+        # c = 10**5000 writes the first member, 1, that many times: the
+        # row for k = 1 ends at position c with c ones
+        c = "1" + "0" * 5000
+        path = tmp_path / "verify.csv"
+        code, out, err = run_cli(
+            "verify", "--bases", "2", "--cs", c, "--max-digits", c + "0", "--max-k", "1",
+            "--csv", str(path),
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [f"2  {c}/1 1   {c} {c} {c} {c} true",
+                                        "all rows match: yes (1 rows)"]
+        assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"2,{c},1,1,{c},{c},{c},{c},true"
+        ]
+
     def test_rows_are_canonically_ordered(self):
         rows = run_verification((10, 2), (Fraction(2), Fraction(1)), 5000)
         keys = [(r.base, r.c, r.k) for r in rows]
@@ -617,11 +659,14 @@ class TestThreshold:
 
     @pytest.mark.parametrize("spec", ["naturals", "poly:0,1"])
     def test_sample_point_past_the_decimal_str_limit(self, spec):
-        # x and its count, both 10**5000, are written through Decimal
+        # x and its count, both 10**5000, and c = 10**5000 are written in full
         x = "1" + "0" * 5000
-        code, out, err = run_cli("threshold", "--spec", spec, "--base", "10", "--xs", x)
+        code, out, err = run_cli(
+            "threshold", "--spec", spec, "--base", "10", "--c", x, "--xs", x
+        )
         assert (code, err) == (0, "")
         lines = out.splitlines()
+        assert lines[1].startswith(f"alpha threshold (base 10, c {x}/1): ")
         assert lines[3].startswith(f"{x} {x} ")
         assert lines[-1].startswith("note: ") and len(lines) == 5
 
@@ -662,6 +707,11 @@ class TestThreshold:
         )
         assert code == 3
         assert "cap" in err
+        # a sample point of more than 4300 decimal digits is refused as a cap too
+        big = "1" + "0" * 5000
+        code, out, err = run_cli("threshold", "--spec", "primes", "--base", "10", "--xs", big)
+        assert (code, out) == (3, "")
+        assert f"prime count at {big} exceeds the counting cap" in err
 
 
 class TestRendering:

@@ -363,7 +363,7 @@ def test_list_runs_written_by_one_format(base):
     """Lists of members of one length, which bases 8, 10 and 16 write with
     one printf-style format, against to_digits: runs of one member and of
     MAX_BATCH, and members past str()'s limit on decimal digits, which
-    base 10 writes through Decimal."""
+    base 10 writes in full."""
     rng = random.Random(base)
     encode = _run_encoder(base)
     huge = [10**5000 + i for i in (0, 1, 9, 10, 99)]

@@ -66,6 +66,11 @@ class TestExamples:
     def test_next_member_primes(self):
         assert Primes().next_member(10) == 11
 
+    def test_next_member_past_the_decimal_str_limit_raises_exhausted(self):
+        # the error names the bound in full
+        with pytest.raises(SequenceExhaustedError, match=f"after 1{'0' * 5000}$"):
+            Explicit((1,)).next_member(10**5000)
+
     def test_one_is_neither_prime_nor_composite(self):
         assert not Primes().is_member(1)
         assert not Composites().is_member(1)
@@ -680,6 +685,11 @@ class TestPrimeCount:
         with pytest.raises(CapExceededError):
             prime_count(10**8 + 1)
         assert prime_count(10**9, cap=10**9) == 50_847_534
+
+    def test_cap_past_the_decimal_str_limit(self):
+        # the refusal names x in full
+        with pytest.raises(CapExceededError, match=f"^prime count at 1{'0' * 5000} exceeds"):
+            prime_count(10**5000)
 
 
 class TestPolynomial:

@@ -16,6 +16,7 @@ from cedigits import (
     SequenceExhaustedError,
     SequenceSpec,
     StreamCursor,
+    block_stream,
     count_symbol_prefix,
     counter_prefix,
     digit_length,
@@ -363,9 +364,9 @@ class TestCheckpoints:
         "digits", [4300, 4301, 5000], ids=["at-the-limit", "past-the-limit", "far-past"]
     )
     def test_long_fields_are_written_and_read_back_byte_identically(self, digits, tmp_path):
-        # an int of more than 4300 decimal digits is past str()'s and the
-        # %d format's limit, which Decimal lacks: the line is the same
-        # either way, with every field written in full
+        # an int of more than 4300 decimal digits is past str()'s limit,
+        # which Decimal lacks: the line is the same either way, with every
+        # field written in full
         integer = 10 ** (digits - 1) + 7
         position = 3 * integer
         cursor = StreamCursor(NumberSpec(Naturals(), 10, HALF3), position, integer, 2, 5)
@@ -483,8 +484,8 @@ class TestNumberSpec:
             StreamCursor.from_checkpoint(f"position=0 integer=0 rep=0 offset=0 spec={text}")
 
     def test_explicit_member_past_the_decimal_str_limit_round_trips(self):
-        # the spec part of the checkpoint writes and reads the members
-        # through Decimal, as the cursor fields are
+        # the spec part of the checkpoint writes and reads the members at
+        # any length, as the cursor fields are
         spec = NumberSpec(Explicit((7, 10**5000, 10**5000 + 3)), 10, HALF3)
         fresh = open_stream(spec).read(1 + 5001 * 2 * 2)
         cursor = open_stream(spec)
@@ -494,6 +495,23 @@ class TestNumberSpec:
         resumed = StreamCursor.from_checkpoint(line)
         assert resumed == cursor and resumed.checkpoint() == line
         assert resumed.read(len(fresh) - cursor.position) == fresh[cursor.position :]
+
+    def test_multiplier_past_the_decimal_str_limit_round_trips(self):
+        spec = NumberSpec(Naturals(), 10, Fraction(10**5000))
+        assert str(spec) == f"naturals|b=10|c=1{'0' * 5000}/1"
+        assert parse_number_spec(str(spec)) == spec
+
+    def test_end_past_the_decimal_str_limit_raises_exhausted(self):
+        # 1 and 2 are each written 10**5000 times, so the stream ends at a
+        # position of 5001 decimal digits, which the error names
+        spec = NumberSpec(Explicit((1, 2)), 10, Fraction(10**5000))
+        cursor = open_stream(spec)
+        cursor.skip_to(2 * 10**5000)
+        with pytest.raises(SequenceExhaustedError, match=f"ended at position 2{'0' * 5000}$"):
+            cursor.read(1)
+        cursor = open_stream(spec)
+        cursor.skip_to(2 * 10**5000 - 3)
+        assert list(block_stream(cursor, 2)) == [22]  # the last digit is dropped
 
     def test_exhausted_stream_raises(self):
         cursor = open_stream(NumberSpec(Explicit((1, 2)), 10))
